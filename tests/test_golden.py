@@ -1,0 +1,65 @@
+"""Byte-for-byte CLI output pinned against committed golden files.
+
+Each case runs `cli.main` in process on a fixed dataset under
+`tests/golden/` and compares its stdout with `tests/golden/<case>.out`.
+`serps.jsonl` mixes all three leanings, has an engine whose lists are all
+alike (degenerate one-sample tests), a list shorter than the default step
+and a query whose lists hold no pro document (undefined rKL and rRD rows).
+`one_query.jsonl` has a single query, so every t-test is skipped.
+
+The goldens were written by the implementation they guard; a refactor that
+must keep output unchanged is checked against them. To rewrite them after a
+deliberate output change, run `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from serpbias import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SERPS = str(GOLDEN / "serps.jsonl")
+ONE_QUERY = str(GOLDEN / "one_query.jsonl")
+
+BASE_CASES = {
+    "validate": ["validate", "--input", SERPS],
+    "evaluate-one-query": ["evaluate", "--input", ONE_QUERY],
+    "baselines-ideology": ["baselines", "--input", SERPS, "--mode", "ideology", "--step", "5"],
+    "baselines-g1": ["baselines", "--input", SERPS, "--g1", "against", "--step", "3"],
+}
+for mode in ("stance", "ideology"):
+    for command in ("evaluate", "compare"):
+        BASE_CASES[f"{command}-{mode}"] = [command, "--input", SERPS, "--mode", mode]
+for baseline in ("rnd", "rkl", "rrd"):
+    BASE_CASES[f"baselines-{baseline}"] = ["baselines", "--input", SERPS, "--baseline", baseline]
+
+CASES = {
+    f"{name}.{fmt}": argv + ["--output", fmt]
+    for name, argv in BASE_CASES.items()
+    for fmt in ("json", "tsv", "markdown")
+}
+CASES["evaluate-flags.json"] = [
+    "evaluate", "--input", SERPS, "--measures", "p,dcg,rbp", "--cutoff", "4",
+    "--persistence", "0.55", "--log-base", "10", "--alpha", "0.2",
+]
+
+
+def run_case(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name):
+    assert run_case(CASES[name]) == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.out").write_bytes(run_case(argv))
