@@ -27,7 +27,6 @@ from .errors import (
 from .fairness import (
     BASELINE_KINDS,
     BaselineConfig,
-    GroupAssignment,
     baseline_score,
     distance_rkl,
     distance_rnd,
@@ -85,7 +84,6 @@ __all__ = [
     "DegenerateSampleError",
     "Document",
     "EngineRun",
-    "GroupAssignment",
     "IdeologyLabel",
     "InputError",
     "Label",

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import InputError
-from .measures import MeasureConfig, dcg_at, precision_at, rbp
-from .model import EngineRun, IdeologyLabel, Label, RankedList, StanceLabel
+from .measures import MeasureConfig, dcg_at, discounts, precision_at, rbp
+from .model import EngineRun, IdeologyLabel, RankedList, StanceLabel
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,18 @@ class BiasSummary:
     per_query: tuple[BiasRecord, ...]
 
 
-def label_sides(r: RankedList) -> tuple[Label, Label]:
-    """Positive/negative label pair for a list: pro/against, or conservative/liberal
-    when the documents carry ideology labels. Empty lists default to the stance pair
-    (their slant is 0 either way)."""
-    for doc in r.docs:
-        if isinstance(doc.stance, IdeologyLabel):
-            return IdeologyLabel.CONSERVATIVE, IdeologyLabel.LIBERAL
-        break
-    return StanceLabel.PRO, StanceLabel.AGAINST
-
-
 def bias(r: RankedList, cfg: MeasureConfig) -> float:
-    """Positive-side utility minus negative-side utility under cfg.measure_kind."""
-    positive, negative = label_sides(r)
+    """Positive-side utility minus negative-side utility under cfg.measure_kind.
+
+    The sides are pro/against, or conservative/liberal when the documents
+    carry ideology labels (a list holds one label type). Empty lists take
+    the stance pair; their slant is 0 either way. Each side's utility is
+    computed on its own and only then subtracted.
+    """
+    if r.docs and isinstance(r.docs[0].stance, IdeologyLabel):
+        positive, negative = IdeologyLabel.CONSERVATIVE, IdeologyLabel.LIBERAL
+    else:
+        positive, negative = StanceLabel.PRO, StanceLabel.AGAINST
     if cfg.measure_kind == "precision":
         return precision_at(r, positive, cfg.cutoff) - precision_at(r, negative, cfg.cutoff)
     if cfg.measure_kind == "rbp":
@@ -75,14 +73,12 @@ def per_query_bias(run: EngineRun, cfg: MeasureConfig) -> list[BiasRecord]:
 def mean_bias(run: EngineRun, cfg: MeasureConfig) -> float:
     """Signed mean slant over the query set. 0 for an unbiased engine, but also
     0 when slants in opposite directions cancel out."""
-    records = per_query_bias(run, cfg)
-    return math.fsum(rec.beta for rec in records) / len(records)
+    return summarize_run(run, cfg).mb
 
 
 def mean_abs_bias(run: EngineRun, cfg: MeasureConfig) -> float:
     """Mean absolute slant over the query set; immune to cancellation, blind to direction."""
-    records = per_query_bias(run, cfg)
-    return math.fsum(abs(rec.beta) for rec in records) / len(records)
+    return summarize_run(run, cfg).mab
 
 
 def summarize_run(run: EngineRun, cfg: MeasureConfig) -> BiasSummary:
@@ -101,8 +97,9 @@ def summarize_run(run: EngineRun, cfg: MeasureConfig) -> BiasSummary:
 def beta_max(measure_kind: str, cfg: MeasureConfig, list_len: int) -> float:
     """Tight upper bound on |bias| for a list of the given length.
 
-    Attained by a list entirely labeled on one side: 1 for precision,
-    1 - p**len for RBP, and the truncated discount sum for DCG.
+    Attained by a list entirely labeled on one side: 1 for precision (once
+    the list reaches the cutoff), and for RBP and DCG the scaled sum of the
+    list's discount table, which for RBP is 1 - p**len up to rounding.
     """
     kind_cfg = cfg if cfg.measure_kind == measure_kind else replace(cfg, measure_kind=measure_kind)
     if list_len < 0:
@@ -110,8 +107,6 @@ def beta_max(measure_kind: str, cfg: MeasureConfig, list_len: int) -> float:
     if measure_kind == "precision":
         return 1.0
     if measure_kind == "rbp":
-        return 1.0 - kind_cfg.persistence ** list_len
-    return math.fsum(
-        1.0 / math.log(i + 1, kind_cfg.log_base)
-        for i in range(1, min(kind_cfg.cutoff, list_len) + 1)
-    )
+        p = kind_cfg.persistence
+        return (1.0 - p) * math.fsum(discounts("rbp", p, None, list_len))
+    return math.fsum(discounts("dcg", kind_cfg.log_base, kind_cfg.cutoff, list_len))

@@ -23,9 +23,13 @@ from .report import (
     REPORT_FORMATS,
     ComparisonReport,
     evaluate,
+    markdown_list,
+    markdown_table,
+    markdown_text,
     render_report,
     resolve_measures,
     to_json_text,
+    tsv_text,
 )
 
 
@@ -76,26 +80,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> str:
     ds = load_dataset(args.input)
-    info = {
-        "engines": ds.engine_ids(),
+    engines = ds.engine_ids()
+    counts = {
         "n_queries": len(ds.query_table),
         "n_records": sum(len(run.lists) for run in ds.runs),
         "n_documents": ds.document_count(),
     }
     if args.output == "json":
-        return to_json_text(info) + "\n"
+        return to_json_text({"engines": engines, **counts}) + "\n"
     if args.output == "tsv":
-        rows = ["field\tvalue"]
-        rows.append("engines\t" + ",".join(info["engines"]))
-        for key in ("n_queries", "n_records", "n_documents"):
-            rows.append(f"{key}\t{info[key]}")
-        return "\n".join(rows) + "\n"
-    lines = ["# Dataset", ""]
-    lines.append(f"- engines: {', '.join(info['engines'])}")
-    lines.append(f"- queries: {info['n_queries']}")
-    lines.append(f"- records: {info['n_records']}")
-    lines.append(f"- documents: {info['n_documents']}")
-    return "\n".join(lines) + "\n"
+        return tsv_text(("field", "value"), [("engines", ",".join(engines)), *counts.items()])
+    bullets = [f"engines: {', '.join(engines)}"]
+    bullets += [f"{key.removeprefix('n_')}: {n}" for key, n in counts.items()]
+    return markdown_text("Dataset", markdown_list(bullets))
 
 
 def _evaluation(args) -> tuple[Dataset, ComparisonReport]:
@@ -133,6 +130,9 @@ def _parse_g1(mode: str, text: str):
         raise ConfigError(f"invalid --g1: {exc}") from None
 
 
+_SCORE_COLUMNS = ("engine", "query_id", "status", "score", "detail")
+
+
 def _cmd_baselines(args) -> str:
     ds = load_dataset(args.input)
     cfg = BaselineConfig(step=args.step, kind=args.baseline)
@@ -141,29 +141,24 @@ def _cmd_baselines(args) -> str:
     summary = []
     for run in ds.runs:
         defined = []
-        undefined = 0
         for query_id in run.query_ids():
             ranked = run.lists[query_id]
             if args.mode == "ideology":
                 ranked = transform_list(ranked)
-            row = {"engine": run.engine_id, "query_id": query_id}
             try:
-                row["status"] = "ok"
-                row["score"] = baseline_score(ranked, g1, cfg)
-                row["detail"] = ""
-                defined.append(row["score"])
+                score = baseline_score(ranked, g1, cfg)
+                status, detail = "ok", ""
+                defined.append(score)
             except (MeasureUndefinedError, InputError) as exc:
-                row["status"] = "undefined"
-                row["score"] = None
-                row["detail"] = str(exc)
-                undefined += 1
-            scores.append(row)
+                score, status, detail = None, "undefined", str(exc)
+            row = (run.engine_id, query_id, status, score, detail)
+            scores.append(dict(zip(_SCORE_COLUMNS, row)))
         summary.append(
             {
                 "engine": run.engine_id,
                 "mean_score": math.fsum(defined) / len(defined) if defined else None,
                 "defined": len(defined),
-                "undefined": undefined,
+                "undefined": len(run.lists) - len(defined),
             }
         )
     doc = {
@@ -176,23 +171,17 @@ def _cmd_baselines(args) -> str:
     if args.output == "json":
         return to_json_text(doc) + "\n"
     if args.output == "tsv":
-        rows = ["engine\tquery_id\tstatus\tscore\tdetail"]
-        for row in scores:
-            score = "" if row["score"] is None else repr(row["score"])
-            rows.append(
-                "\t".join([row["engine"], row["query_id"], row["status"], score, row["detail"]])
-            )
-        return "\n".join(rows) + "\n"
-    lines = [f"# {args.baseline} baseline (step {args.step}, g1 = {g1})", ""]
-    lines += ["| engine | query | status | score |", "| --- | --- | --- | --- |"]
-    for row in scores:
-        score = "" if row["score"] is None else format(row["score"], ".6g")
-        lines.append(f"| {row['engine']} | {row['query_id']} | {row['status']} | {score} |")
-    lines += ["", "| engine | mean score | defined | undefined |", "| --- | --- | --- | --- |"]
-    for row in summary:
-        mean = "" if row["mean_score"] is None else format(row["mean_score"], ".6g")
-        lines.append(f"| {row['engine']} | {mean} | {row['defined']} | {row['undefined']} |")
-    return "\n".join(lines) + "\n"
+        return tsv_text(_SCORE_COLUMNS, (row.values() for row in scores))
+    return markdown_text(
+        f"{args.baseline} baseline (step {args.step}, g1 = {g1})",
+        markdown_table(
+            ("engine", "query", "status", "score"),
+            [(row["engine"], row["query_id"], row["status"], row["score"]) for row in scores],
+        ),
+        markdown_table(
+            ("engine", "mean score", "defined", "undefined"), (row.values() for row in summary)
+        ),
+    )
 
 
 _COMMANDS = {

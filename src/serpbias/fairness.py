@@ -22,28 +22,13 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
 from .errors import ConfigError, InputError, MeasureUndefinedError
-from .model import Document, Label, RankedList
+from .model import Document, RankedList
 
 BASELINE_KINDS = ("rnd", "rkl", "rrd")
 
 DEFAULT_STEP = 10
 
 GroupOf = Callable[[Document], Hashable]
-
-
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Protected/unprotected group labels; g1 is the tracked group."""
-
-    g1: Label
-    g2: Label
-
-    def __post_init__(self):
-        if self.g1 == self.g2:
-            raise ConfigError("protected and unprotected groups must differ")
-
-    def swapped(self) -> "GroupAssignment":
-        return GroupAssignment(self.g2, self.g1)
 
 
 @dataclass(frozen=True)

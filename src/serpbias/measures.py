@@ -5,10 +5,16 @@ for documents with a given label: precision counts the share of the top n,
 rank-biased precision applies a geometric persistence model, and DCG applies
 a logarithmic position discount. Ranks past the end of a short list simply
 contribute nothing.
+
+All three share one form: a per-rank discount table w_1..w_k (1 for
+precision, p**(i-1) for RBP, 1/log_b(i+1) for DCG), summed over the ranks
+that hold the label and then scaled (divided by n for precision, times 1 - p
+for RBP, unscaled for DCG).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,15 +64,36 @@ def _check_persistence(p):
 
 
 def _check_log_base(base):
-    if not base > 1.0:
-        raise ConfigError(f"log base must be greater than 1, got {base!r}")
+    if not (base > 1.0 and math.isfinite(base)):
+        raise ConfigError(f"log base must be a finite number greater than 1, got {base!r}")
+
+
+@functools.lru_cache(maxsize=1024)
+def discounts(kind: str, parameter, cutoff, length: int) -> tuple[float, ...]:
+    """Per-rank discounts w_1..w_k for a list of `length` documents.
+
+    Precision and DCG stop at the cutoff, k = min(cutoff, length); RBP has no
+    cutoff (pass None) and reads the whole list. parameter is the persistence
+    p for RBP, the log base b for DCG, and unused for precision. Tables are
+    memoized, so every list of one length shares one.
+    """
+    if kind == "rbp":
+        return tuple(parameter ** i for i in range(length))
+    depth = min(cutoff, length)
+    if kind == "precision":
+        return (1.0,) * depth
+    return tuple(1.0 / math.log(i + 1, parameter) for i in range(1, depth + 1))
+
+
+def _discounted_hits(r: RankedList, label: Label, weights: tuple[float, ...]) -> float:
+    """Sum of the discounts of the ranks, among the first len(weights), labeled `label`."""
+    return math.fsum(w for w, doc in zip(weights, r.docs) if doc.stance == label)
 
 
 def precision_at(r: RankedList, label: Label, n: int) -> float:
     """Fraction of the top n ranks occupied by documents labeled `label`."""
     _check_cutoff(n)
-    hits = sum(1 for doc in r.docs[:n] if doc.stance == label)
-    return hits / n
+    return _discounted_hits(r, label, discounts("precision", None, n, len(r.docs))) / n
 
 
 def rbp(r: RankedList, label: Label, p: float) -> float:
@@ -76,15 +103,11 @@ def rbp(r: RankedList, label: Label, p: float) -> float:
     ranks beyond the list, so the value is bounded by 1 - p**len(r).
     """
     _check_persistence(p)
-    return (1.0 - p) * math.fsum(
-        p ** (doc.rank - 1) for doc in r.docs if doc.stance == label
-    )
+    return (1.0 - p) * _discounted_hits(r, label, discounts("rbp", p, None, len(r.docs)))
 
 
 def dcg_at(r: RankedList, label: Label, n: int, base: float = DEFAULT_LOG_BASE) -> float:
     """Discounted cumulative gain at cutoff n: a match at rank i gains 1/log_base(i+1)."""
     _check_cutoff(n)
     _check_log_base(base)
-    return math.fsum(
-        1.0 / math.log(doc.rank + 1, base) for doc in r.docs[:n] if doc.stance == label
-    )
+    return _discounted_hits(r, label, discounts("dcg", base, n, len(r.docs)))

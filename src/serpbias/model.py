@@ -18,7 +18,23 @@ from typing import Union
 from .errors import InputError
 
 
-class StanceLabel(enum.Enum):
+class _Label(enum.Enum):
+    """A label vocabulary whose members print as, and parse from, their wire strings."""
+
+    def __str__(self) -> str:
+        return self.value
+
+    @classmethod
+    def from_str(cls, text: str) -> "_Label":
+        member = cls._value2member_map_.get(text) if isinstance(text, str) else None
+        if member is None:
+            what = cls.__name__[: -len("Label")].lower()
+            valid = ", ".join(m.value for m in cls)
+            raise InputError(f"unknown {what} label {text!r} (expected one of: {valid})")
+        return member
+
+
+class StanceLabel(_Label):
     """Document stance toward the query topic."""
 
     PRO = "pro"
@@ -26,30 +42,16 @@ class StanceLabel(enum.Enum):
     AGAINST = "against"
     NOT_RELEVANT = "not-relevant"
 
-    def __str__(self) -> str:
-        return self.value
 
-    @classmethod
-    def from_str(cls, text: str) -> "StanceLabel":
-        return _parse_label(cls, text, "stance")
-
-
-class LeaningLabel(enum.Enum):
+class LeaningLabel(_Label):
     """Ideological leaning of a query topic."""
 
     CONSERVATIVE = "conservative"
     LIBERAL = "liberal"
     BOTH_OR_NEITHER = "both_or_neither"
 
-    def __str__(self) -> str:
-        return self.value
 
-    @classmethod
-    def from_str(cls, text: str) -> "LeaningLabel":
-        return _parse_label(cls, text, "leaning")
-
-
-class IdeologyLabel(enum.Enum):
+class IdeologyLabel(_Label):
     """Per-document ideology derived from (query leaning, document stance).
 
     EXCLUDED only arises for documents of both-or-neither queries, which have
@@ -62,23 +64,8 @@ class IdeologyLabel(enum.Enum):
     NOT_RELEVANT = "not-relevant"
     EXCLUDED = "excluded"
 
-    def __str__(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_str(cls, text: str) -> "IdeologyLabel":
-        return _parse_label(cls, text, "ideology")
-
 
 Label = Union[StanceLabel, IdeologyLabel]
-
-
-def _parse_label(cls, text, what):
-    for member in cls:
-        if member.value == text:
-            return member
-    valid = ", ".join(m.value for m in cls)
-    raise InputError(f"unknown {what} label {text!r} (expected one of: {valid})")
 
 
 @dataclass(frozen=True)
@@ -98,8 +85,9 @@ class Document:
 class RankedList:
     """The ranked documents one engine returned for one query.
 
-    Ranks must be contiguous 1..len(docs) in ascending order and doc_ids must
-    be unique within the list. Empty lists are legal (a failed crawl still
+    Ranks must be contiguous 1..len(docs) in ascending order, doc_ids must
+    be unique within the list, and every document carries the same label type
+    (all stance or all ideology). Empty lists are legal (a failed crawl still
     counts as a result page).
     """
 
@@ -110,11 +98,18 @@ class RankedList:
 
     def __post_init__(self):
         object.__setattr__(self, "docs", tuple(self.docs))
+        label_type = type(self.docs[0].stance) if self.docs else None
         for position, doc in enumerate(self.docs, start=1):
             if doc.rank != position:
                 raise InputError(
                     f"rank gap in list ({self.engine_id}, {self.query_id}): "
                     f"expected rank {position}, got {doc.rank}"
+                )
+            if type(doc.stance) is not label_type:
+                raise InputError(
+                    f"mixed label types in list ({self.engine_id}, {self.query_id}): "
+                    f"rank {position} is {type(doc.stance).__name__}, "
+                    f"rank 1 is {label_type.__name__}"
                 )
         ids = [doc.doc_id for doc in self.docs]
         if len(set(ids)) != len(ids):

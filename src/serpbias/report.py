@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Iterable, Optional, Sequence
 
 from .bias import BiasRecord, BiasSummary, summarize_run
 from .dataset import Dataset
@@ -67,13 +67,7 @@ class ComparisonReport:
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
-            "config": {
-                "cutoff": self.config.cutoff,
-                "persistence": self.config.persistence,
-                "log_base": self.config.log_base,
-                "alpha": self.config.alpha,
-                "measures": list(self.config.measures),
-            },
+            "config": {**asdict(self.config), "measures": list(self.config.measures)},
             "engines": list(self.engines),
             "n_queries": self.n_queries,
             "warnings": list(self.warnings),
@@ -126,20 +120,20 @@ class ComparisonReport:
         )
 
 
+_RESULT_FIELDS = tuple(f.name for f in fields(TTestResult))
+
+
+def _result_values(entry: TestEntry, names: Sequence[str] = _RESULT_FIELDS) -> list:
+    """The named fields of the entry's t-test result; all None when there is none."""
+    return [getattr(entry.result, name) if entry.result else None for name in names]
+
+
 def _test_dict(entry: TestEntry) -> dict:
     out: dict = {"engine": entry.engine}
     if entry.engine_b is not None:
         out["engine_b"] = entry.engine_b
-    out["measure"] = entry.measure_kind
-    out["status"] = entry.status
-    out["detail"] = entry.detail
-    res = entry.result
-    out["t_stat"] = res.t_stat if res else None
-    out["df"] = res.df if res else None
-    out["p_value"] = res.p_value if res else None
-    out["sample_mean"] = res.sample_mean if res else None
-    out["std_err"] = res.std_err if res else None
-    out["reject_at"] = res.reject_at if res else None
+    out.update(measure=entry.measure_kind, status=entry.status, detail=entry.detail)
+    out.update(zip(_RESULT_FIELDS, _result_values(entry)))
     return out
 
 
@@ -200,16 +194,8 @@ def evaluate(
         raise ConfigError(f"unknown mode {mode!r} (expected one of: {', '.join(MODES)})")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
-    if measures is None:
-        kinds = tuple(sorted(MEASURE_KINDS))
-    else:
-        kinds = tuple(sorted(set(measures)))
-        for kind in kinds:
-            if kind not in MEASURE_KINDS:
-                raise ConfigError(
-                    f"unknown measure kind {kind!r} "
-                    f"(expected one of: {', '.join(MEASURE_KINDS)})"
-                )
+    kinds = tuple(sorted(MEASURE_KINDS if measures is None else set(measures)))
+    kind_cfgs = [replace(cfg, measure_kind=kind) for kind in kinds]
 
     runs = []
     for run in sorted(ds.runs, key=lambda r: r.engine_id):
@@ -220,50 +206,35 @@ def evaluate(
     engines = tuple(run.engine_id for run in runs)
     n_queries = len(ds.query_table)
 
-    warnings: list[str] = []
     summaries: list[BiasSummary] = []
     betas: dict[tuple[str, str], list[float]] = {}
     for run in runs:
-        for kind in kinds:
-            summary = summarize_run(run, replace(cfg, measure_kind=kind))
+        for kind_cfg in kind_cfgs:
+            summary = summarize_run(run, kind_cfg)
             summaries.append(summary)
-            betas[(run.engine_id, kind)] = [rec.beta for rec in summary.per_query]
+            betas[(run.engine_id, kind_cfg.measure_kind)] = [rec.beta for rec in summary.per_query]
 
     stats_possible = n_queries >= 2
-    if not stats_possible:
-        warnings.append("fewer than 2 queries: statistical tests skipped")
 
-    one_sample = []
-    for run in runs:
-        for kind in kinds:
-            one_sample.append(
-                _run_test(run.engine_id, None, kind, betas[(run.engine_id, kind)], None, alpha)
-                if stats_possible
-                else TestEntry(run.engine_id, None, kind, STATUS_SKIPPED, "fewer than 2 queries")
-            )
+    def test(engine: str, engine_b: Optional[str], kind: str) -> TestEntry:
+        if not stats_possible:
+            return TestEntry(engine, engine_b, kind, STATUS_SKIPPED, "fewer than 2 queries")
+        try:
+            if engine_b is None:
+                result = one_sample_ttest(betas[(engine, kind)], 0.0, alpha)
+            else:
+                result = paired_ttest(betas[(engine, kind)], betas[(engine_b, kind)], alpha)
+        except DegenerateSampleError as exc:
+            return TestEntry(engine, engine_b, kind, STATUS_DEGENERATE, str(exc))
+        return TestEntry(engine, engine_b, kind, STATUS_OK, "", result)
 
-    paired = []
-    for i, run_a in enumerate(runs):
-        for run_b in runs[i + 1 :]:
-            for kind in kinds:
-                paired.append(
-                    _run_test(
-                        run_a.engine_id,
-                        run_b.engine_id,
-                        kind,
-                        betas[(run_a.engine_id, kind)],
-                        betas[(run_b.engine_id, kind)],
-                        alpha,
-                    )
-                    if stats_possible
-                    else TestEntry(
-                        run_a.engine_id,
-                        run_b.engine_id,
-                        kind,
-                        STATUS_SKIPPED,
-                        "fewer than 2 queries",
-                    )
-                )
+    one_sample = [test(engine, None, kind) for engine in engines for kind in kinds]
+    paired = [
+        test(engine_a, engine_b, kind)
+        for i, engine_a in enumerate(engines)
+        for engine_b in engines[i + 1 :]
+        for kind in kinds
+    ]
 
     return ComparisonReport(
         mode=mode,
@@ -276,22 +247,11 @@ def evaluate(
         ),
         engines=engines,
         n_queries=n_queries,
-        warnings=tuple(warnings),
+        warnings=() if stats_possible else ("fewer than 2 queries: statistical tests skipped",),
         summaries=tuple(summaries),
         one_sample=tuple(one_sample),
         paired=tuple(paired),
     )
-
-
-def _run_test(engine, engine_b, kind, values_a, values_b, alpha) -> TestEntry:
-    try:
-        if values_b is None:
-            result = one_sample_ttest(values_a, 0.0, alpha)
-        else:
-            result = paired_ttest(values_a, values_b, alpha)
-    except DegenerateSampleError as exc:
-        return TestEntry(engine, engine_b, kind, STATUS_DEGENERATE, str(exc))
-    return TestEntry(engine, engine_b, kind, STATUS_OK, "", result)
 
 
 # ---------------------------------------------------------------------------
@@ -344,135 +304,133 @@ def report_from_json(text: str) -> ComparisonReport:
     return ComparisonReport.from_dict(json.loads(text))
 
 
-_TSV_HEADER = "section\tengine\tengine_b\tmeasure\tquery_id\tfield\tvalue"
-
-
-def _cell(value) -> str:
+def _cell(value, float_spec: str = "") -> str:
+    """One table cell: empty for None, a float through float_spec (repr when
+    empty), anything else through str."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return format(value, float_spec)
     return str(value)
 
 
-def _tsv_row(section, engine="", engine_b="", measure="", query_id="", field="", value=""):
-    return "\t".join([section, engine, engine_b, measure, query_id, field, _cell(value)])
+def tsv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """Tab-separated table: the header line, then one line of cells per row."""
+    lines = ["\t".join(header)]
+    lines += ["\t".join(_cell(value) for value in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _render_tsv(rep: ComparisonReport) -> str:
-    rows = [_TSV_HEADER]
-    rows.append(_tsv_row("config", field="mode", value=rep.mode))
-    rows.append(_tsv_row("config", field="cutoff", value=rep.config.cutoff))
-    rows.append(_tsv_row("config", field="persistence", value=rep.config.persistence))
-    rows.append(_tsv_row("config", field="log_base", value=rep.config.log_base))
-    rows.append(_tsv_row("config", field="alpha", value=rep.config.alpha))
-    rows.append(_tsv_row("config", field="measures", value=",".join(rep.config.measures)))
-    rows.append(_tsv_row("config", field="engines", value=",".join(rep.engines)))
-    rows.append(_tsv_row("config", field="n_queries", value=rep.n_queries))
+def markdown_table(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """Markdown table of cells, floats at 6 significant digits."""
+    lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
+    lines += ["| " + " | ".join(_cell(value, ".6g") for value in row) + " |" for row in rows]
+    return "\n".join(lines)
+
+
+def markdown_list(items: Iterable[str]) -> str:
+    """Markdown bullet list, one item per line."""
+    return "\n".join(f"- {item}" for item in items)
+
+
+def markdown_text(title: str, *blocks: str) -> str:
+    """Markdown document: a level-1 title, then the blocks, one blank line apart."""
+    return "\n\n".join((f"# {title}",) + blocks) + "\n"
+
+
+_TSV_HEADER = ("section", "engine", "engine_b", "measure", "query_id", "field", "value")
+
+# The markdown t-test tables leave out the standard error.
+_MD_FIELDS = ("t_stat", "df", "p_value", "sample_mean", "reject_at")
+
+
+def _tsv_rows(rep: ComparisonReport):
+    config = {"mode": rep.mode, **asdict(rep.config)}
+    config.update(engines=rep.engines, n_queries=rep.n_queries)
+    for key, value in config.items():
+        if isinstance(value, (list, tuple)):
+            value = ",".join(value)
+        yield ("config", "", "", "", "", key, value)
     for i, warning in enumerate(rep.warnings, start=1):
-        rows.append(_tsv_row("warning", field=str(i), value=warning))
+        yield ("warning", "", "", "", "", i, warning)
     for s in rep.summaries:
-        rows.append(_tsv_row("summary", s.engine_id, "", s.measure_kind, field="mb", value=s.mb))
-        rows.append(_tsv_row("summary", s.engine_id, "", s.measure_kind, field="mab", value=s.mab))
+        yield ("summary", s.engine_id, "", s.measure_kind, "", "mb", s.mb)
+        yield ("summary", s.engine_id, "", s.measure_kind, "", "mab", s.mab)
     for s in rep.summaries:
         for rec in s.per_query:
-            rows.append(
-                _tsv_row("beta", s.engine_id, "", s.measure_kind, rec.query_id, "beta", rec.beta)
-            )
+            yield ("beta", s.engine_id, "", s.measure_kind, rec.query_id, "beta", rec.beta)
     for section, entries in (("one_sample", rep.one_sample), ("paired", rep.paired)):
         for e in entries:
-            base = (section, e.engine, e.engine_b or "", e.measure_kind)
-            rows.append(_tsv_row(*base, field="status", value=e.status))
+            base = (section, e.engine, e.engine_b or "", e.measure_kind, "")
+            yield (*base, "status", e.status)
             if e.detail:
-                rows.append(_tsv_row(*base, field="detail", value=e.detail))
+                yield (*base, "detail", e.detail)
             if e.result is not None:
-                res = e.result
-                rows.append(_tsv_row(*base, field="t_stat", value=res.t_stat))
-                rows.append(_tsv_row(*base, field="df", value=res.df))
-                rows.append(_tsv_row(*base, field="p_value", value=res.p_value))
-                rows.append(_tsv_row(*base, field="sample_mean", value=res.sample_mean))
-                rows.append(_tsv_row(*base, field="std_err", value=res.std_err))
-                rows.append(_tsv_row(*base, field="reject_at", value=res.reject_at))
-    return "\n".join(rows) + "\n"
-
-
-def _md_num(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return format(x, ".6g")
-    return str(x)
+                for name, value in zip(_RESULT_FIELDS, _result_values(e)):
+                    yield (*base, name, value)
 
 
 def _render_markdown(rep: ComparisonReport) -> str:
-    lines = ["# Search bias report", ""]
-    lines.append(f"- mode: {rep.mode}")
-    lines.append(f"- engines: {', '.join(rep.engines) if rep.engines else '(none)'}")
-    lines.append(f"- queries: {rep.n_queries}")
-    lines.append(f"- measures: {', '.join(rep.config.measures)}")
-    lines.append(
-        f"- cutoff: {rep.config.cutoff}, persistence: {_md_num(rep.config.persistence)}, "
-        f"log base: {_md_num(rep.config.log_base)}, alpha: {_md_num(rep.config.alpha)}"
-    )
-    for warning in rep.warnings:
-        lines.append(f"- warning: {warning}")
+    c = rep.config
+    blocks = [
+        markdown_list(
+            [
+                f"mode: {rep.mode}",
+                f"engines: {', '.join(rep.engines) if rep.engines else '(none)'}",
+                f"queries: {rep.n_queries}",
+                f"measures: {', '.join(c.measures)}",
+                f"cutoff: {c.cutoff}, persistence: {_cell(c.persistence, '.6g')}, "
+                f"log base: {_cell(c.log_base, '.6g')}, alpha: {_cell(c.alpha, '.6g')}",
+                *(f"warning: {warning}" for warning in rep.warnings),
+            ]
+        )
+    ]
     if rep.summaries:
-        lines += ["", "## Engine summaries", "", "| engine | measure | MB | MAB |", "| --- | --- | --- | --- |"]
-        for s in rep.summaries:
-            lines.append(f"| {s.engine_id} | {s.measure_kind} | {_md_num(s.mb)} | {_md_num(s.mab)} |")
+        blocks += [
+            "## Engine summaries",
+            markdown_table(
+                ("engine", "measure", "MB", "MAB"),
+                [(s.engine_id, s.measure_kind, s.mb, s.mab) for s in rep.summaries],
+            ),
+        ]
     if rep.one_sample:
-        lines += [
-            "",
+        blocks += [
             "## One-sample t-tests (null: mean slant is 0)",
-            "",
-            "| engine | measure | status | t | df | p | mean | rejected at |",
-            "| --- | --- | --- | --- | --- | --- | --- | --- |",
+            markdown_table(
+                ("engine", "measure", "status", "t", "df", "p", "mean", "rejected at"),
+                [
+                    (e.engine, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
+                    for e in rep.one_sample
+                ],
+            ),
         ]
-        for e in rep.one_sample:
-            res = e.result
-            lines.append(
-                "| {} | {} | {} | {} | {} | {} | {} | {} |".format(
-                    e.engine,
-                    e.measure_kind,
-                    e.status,
-                    _md_num(res.t_stat if res else None),
-                    _md_num(res.df if res else None),
-                    _md_num(res.p_value if res else None),
-                    _md_num(res.sample_mean if res else None),
-                    _md_num(res.reject_at if res else None),
-                )
-            )
     if rep.paired:
-        lines += [
-            "",
+        blocks += [
             "## Paired t-tests (null: engines share one true mean)",
-            "",
-            "| engine A | engine B | measure | status | t | df | p | mean diff | rejected at |",
-            "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
+            markdown_table(
+                (
+                    "engine A", "engine B", "measure", "status", "t", "df", "p", "mean diff",
+                    "rejected at",
+                ),
+                [
+                    (e.engine, e.engine_b, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
+                    for e in rep.paired
+                ],
+            ),
         ]
-        for e in rep.paired:
-            res = e.result
-            lines.append(
-                "| {} | {} | {} | {} | {} | {} | {} | {} | {} |".format(
-                    e.engine,
-                    e.engine_b,
-                    e.measure_kind,
-                    e.status,
-                    _md_num(res.t_stat if res else None),
-                    _md_num(res.df if res else None),
-                    _md_num(res.p_value if res else None),
-                    _md_num(res.sample_mean if res else None),
-                    _md_num(res.reject_at if res else None),
-                )
-            )
     if rep.summaries:
-        lines += ["", "## Per-query slant", "", "| engine | measure | query | beta |", "| --- | --- | --- | --- |"]
-        for s in rep.summaries:
-            for rec in s.per_query:
-                lines.append(
-                    f"| {s.engine_id} | {s.measure_kind} | {rec.query_id} | {_md_num(rec.beta)} |"
-                )
-    return "\n".join(lines) + "\n"
+        blocks += [
+            "## Per-query slant",
+            markdown_table(
+                ("engine", "measure", "query", "beta"),
+                [
+                    (s.engine_id, s.measure_kind, rec.query_id, rec.beta)
+                    for s in rep.summaries
+                    for rec in s.per_query
+                ],
+            ),
+        ]
+    return markdown_text("Search bias report", *blocks)
 
 
 def render_report(rep: ComparisonReport, fmt: str = "json") -> str:
@@ -480,7 +438,7 @@ def render_report(rep: ComparisonReport, fmt: str = "json") -> str:
     if fmt == "json":
         return to_json_text(rep.to_dict()) + "\n"
     if fmt == "tsv":
-        return _render_tsv(rep)
+        return tsv_text(_TSV_HEADER, _tsv_rows(rep))
     if fmt == "markdown":
         return _render_markdown(rep)
     raise ConfigError(

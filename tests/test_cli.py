@@ -160,6 +160,14 @@ def test_bad_configuration_exits_two(dataset_path):
     assert cli("evaluate", "--input", dataset_path, "--output", "yaml").returncode == 2
 
 
+def test_non_finite_log_base_is_configuration_error(dataset_path):
+    for bad in ("inf", "nan"):
+        proc = cli("evaluate", "--input", dataset_path, "--log-base", bad)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error: log base")
+        assert "Traceback" not in proc.stderr
+
+
 def test_bad_g1_mentions_configuration(dataset_path):
     proc = cli("baselines", "--input", dataset_path, "--g1", "sideways")
     assert proc.returncode == 2

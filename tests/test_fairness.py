@@ -10,7 +10,6 @@ from conftest import make_list
 from serpbias import (
     BaselineConfig,
     ConfigError,
-    GroupAssignment,
     InputError,
     MeasureConfig,
     MeasureUndefinedError,
@@ -255,13 +254,6 @@ class TestDocumentedBlindSpots:
         )
         mcfg = MeasureConfig()
         assert bias(relabeled, mcfg) != bias(original, mcfg)
-
-
-def test_group_assignment_validation():
-    ga = GroupAssignment(P, A)
-    assert ga.swapped() == GroupAssignment(A, P)
-    with pytest.raises(ConfigError):
-        GroupAssignment(P, P)
 
 
 def test_baseline_config_validation():

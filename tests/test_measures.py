@@ -86,10 +86,9 @@ class TestDcg:
         assert dcg_at(make_list([P, P]), P, 10, 2.0) == pytest.approx(expected, abs=1e-12)
 
     def test_base_validation(self):
-        with pytest.raises(ConfigError):
-            dcg_at(make_list([P]), P, 10, 1.0)
-        with pytest.raises(ConfigError):
-            dcg_at(make_list([P]), P, 10, 0.5)
+        for bad in (1.0, 0.5, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                dcg_at(make_list([P]), P, 10, bad)
 
     def test_cutoff_truncates(self):
         r = make_list([N, N, N, P])
@@ -151,5 +150,7 @@ def test_config_validation():
         MeasureConfig(persistence=1.0)
     with pytest.raises(ConfigError):
         MeasureConfig(log_base=1.0)
+    with pytest.raises(ConfigError):
+        MeasureConfig(log_base=math.inf)
     with pytest.raises(ConfigError):
         MeasureConfig(measure_kind="bm25")

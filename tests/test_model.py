@@ -31,6 +31,13 @@ def test_unknown_label_rejected(cls):
         cls.from_str("sideways")
 
 
+@pytest.mark.parametrize("text", ["PRO", None, 1, ["pro"], StanceLabel.PRO])
+def test_non_member_values_rejected(text):
+    for cls in (StanceLabel, LeaningLabel, IdeologyLabel):
+        with pytest.raises(InputError, match="unknown"):
+            cls.from_str(text)
+
+
 def test_stance_wire_strings():
     assert str(StanceLabel.NOT_RELEVANT) == "not-relevant"
     assert str(LeaningLabel.BOTH_OR_NEITHER) == "both_or_neither"
@@ -132,6 +139,15 @@ def test_rank_contiguity_enforced():
         Document(rank=4, stance=StanceLabel.PRO, doc_id="c"),
     )
     with pytest.raises(InputError, match="expected rank 3, got 4"):
+        RankedList("e", "q", LeaningLabel.LIBERAL, docs)
+
+
+def test_mixed_label_types_rejected():
+    docs = (
+        Document(rank=1, stance=StanceLabel.PRO, doc_id="a"),
+        Document(rank=2, stance=IdeologyLabel.LIBERAL, doc_id="b"),
+    )
+    with pytest.raises(InputError, match="mixed label types"):
         RankedList("e", "q", LeaningLabel.LIBERAL, docs)
 
 
