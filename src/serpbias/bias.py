@@ -12,11 +12,11 @@ are complementary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import InputError
-from .measures import MeasureConfig, dcg_at, discounts, precision_at, rbp
-from .model import EngineRun, IdeologyLabel, RankedList, StanceLabel
+from .errors import InputError, check_choice
+from .measures import MEASURE_KINDS, MeasureConfig, dcg_at, discounts, precision_at, rbp
+from .model import SIDES, EngineRun, RankedList, StanceLabel
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ def bias(r: RankedList, cfg: MeasureConfig) -> float:
     the stance pair; their slant is 0 either way. Each side's utility is
     computed on its own and only then subtracted.
     """
-    if r.docs and isinstance(r.docs[0].stance, IdeologyLabel):
-        positive, negative = IdeologyLabel.CONSERVATIVE, IdeologyLabel.LIBERAL
-    else:
-        positive, negative = StanceLabel.PRO, StanceLabel.AGAINST
+    positive, negative = SIDES[type(r.docs[0].stance) if r.docs else StanceLabel]
     if cfg.measure_kind == "precision":
         return precision_at(r, positive, cfg.cutoff) - precision_at(r, negative, cfg.cutoff)
     if cfg.measure_kind == "rbp":
@@ -101,12 +98,12 @@ def beta_max(measure_kind: str, cfg: MeasureConfig, list_len: int) -> float:
     the list reaches the cutoff), and for RBP and DCG the scaled sum of the
     list's discount table, which for RBP is 1 - p**len up to rounding.
     """
-    kind_cfg = cfg if cfg.measure_kind == measure_kind else replace(cfg, measure_kind=measure_kind)
+    check_choice("measure kind", measure_kind, MEASURE_KINDS)
     if list_len < 0:
         raise InputError(f"list length must be >= 0, got {list_len}")
     if measure_kind == "precision":
         return 1.0
     if measure_kind == "rbp":
-        p = kind_cfg.persistence
+        p = cfg.persistence
         return (1.0 - p) * math.fsum(discounts("rbp", p, None, list_len))
-    return math.fsum(discounts("dcg", kind_cfg.log_base, kind_cfg.cutoff, list_len))
+    return math.fsum(discounts("dcg", cfg.log_base, cfg.cutoff, list_len))

@@ -17,7 +17,7 @@ from .dataset import Dataset, load_dataset
 from .errors import ConfigError, InputError, MeasureUndefinedError
 from .fairness import BASELINE_KINDS, BaselineConfig, baseline_score
 from .measures import MeasureConfig
-from .model import IdeologyLabel, StanceLabel, transform_list
+from .model import SIDES, IdeologyLabel, StanceLabel, transform_list
 from .report import (
     MODES,
     REPORT_FORMATS,
@@ -118,14 +118,13 @@ def _cmd_compare(args) -> str:
     return render_report(trimmed, args.output)
 
 
-def _default_g1(mode: str):
-    return IdeologyLabel.CONSERVATIVE if mode == "ideology" else StanceLabel.PRO
-
-
-def _parse_g1(mode: str, text: str):
-    cls = IdeologyLabel if mode == "ideology" else StanceLabel
+def _g1(args):
+    """--g1 in the mode's label space, or by default that space's positive side."""
+    labels = IdeologyLabel if args.mode == "ideology" else StanceLabel
+    if args.g1 is None:
+        return SIDES[labels][0]
     try:
-        return cls.from_str(text)
+        return labels.from_str(args.g1)
     except InputError as exc:
         raise ConfigError(f"invalid --g1: {exc}") from None
 
@@ -136,7 +135,7 @@ _SCORE_COLUMNS = ("engine", "query_id", "status", "score", "detail")
 def _cmd_baselines(args) -> str:
     ds = load_dataset(args.input)
     cfg = BaselineConfig(step=args.step, kind=args.baseline)
-    g1 = _default_g1(args.mode) if args.g1 is None else _parse_g1(args.mode, args.g1)
+    g1 = _g1(args)
     scores = []
     summary = []
     for run in ds.runs:
@@ -197,12 +196,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    except (ConfigError, InputError) as exc:
+        label, code = ("configuration", 2) if isinstance(exc, ConfigError) else ("input", 1)
+        # Non-printable characters, such as a newline in an engine id, are escaped.
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"{label} error: {message}", file=sys.stderr)
+        return code
     sys.stdout.write(text)
     return 0
 

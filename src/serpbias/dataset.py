@@ -40,39 +40,51 @@ class Dataset:
         return sum(len(r) for run in self.runs for r in run.lists.values())
 
 
-def _field(obj: dict, key: str, kind: type, line_no: int):
+def _field(obj: dict, key: str, kind: type):
     if key not in obj:
-        raise InputError(f"line {line_no}: missing field {key!r}")
+        raise InputError(f"missing field {key!r}")
     value = obj[key]
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"line {line_no}: field {key!r} must be an integer")
+            raise InputError(f"field {key!r} must be an integer")
     elif not isinstance(value, kind):
-        raise InputError(f"line {line_no}: field {key!r} must be a {kind.__name__}")
+        raise InputError(f"field {key!r} must be a {kind.__name__}")
     return value
 
 
-def _parse_record(obj: dict, line_no: int):
-    engine = _field(obj, "engine", str, line_no)
-    query_id = _field(obj, "query_id", str, line_no)
-    query_text = _field(obj, "query", str, line_no)
-    leaning_text = _field(obj, "leaning", str, line_no)
-    raw_docs = _field(obj, "docs", list, line_no)
+def _decode(line: str):
+    """The JSON value on one line; bytes that were not UTF-8 are lone surrogates."""
     try:
-        leaning = LeaningLabel.from_str(leaning_text)
-        docs = []
-        for raw in raw_docs:
-            if not isinstance(raw, dict):
-                raise InputError("each docs entry must be an object")
-            rank = _field(raw, "rank", int, line_no)
-            doc_id = _field(raw, "doc_id", str, line_no)
-            stance = StanceLabel.from_str(_field(raw, "stance", str, line_no))
-            docs.append(Document(rank=rank, stance=stance, doc_id=doc_id))
-        ranked = RankedList(engine_id=engine, query_id=query_id, leaning=leaning, docs=tuple(docs))
-    except InputError as exc:
-        if str(exc).startswith(f"line {line_no}:"):
-            raise
-        raise InputError(f"line {line_no}: {exc}") from None
+        if not line.isascii():
+            line.encode("utf-8")
+        return json.loads(line)
+    except UnicodeEncodeError as exc:
+        raise InputError(f"text is not valid UTF-8 (column {exc.start + 1})") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        # Nesting past the recursion limit, or an integer past the digit limit.
+        raise InputError(f"malformed JSON: {exc}") from None
+
+
+def _parse_record(obj):
+    if not isinstance(obj, dict):
+        raise InputError("record must be a JSON object")
+    engine = _field(obj, "engine", str)
+    query_id = _field(obj, "query_id", str)
+    query_text = _field(obj, "query", str)
+    leaning_text = _field(obj, "leaning", str)
+    raw_docs = _field(obj, "docs", list)
+    leaning = LeaningLabel.from_str(leaning_text)
+    docs = []
+    for raw in raw_docs:
+        if not isinstance(raw, dict):
+            raise InputError("each docs entry must be an object")
+        rank = _field(raw, "rank", int)
+        doc_id = _field(raw, "doc_id", str)
+        stance = StanceLabel.from_str(_field(raw, "stance", str))
+        docs.append(Document(rank=rank, stance=stance, doc_id=doc_id))
+    ranked = RankedList(engine_id=engine, query_id=query_id, leaning=leaning, docs=tuple(docs))
     return engine, query_id, query_text, leaning, ranked
 
 
@@ -80,10 +92,10 @@ def parse_dataset(stream: Union[IO[str], Iterable[str]]) -> Dataset:
     """Parse and validate a JSON Lines dataset.
 
     Blank lines are skipped. Raises InputError, with the offending line
-    number where one exists, on malformed JSON, missing or mistyped fields,
-    unknown labels, rank gaps, duplicate doc ids, duplicate (engine, query)
-    pairs, inconsistent query metadata, or query sets that differ across
-    engines.
+    number where one exists, on text that is not UTF-8, malformed JSON,
+    missing or mistyped fields, unknown labels, rank gaps, duplicate doc ids,
+    duplicate (engine, query) pairs, inconsistent query metadata, or query
+    sets that differ across engines.
     """
     by_engine: dict[str, dict[str, RankedList]] = {}
     query_table: dict[str, tuple[str, LeaningLabel]] = {}
@@ -92,26 +104,21 @@ def parse_dataset(stream: Union[IO[str], Iterable[str]]) -> Dataset:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"line {line_no}: malformed JSON: {exc.msg}") from None
-        if not isinstance(obj, dict):
-            raise InputError(f"line {line_no}: record must be a JSON object")
-        engine, query_id, query_text, leaning, ranked = _parse_record(obj, line_no)
-        lists = by_engine.setdefault(engine, {})
-        if query_id in lists:
-            raise InputError(
-                f"line {line_no}: duplicate record for engine {engine!r}, query {query_id!r}"
-            )
-        lists[query_id] = ranked
-        known = query_table.get(query_id)
-        if known is None:
-            query_table[query_id] = (query_text, leaning)
-        elif known != (query_text, leaning):
-            raise InputError(
-                f"line {line_no}: query {query_id!r} disagrees with an earlier record "
-                f"on its text or leaning"
-            )
+            engine, query_id, query_text, leaning, ranked = _parse_record(_decode(line))
+            lists = by_engine.setdefault(engine, {})
+            if query_id in lists:
+                raise InputError(f"duplicate record for engine {engine!r}, query {query_id!r}")
+            lists[query_id] = ranked
+            known = query_table.get(query_id)
+            if known is None:
+                query_table[query_id] = (query_text, leaning)
+            elif known != (query_text, leaning):
+                raise InputError(
+                    f"query {query_id!r} disagrees with an earlier record "
+                    f"on its text or leaning"
+                )
+        except InputError as exc:
+            raise InputError(f"line {line_no}: {exc}") from None
         n_records += 1
     if n_records == 0:
         raise InputError("no records in input")
@@ -132,12 +139,11 @@ def parse_dataset(stream: Union[IO[str], Iterable[str]]) -> Dataset:
 
 def load_dataset(path: str) -> Dataset:
     """Read a dataset from a file path, or from stdin when path is '-'."""
-    if path == "-":
-        import sys
-
-        return parse_dataset(sys.stdin)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_dataset(handle)
+        # Standard input is file descriptor 0. Bytes that are not UTF-8 become
+        # lone surrogates in the line holding them, so parse_dataset names it.
+        source, closefd = (0, False) if path == "-" else (path, True)
+        with open(source, encoding="utf-8", errors="surrogateescape", closefd=closefd) as f:
+            return parse_dataset(f)
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc.strerror or exc}") from None

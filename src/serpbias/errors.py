@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a choice-valued setting."""
 
 
 class SerpBiasError(Exception):
@@ -28,3 +28,9 @@ class DegenerateSampleError(InputError):
     The test outcome is certain rather than statistical, so no p-value is
     reported.
     """
+
+
+def check_choice(what: str, value, choices) -> None:
+    """Raise ConfigError unless value is one of choices."""
+    if value not in choices:
+        raise ConfigError(f"unknown {what} {value!r} (expected one of: {', '.join(choices)})")

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
-from .errors import ConfigError, InputError, MeasureUndefinedError
+from .errors import ConfigError, InputError, MeasureUndefinedError, check_choice
+from .measures import _check_cutoff
 from .model import Document, RankedList
 
 BASELINE_KINDS = ("rnd", "rkl", "rrd")
@@ -46,11 +47,7 @@ class BaselineConfig:
     def __post_init__(self):
         if not isinstance(self.step, int) or self.step < 1:
             raise ConfigError(f"step must be a positive integer, got {self.step!r}")
-        if self.kind not in BASELINE_KINDS:
-            raise ConfigError(
-                f"unknown baseline kind {self.kind!r} "
-                f"(expected one of: {', '.join(BASELINE_KINDS)})"
-            )
+        check_choice("baseline kind", self.kind, BASELINE_KINDS)
 
 
 def _membership(r: RankedList, g1, group_of: Optional[GroupOf]) -> list[bool]:
@@ -124,8 +121,7 @@ def group_precision_at(
     Group membership defaults to the document label; pass `group_of` to map
     documents to groups independently of their labels.
     """
-    if n < 1:
-        raise ConfigError(f"cutoff must be a positive integer, got {n!r}")
+    _check_cutoff(n)
     member = _membership(r, g1, group_of)
     return sum(member[:n]) / n
 
@@ -166,12 +162,7 @@ def normalizer_z(kind: str, list_len: int, g1_count: int, step: int = DEFAULT_ST
     0.0 when no arrangement produces a positive score, e.g. for group counts
     0 or list_len.
     """
-    if kind not in BASELINE_KINDS:
-        raise ConfigError(
-            f"unknown baseline kind {kind!r} (expected one of: {', '.join(BASELINE_KINDS)})"
-        )
-    if not isinstance(step, int) or step < 1:
-        raise ConfigError(f"step must be a positive integer, got {step!r}")
+    BaselineConfig(step=step, kind=kind)  # raises ConfigError on a bad kind or step
     if not 0 <= g1_count <= list_len:
         raise InputError(
             f"g1 count {g1_count} outside [0, {list_len}] for list length {list_len}"

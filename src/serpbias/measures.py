@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_choice
 from .model import Label, RankedList
 
 MEASURE_KINDS = ("precision", "rbp", "dcg")
@@ -46,11 +46,7 @@ class MeasureConfig:
         _check_cutoff(self.cutoff)
         _check_persistence(self.persistence)
         _check_log_base(self.log_base)
-        if self.measure_kind not in MEASURE_KINDS:
-            raise ConfigError(
-                f"unknown measure kind {self.measure_kind!r} "
-                f"(expected one of: {', '.join(MEASURE_KINDS)})"
-            )
+        check_choice("measure kind", self.measure_kind, MEASURE_KINDS)
 
 
 def _check_cutoff(n):

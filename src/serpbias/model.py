@@ -12,7 +12,7 @@ All types are immutable after construction and every function here is pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import InputError
@@ -146,14 +146,17 @@ class EngineRun:
         return sorted(self.lists)
 
 
-_PRO_SIDE = {
-    LeaningLabel.CONSERVATIVE: IdeologyLabel.CONSERVATIVE,
-    LeaningLabel.LIBERAL: IdeologyLabel.LIBERAL,
+# The two opposing labels of each label space, positive side first: slant is
+# the positive side's utility minus the negative side's, and mirror swaps them.
+SIDES = {
+    StanceLabel: (StanceLabel.PRO, StanceLabel.AGAINST),
+    IdeologyLabel: (IdeologyLabel.CONSERVATIVE, IdeologyLabel.LIBERAL),
 }
-_AGAINST_SIDE = {
-    LeaningLabel.CONSERVATIVE: IdeologyLabel.LIBERAL,
-    LeaningLabel.LIBERAL: IdeologyLabel.CONSERVATIVE,
-}
+
+
+def _require_stance(label) -> None:
+    if not isinstance(label, StanceLabel):
+        raise InputError(f"only stance labels map to ideology, got {type(label).__name__} {label}")
 
 
 def transform_stance_to_ideology(leaning: LeaningLabel, stance: StanceLabel) -> IdeologyLabel:
@@ -162,39 +165,52 @@ def transform_stance_to_ideology(leaning: LeaningLabel, stance: StanceLabel) -> 
     A pro document on a conservative topic carries conservative content and
     an against document carries liberal content; the sides swap for liberal
     topics. Neutral and not-relevant stances pass through unchanged, and
-    documents of both-or-neither queries come back EXCLUDED.
+    documents of both-or-neither queries come back EXCLUDED. A label that is
+    not a stance raises InputError.
     """
+    _require_stance(stance)
     if stance is StanceLabel.NEUTRAL:
         return IdeologyLabel.NEUTRAL
     if stance is StanceLabel.NOT_RELEVANT:
         return IdeologyLabel.NOT_RELEVANT
     if leaning is LeaningLabel.BOTH_OR_NEITHER:
         return IdeologyLabel.EXCLUDED
-    side = _PRO_SIDE if stance is StanceLabel.PRO else _AGAINST_SIDE
-    return side[leaning]
+    pro, against = SIDES[IdeologyLabel]
+    if leaning is LeaningLabel.LIBERAL:
+        pro, against = against, pro
+    return pro if stance is StanceLabel.PRO else against
+
+
+def _relabel(r: RankedList, table: dict) -> RankedList:
+    """r with each document label looked up in table; labels not in it stay."""
+    docs = (Document(doc.rank, table.get(doc.stance, doc.stance), doc.doc_id) for doc in r.docs)
+    return RankedList(r.engine_id, r.query_id, r.leaning, tuple(docs))
+
+
+_LIST_IDEOLOGY = {
+    leaning: {
+        stance: IdeologyLabel.NOT_RELEVANT
+        if transform_stance_to_ideology(leaning, stance) is IdeologyLabel.EXCLUDED
+        else transform_stance_to_ideology(leaning, stance)
+        for stance in StanceLabel
+    }
+    for leaning in LeaningLabel
+}
 
 
 def transform_list(r: RankedList) -> RankedList:
     """Relabel a stance list with ideology labels, keeping length and ranks.
 
     EXCLUDED documents are stored as NOT_RELEVANT so they keep their rank
-    position while contributing nothing to any measure.
+    position while contributing nothing to any measure. A list that already
+    carries ideology labels raises InputError.
     """
-    docs = []
-    for doc in r.docs:
-        ideology = transform_stance_to_ideology(r.leaning, doc.stance)
-        if ideology is IdeologyLabel.EXCLUDED:
-            ideology = IdeologyLabel.NOT_RELEVANT
-        docs.append(replace(doc, stance=ideology))
-    return replace(r, docs=tuple(docs))
+    if r.docs:
+        _require_stance(r.docs[0].stance)
+    return _relabel(r, _LIST_IDEOLOGY[r.leaning])
 
 
-_MIRROR = {
-    StanceLabel.PRO: StanceLabel.AGAINST,
-    StanceLabel.AGAINST: StanceLabel.PRO,
-    IdeologyLabel.CONSERVATIVE: IdeologyLabel.LIBERAL,
-    IdeologyLabel.LIBERAL: IdeologyLabel.CONSERVATIVE,
-}
+_MIRROR = {a: b for pair in SIDES.values() for a, b in (pair, pair[::-1])}
 
 
 def mirror(r: RankedList) -> RankedList:
@@ -202,7 +218,4 @@ def mirror(r: RankedList) -> RankedList:
 
     Everything else is left alone, so mirror(mirror(r)) == r.
     """
-    docs = tuple(
-        replace(doc, stance=_MIRROR.get(doc.stance, doc.stance)) for doc in r.docs
-    )
-    return replace(r, docs=docs)
+    return _relabel(r, _MIRROR)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .bias import BiasRecord, BiasSummary, summarize_run
 from .dataset import Dataset
-from .errors import ConfigError, DegenerateSampleError
+from .errors import ConfigError, DegenerateSampleError, check_choice
 from .measures import MEASURE_KINDS, MeasureConfig
 from .model import EngineRun, transform_list
 from .stats import TTestResult, one_sample_ttest, paired_ttest
@@ -190,8 +190,7 @@ def evaluate(
     statistical tests are skipped and flagged in the report warnings.
     """
     cfg = cfg if cfg is not None else MeasureConfig()
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r} (expected one of: {', '.join(MODES)})")
+    check_choice("mode", mode, MODES)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     kinds = tuple(sorted(MEASURE_KINDS if measures is None else set(measures)))
@@ -385,62 +384,52 @@ def _render_markdown(rep: ComparisonReport) -> str:
             ]
         )
     ]
-    if rep.summaries:
-        blocks += [
-            "## Engine summaries",
-            markdown_table(
-                ("engine", "measure", "MB", "MAB"),
-                [(s.engine_id, s.measure_kind, s.mb, s.mab) for s in rep.summaries],
+    sections = (
+        (
+            "Engine summaries",
+            ("engine", "measure", "MB", "MAB"),
+            [(s.engine_id, s.measure_kind, s.mb, s.mab) for s in rep.summaries],
+        ),
+        (
+            "One-sample t-tests (null: mean slant is 0)",
+            ("engine", "measure", "status", "t", "df", "p", "mean", "rejected at"),
+            [
+                (e.engine, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
+                for e in rep.one_sample
+            ],
+        ),
+        (
+            "Paired t-tests (null: engines share one true mean)",
+            (
+                "engine A", "engine B", "measure", "status", "t", "df", "p", "mean diff",
+                "rejected at",
             ),
-        ]
-    if rep.one_sample:
-        blocks += [
-            "## One-sample t-tests (null: mean slant is 0)",
-            markdown_table(
-                ("engine", "measure", "status", "t", "df", "p", "mean", "rejected at"),
-                [
-                    (e.engine, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
-                    for e in rep.one_sample
-                ],
-            ),
-        ]
-    if rep.paired:
-        blocks += [
-            "## Paired t-tests (null: engines share one true mean)",
-            markdown_table(
-                (
-                    "engine A", "engine B", "measure", "status", "t", "df", "p", "mean diff",
-                    "rejected at",
-                ),
-                [
-                    (e.engine, e.engine_b, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
-                    for e in rep.paired
-                ],
-            ),
-        ]
-    if rep.summaries:
-        blocks += [
-            "## Per-query slant",
-            markdown_table(
-                ("engine", "measure", "query", "beta"),
-                [
-                    (s.engine_id, s.measure_kind, rec.query_id, rec.beta)
-                    for s in rep.summaries
-                    for rec in s.per_query
-                ],
-            ),
-        ]
+            [
+                (e.engine, e.engine_b, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
+                for e in rep.paired
+            ],
+        ),
+        (
+            "Per-query slant",
+            ("engine", "measure", "query", "beta"),
+            [
+                (s.engine_id, s.measure_kind, rec.query_id, rec.beta)
+                for s in rep.summaries
+                for rec in s.per_query
+            ],
+        ),
+    )
+    for heading, header, rows in sections:
+        if rows:
+            blocks += [f"## {heading}", markdown_table(header, rows)]
     return markdown_text("Search bias report", *blocks)
 
 
 def render_report(rep: ComparisonReport, fmt: str = "json") -> str:
     """Serialize a report; identical reports render to identical bytes."""
+    check_choice("output format", fmt, REPORT_FORMATS)
     if fmt == "json":
         return to_json_text(rep.to_dict()) + "\n"
     if fmt == "tsv":
         return tsv_text(_TSV_HEADER, _tsv_rows(rep))
-    if fmt == "markdown":
-        return _render_markdown(rep)
-    raise ConfigError(
-        f"unknown output format {fmt!r} (expected one of: {', '.join(REPORT_FORMATS)})"
-    )
+    return _render_markdown(rep)

@@ -36,38 +36,30 @@ class TTestResult:
     reject_at: Optional[float] = None
 
 
+def _nonzero(x: float) -> float:
+    # Lentz's clamp: keeps the continued fraction's ratios off zero.
+    return _TINY if abs(x) < _TINY else x
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     # Modified Lentz evaluation of the incomplete beta continued fraction.
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + coeff / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        coeff = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + coeff / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # Each iteration takes one even and one odd term of the fraction.
+        for coeff in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 / _nonzero(1.0 + coeff * d)
+            c = _nonzero(1.0 + coeff / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -130,18 +122,28 @@ def one_sample_ttest(
             f"all {n} observations equal {vals[0]!r} while the null mean is {mu0!r}; "
             "the sample has no variance and the outcome is certain"
         )
+    # A sample whose largest magnitude, mu0 included, is below 2**-421 or from
+    # 2**480 up is scaled by a power of two first, so its mean and squares stay
+    # clear of subnormals and overflow, and unscaled at the end; both steps are
+    # exact. Others keep their bits, as pow(x, 2) is not always correctly rounded.
+    _, exponent = math.frexp(max(abs(mu0), *map(abs, vals)))
+    if -421 < exponent <= 480:
+        exponent = 0
+    else:
+        vals = [math.ldexp(v, -exponent) for v in vals]
     mean = math.fsum(vals) / n
     variance = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
-    if variance == 0.0:
+    std_err = math.sqrt(variance / n)
+    sample_mean, sample_err = math.ldexp(mean, exponent), math.ldexp(std_err, exponent)
+    if sample_err == 0.0:
         raise DegenerateSampleError(
-            f"sample spread is below floating-point resolution around {mean!r}; "
+            f"sample spread is below floating-point resolution around {sample_mean!r}; "
             "the sample has no variance and the outcome is certain"
         )
-    std_err = math.sqrt(variance / n)
-    t_stat = (mean - mu0) / std_err
+    t_stat = (mean - math.ldexp(mu0, -exponent)) / std_err
     p_value = student_t_sf(t_stat, df)
     reject_at = alpha if alpha is not None and p_value < alpha else None
-    return TTestResult(t_stat, df, p_value, mean, std_err, reject_at)
+    return TTestResult(t_stat, df, p_value, sample_mean, sample_err, reject_at)
 
 
 def paired_ttest(

@@ -1,13 +1,18 @@
 """Command-line surface: subcommands, flags, exit codes, output formats."""
 
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import jsonl, record
+from serpbias import cli as cli_module
 
 
 def cli(*args, stdin=None):
@@ -172,3 +177,50 @@ def test_bad_g1_mentions_configuration(dataset_path):
     proc = cli("baselines", "--input", dataset_path, "--g1", "sideways")
     assert proc.returncode == 2
     assert "configuration error" in proc.stderr
+
+
+@st.composite
+def near_valid_jsonl(draw):
+    """A dataset whose names are arbitrary text and whose first list may skip a rank."""
+    names = st.text(max_size=3)
+    engines = draw(st.lists(names, min_size=1, max_size=3))
+    queries = draw(st.lists(names, min_size=1, max_size=3))
+    stances = st.sampled_from(["pro", "against", "neutral", "not-relevant"])
+    records = []
+    for engine in engines:
+        for query_id in queries:
+            leaning = ("conservative", "liberal", "both_or_neither")[len(query_id) % 3]
+            records.append(record(engine, query_id, draw(st.lists(stances, max_size=12)), leaning))
+    if draw(st.booleans()) and records[0]["docs"]:
+        records[0]["docs"][-1]["rank"] += 1
+    return jsonl(records).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.jsonl"
+
+
+@given(
+    data=st.one_of(st.binary(max_size=300), near_valid_jsonl()),
+    mode=st.sampled_from(["stance", "ideology"]),
+)
+@settings(max_examples=60, deadline=None)
+@example(data=b"\xff\xfe\n", mode="stance")
+@example(data=b"[" * 100_000, mode="stance")
+@example(data=b"1" * 5000, mode="stance")
+# A rank gap in a list whose engine id holds a newline.
+@example(data=b'{"engine": "a\\nb", "query_id": "q", "query": "t", "leaning": "liberal", '
+         b'"docs": [{"rank": 2, "doc_id": "d", "stance": "pro"}]}', mode="stance")
+def test_any_input_exits_cleanly_with_one_line(fuzz_path, data, mode):
+    fuzz_path.write_bytes(data)
+    for command in ("validate", "evaluate", "compare", "baselines"):
+        for fmt in ("json", "tsv", "markdown"):
+            argv = [command, "--input", str(fuzz_path), "--output", fmt]
+            if command != "validate":
+                argv += ["--mode", mode]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_module.main(argv)
+            assert code in (0, 1, 2)
+            assert len(err.getvalue().splitlines()) <= 1

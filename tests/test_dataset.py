@@ -5,7 +5,7 @@ import io
 import pytest
 
 from conftest import jsonl, record
-from serpbias import InputError, LeaningLabel, StanceLabel, parse_dataset
+from serpbias import InputError, LeaningLabel, StanceLabel, load_dataset, parse_dataset
 
 
 def parse(text):
@@ -129,3 +129,23 @@ def test_two_engines_shared_queries():
 def test_record_must_be_object():
     with pytest.raises(InputError, match="must be a JSON object"):
         parse("[1, 2, 3]\n")
+
+
+# 200 valid lines run well past the text decoder's first 8 KiB read.
+VALID_LINES = jsonl([record("e", f"q{k:03d}", ["pro", "against"]) for k in range(200)])
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        (b'{"engine": "e\xff"}', "text is not valid UTF-8 \\(column 14\\)"),
+        (b"[" * 100_000, "malformed JSON"),
+        (b"1" * 5000, "malformed JSON"),
+    ],
+    ids=["non-utf8", "deep-nesting", "huge-integer"],
+)
+def test_decode_failures_name_their_line(tmp_path, bad_line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(VALID_LINES.encode() + bad_line + b"\n" + VALID_LINES.encode())
+    with pytest.raises(InputError, match=f"^line 201: {message}"):
+        load_dataset(str(path))

@@ -103,6 +103,33 @@ def test_transform_list_keeps_ranks_and_ids():
     assert [d.doc_id for d in out.docs] == [d.doc_id for d in r.docs]
 
 
+def test_transform_list_matches_per_document_transform():
+    rng = random.Random(5)
+    for leaning in LeaningLabel:
+        for _ in range(200):
+            r = make_list(random_stances(rng, rng.randrange(0, 12)), leaning=leaning)
+            expected = [transform_stance_to_ideology(leaning, d.stance) for d in r.docs]
+            expected = [
+                IdeologyLabel.NOT_RELEVANT if i is IdeologyLabel.EXCLUDED else i for i in expected
+            ]
+            assert [d.stance for d in transform_list(r).docs] == expected
+
+
+def test_transform_list_rejects_ideology_labels():
+    # A second pass would read conservative as pro and credit the wrong side.
+    once = transform_list(make_list([StanceLabel.PRO, StanceLabel.AGAINST]))
+    with pytest.raises(InputError, match="only stance labels map to ideology"):
+        transform_list(once)
+
+
+@pytest.mark.parametrize(
+    "label", list(IdeologyLabel) + list(LeaningLabel), ids=lambda l: f"{type(l).__name__}.{l.name}"
+)
+def test_transform_rejects_non_stance_labels(label):
+    with pytest.raises(InputError, match="only stance labels map to ideology"):
+        transform_stance_to_ideology(LeaningLabel.CONSERVATIVE, label)
+
+
 def test_mirror_swaps_sides():
     r = make_list([StanceLabel.PRO, StanceLabel.NEUTRAL])
     assert [d.stance for d in mirror(r).docs] == [StanceLabel.AGAINST, StanceLabel.NEUTRAL]
