@@ -31,7 +31,6 @@ from .fairness import (
     distance_rkl,
     distance_rnd,
     distance_rrd,
-    group_precision_at,
     normalizer_z,
 )
 from .measures import (
@@ -107,7 +106,6 @@ __all__ = [
     "distance_rnd",
     "distance_rrd",
     "evaluate",
-    "group_precision_at",
     "load_dataset",
     "mean_abs_bias",
     "mean_bias",

@@ -13,12 +13,13 @@ import math
 import sys
 from dataclasses import replace
 
-from .dataset import Dataset, load_dataset
-from .errors import ConfigError, InputError, MeasureUndefinedError
-from .fairness import BASELINE_KINDS, BaselineConfig, baseline_score
-from .measures import MeasureConfig
-from .model import SIDES, IdeologyLabel, StanceLabel, transform_list
+from .dataset import load_dataset
+from .errors import ConfigError, InputError
+from .fairness import BASELINE_KINDS, DEFAULT_STEP, BaselineConfig, baseline_score
+from .measures import DEFAULT_CUTOFF, DEFAULT_LOG_BASE, DEFAULT_PERSISTENCE, MeasureConfig
+from .model import SIDES, transform_list
 from .report import (
+    DEFAULT_ALPHA,
     MODES,
     REPORT_FORMATS,
     ComparisonReport,
@@ -33,8 +34,15 @@ from .report import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError for a bad command line; subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="serpbias",
         description="Quantify stance and ideological slant in ranked search results.",
     )
@@ -48,11 +56,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_measure_flags(p):
         p.add_argument("--measures", default="p,rbp,dcg", help="comma-separated: p, rbp, dcg")
-        p.add_argument("--cutoff", type=int, default=10, help="cutoff for precision and DCG")
-        p.add_argument("--persistence", type=float, default=0.8, help="RBP persistence")
-        p.add_argument("--log-base", type=float, default=2.0, dest="log_base", help="DCG log base")
+        p.add_argument(
+            "--cutoff", type=int, default=DEFAULT_CUTOFF, help="cutoff for precision and DCG"
+        )
+        p.add_argument(
+            "--persistence", type=float, default=DEFAULT_PERSISTENCE, help="RBP persistence"
+        )
+        p.add_argument("--log-base", type=float, default=DEFAULT_LOG_BASE, help="DCG log base")
         p.add_argument("--mode", choices=MODES, default="stance", help="label space to measure")
-        p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+        p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
 
     p_validate = sub.add_parser("validate", help="parse the dataset and report its shape")
     add_io(p_validate)
@@ -67,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_base = sub.add_parser("baselines", help="rND/rKL/rRD scores per (engine, query)")
     add_io(p_base)
-    p_base.add_argument("--baseline", choices=BASELINE_KINDS, default="rnd")
-    p_base.add_argument("--step", type=int, default=10, help="evaluation-point spacing")
+    p_base.add_argument("--baseline", choices=BASELINE_KINDS, default=BaselineConfig.kind)
+    p_base.add_argument("--step", type=int, default=DEFAULT_STEP, help="evaluation-point spacing")
     p_base.add_argument("--mode", choices=MODES, default="stance", help="label space to measure")
     p_base.add_argument(
         "--g1",
@@ -95,24 +107,22 @@ def _cmd_validate(args) -> str:
     return markdown_text("Dataset", markdown_list(bullets))
 
 
-def _evaluation(args) -> tuple[Dataset, ComparisonReport]:
+def _evaluation(args) -> ComparisonReport:
     ds = load_dataset(args.input)
     cfg = MeasureConfig(
         cutoff=args.cutoff, persistence=args.persistence, log_base=args.log_base
     )
     measures = resolve_measures(args.measures.split(","))
-    rep = evaluate(ds, cfg, mode=args.mode, measures=measures, alpha=args.alpha)
-    return ds, rep
+    return evaluate(ds, cfg, mode=args.mode, measures=measures, alpha=args.alpha)
 
 
 def _cmd_evaluate(args) -> str:
-    _, rep = _evaluation(args)
-    return render_report(rep, args.output)
+    return render_report(_evaluation(args), args.output)
 
 
 def _cmd_compare(args) -> str:
-    ds, rep = _evaluation(args)
-    if len(ds.runs) < 2:
+    rep = _evaluation(args)
+    if len(rep.engines) < 2:
         raise InputError("compare needs at least 2 engines in the dataset")
     trimmed = replace(rep, summaries=(), one_sample=())
     return render_report(trimmed, args.output)
@@ -120,7 +130,7 @@ def _cmd_compare(args) -> str:
 
 def _g1(args):
     """--g1 in the mode's label space, or by default that space's positive side."""
-    labels = IdeologyLabel if args.mode == "ideology" else StanceLabel
+    labels = MODES[args.mode]
     if args.g1 is None:
         return SIDES[labels][0]
     try:
@@ -148,7 +158,7 @@ def _cmd_baselines(args) -> str:
                 score = baseline_score(ranked, g1, cfg)
                 status, detail = "ok", ""
                 defined.append(score)
-            except (MeasureUndefinedError, InputError) as exc:
+            except InputError as exc:  # MeasureUndefinedError included
                 score, status, detail = None, "undefined", str(exc)
             row = (run.engine_id, query_id, status, score, detail)
             scores.append(dict(zip(_SCORE_COLUMNS, row)))
@@ -192,17 +202,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = _COMMANDS[args.command](args)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            # The whole text is encoded before anything is written.
+            message = f"stdout encoding {exc.encoding!r} cannot write the report: {exc.reason}"
+            raise ConfigError(f"{message}; set PYTHONIOENCODING=utf-8") from None
     except (ConfigError, InputError) as exc:
         label, code = ("configuration", 2) if isinstance(exc, ConfigError) else ("input", 1)
         # Non-printable characters, such as a newline in an engine id, are escaped.
         message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
         print(f"{label} error: {message}", file=sys.stderr)
         return code
-    sys.stdout.write(text)
     return 0
 
 

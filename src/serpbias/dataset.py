@@ -99,7 +99,6 @@ def parse_dataset(stream: Union[IO[str], Iterable[str]]) -> Dataset:
     """
     by_engine: dict[str, dict[str, RankedList]] = {}
     query_table: dict[str, tuple[str, LeaningLabel]] = {}
-    n_records = 0
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
@@ -119,8 +118,7 @@ def parse_dataset(stream: Union[IO[str], Iterable[str]]) -> Dataset:
                 )
         except InputError as exc:
             raise InputError(f"line {line_no}: {exc}") from None
-        n_records += 1
-    if n_records == 0:
+    if not by_engine:
         raise InputError("no records in input")
     all_queries = set(query_table)
     for engine in sorted(by_engine):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
 from .errors import ConfigError, InputError, MeasureUndefinedError, check_choice
-from .measures import _check_cutoff
 from .model import Document, RankedList
 
 BASELINE_KINDS = ("rnd", "rkl", "rrd")
@@ -111,19 +110,6 @@ def _raw_score(member: list[bool], kind: str, step: int) -> float:
         distance(prefix[i - 1] / i, q) / math.log2(i)
         for i in _eval_points(len(member), step)
     )
-
-
-def group_precision_at(
-    r: RankedList, g1, n: int, group_of: Optional[GroupOf] = None
-) -> float:
-    """Share of the top n ranks belonging to group g1.
-
-    Group membership defaults to the document label; pass `group_of` to map
-    documents to groups independently of their labels.
-    """
-    _check_cutoff(n)
-    member = _membership(r, g1, group_of)
-    return sum(member[:n]) / n
 
 
 def _shares_at(r: RankedList, g1, i: int, group_of: Optional[GroupOf]) -> tuple[float, float]:

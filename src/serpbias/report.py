@@ -19,11 +19,14 @@ from .bias import BiasRecord, BiasSummary, summarize_run
 from .dataset import Dataset
 from .errors import ConfigError, DegenerateSampleError, check_choice
 from .measures import MEASURE_KINDS, MeasureConfig
-from .model import EngineRun, transform_list
+from .model import EngineRun, IdeologyLabel, StanceLabel, transform_list
 from .stats import TTestResult, one_sample_ttest, paired_ttest
 
-MODES = ("stance", "ideology")
+# Each mode names the label space its lists are measured in.
+MODES = {"stance": StanceLabel, "ideology": IdeologyLabel}
 REPORT_FORMATS = ("json", "tsv", "markdown")
+
+DEFAULT_ALPHA = 0.05
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate_certain"
@@ -92,24 +95,18 @@ class ComparisonReport:
         cfg = data["config"]
         return cls(
             mode=data["mode"],
-            config=ReportConfig(
-                cutoff=int(cfg["cutoff"]),
-                persistence=float(cfg["persistence"]),
-                log_base=float(cfg["log_base"]),
-                alpha=float(cfg["alpha"]),
-                measures=tuple(cfg["measures"]),
-            ),
+            config=ReportConfig(**{**cfg, "measures": tuple(cfg["measures"])}),
             engines=tuple(data["engines"]),
-            n_queries=int(data["n_queries"]),
+            n_queries=data["n_queries"],
             warnings=tuple(data["warnings"]),
             summaries=tuple(
                 BiasSummary(
                     engine_id=s["engine"],
                     measure_kind=s["measure"],
-                    mb=float(s["mb"]),
-                    mab=float(s["mab"]),
+                    mb=s["mb"],
+                    mab=s["mab"],
                     per_query=tuple(
-                        BiasRecord(rec["query_id"], s["measure"], float(rec["beta"]))
+                        BiasRecord(rec["query_id"], s["measure"], rec["beta"])
                         for rec in s["per_query"]
                     ),
                 )
@@ -140,14 +137,7 @@ def _test_dict(entry: TestEntry) -> dict:
 def _test_entry(data: dict) -> TestEntry:
     result = None
     if data["t_stat"] is not None:
-        result = TTestResult(
-            t_stat=float(data["t_stat"]),
-            df=int(data["df"]),
-            p_value=float(data["p_value"]),
-            sample_mean=float(data["sample_mean"]),
-            std_err=float(data["std_err"]),
-            reject_at=None if data["reject_at"] is None else float(data["reject_at"]),
-        )
+        result = TTestResult(*(data[name] for name in _RESULT_FIELDS))
     return TestEntry(
         engine=data["engine"],
         engine_b=data.get("engine_b"),
@@ -179,7 +169,7 @@ def evaluate(
     cfg: Optional[MeasureConfig] = None,
     mode: str = "stance",
     measures: Optional[Sequence[str]] = None,
-    alpha: float = 0.05,
+    alpha: float = DEFAULT_ALPHA,
 ) -> ComparisonReport:
     """Run the full bias-evaluation protocol over a dataset.
 
@@ -270,17 +260,9 @@ def to_json_text(value, indent: int = 0) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return _float_text(value)
-    if isinstance(value, str):
+    if value is None or isinstance(value, (bool, int, str)):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, (list, tuple)):
         if not value:

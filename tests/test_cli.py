@@ -179,6 +179,20 @@ def test_bad_g1_mentions_configuration(dataset_path):
     assert "configuration error" in proc.stderr
 
 
+def test_unencodable_stdout_is_configuration_error(tmp_path):
+    path = tmp_path / "u.jsonl"
+    path.write_text(jsonl([record("\u00fc", "q1", ["pro"])]), encoding="utf-8")
+    raw = io.BytesIO()
+    stdout, err = io.TextIOWrapper(raw, encoding="ascii"), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = cli_module.main(["validate", "--input", str(path)])
+    stdout.flush()
+    assert code == 2
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("configuration error: stdout encoding 'ascii'")
+    assert raw.getvalue() == b""
+
+
 @st.composite
 def near_valid_jsonl(draw):
     """A dataset whose names are arbitrary text and whose first list may skip a rank."""
@@ -201,24 +215,44 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.jsonl"
 
 
+_MEASURE_FLAGS = ("--cutoff", "--persistence", "--log-base", "--alpha", "--measures")
+_BASELINE_FLAGS = ("--step", "--g1")
+
+# Text, non-finite, zero, negative and huge values, and valid values for the other flags.
+flag_values = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "1e308", "9" * 40]),
+    st.sampled_from(["p,dcg", "rbp,", "against", "liberal"]),
+    st.integers().map(str),
+    st.floats().map(str),
+)
+
+
 @given(
     data=st.one_of(st.binary(max_size=300), near_valid_jsonl()),
     mode=st.sampled_from(["stance", "ideology"]),
+    flags=st.dictionaries(st.sampled_from(_MEASURE_FLAGS + _BASELINE_FLAGS), flag_values),
 )
 @settings(max_examples=60, deadline=None)
-@example(data=b"\xff\xfe\n", mode="stance")
-@example(data=b"[" * 100_000, mode="stance")
-@example(data=b"1" * 5000, mode="stance")
+@example(data=b"\xff\xfe\n", mode="stance", flags={})
+@example(data=b"[" * 100_000, mode="stance", flags={})
+@example(data=b"1" * 5000, mode="stance", flags={})
 # A rank gap in a list whose engine id holds a newline.
 @example(data=b'{"engine": "a\\nb", "query_id": "q", "query": "t", "leaning": "liberal", '
-         b'"docs": [{"rank": 2, "doc_id": "d", "stance": "pro"}]}', mode="stance")
-def test_any_input_exits_cleanly_with_one_line(fuzz_path, data, mode):
+         b'"docs": [{"rank": 2, "doc_id": "d", "stance": "pro"}]}', mode="stance", flags={})
+# A flag value that does not parse.
+@example(data=b"", mode="stance", flags={"--cutoff": "abc"})
+def test_any_input_exits_cleanly_with_one_line(fuzz_path, data, mode, flags):
     fuzz_path.write_bytes(data)
     for command in ("validate", "evaluate", "compare", "baselines"):
         for fmt in ("json", "tsv", "markdown"):
             argv = [command, "--input", str(fuzz_path), "--output", fmt]
             if command != "validate":
                 argv += ["--mode", mode]
+                own = _BASELINE_FLAGS if command == "baselines" else _MEASURE_FLAGS
+                for flag in own:
+                    if flag in flags:
+                        argv += [flag, flags[flag]]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli_module.main(argv)

@@ -19,7 +19,6 @@ from serpbias import (
     distance_rkl,
     distance_rnd,
     distance_rrd,
-    group_precision_at,
     mirror,
     normalizer_z,
     precision_at,
@@ -44,23 +43,6 @@ def brute_force_max(kind, n, k, step):
         except MeasureUndefinedError:
             continue
     return best
-
-
-class TestGroupPrecision:
-    def test_all_g1(self):
-        assert group_precision_at(make_list([P] * 10), P, 10) == 1.0
-
-    def test_no_g1(self):
-        assert group_precision_at(make_list([A] * 10), P, 10) == 0.0
-
-    def test_half_g1(self):
-        assert group_precision_at(make_list([P, A] * 5), P, 10) == pytest.approx(0.5, abs=1e-12)
-
-    def test_custom_group_mapping(self):
-        r = make_list([P, A, N])
-        by_id = {"q01-d1": "left", "q01-d2": "right", "q01-d3": "left"}
-        share = group_precision_at(r, "left", 3, group_of=lambda d: by_id[d.doc_id])
-        assert share == pytest.approx(2 / 3, abs=1e-12)
 
 
 class TestDistances:

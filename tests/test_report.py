@@ -3,6 +3,7 @@
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +14,14 @@ from serpbias import (
     MeasureConfig,
     ReportConfig,
     evaluate,
+    load_dataset,
     parse_dataset,
     render_report,
     report_from_json,
 )
 from serpbias.report import resolve_measures
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def dataset_from(records):
@@ -116,9 +120,16 @@ def test_stance_mode_ignores_leaning():
 
 
 def test_json_round_trip_preserves_everything():
-    rep = evaluate(two_engine_dataset())
-    text = render_report(rep, "json")
-    assert report_from_json(text) == rep
+    # The golden datasets add degenerate and skipped tests, a reject_at of None
+    # and paired entries that carry engine_b.
+    cases = [(two_engine_dataset(), "stance")]
+    for name, mode in (("serps", "stance"), ("serps", "ideology"), ("one_query", "stance")):
+        cases.append((load_dataset(str(GOLDEN / f"{name}.jsonl")), mode))
+    for ds, mode in cases:
+        rep = evaluate(ds, mode=mode)
+        text = render_report(rep, "json")
+        assert report_from_json(text) == rep
+        assert render_report(report_from_json(text), "json") == text
 
 
 def test_rendering_is_deterministic():

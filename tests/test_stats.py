@@ -2,12 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from serpbias import (
@@ -78,6 +79,14 @@ class TestIncompleteBeta:
             regularized_incomplete_beta(1.0, 1.0, 1.5)
 
 
+def exact_t_squared(values):
+    """n * mean**2 / variance of the floats in values, computed exactly; None if constant."""
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    variance = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+    return len(xs) * mean**2 / variance if variance else None
+
+
 class TestOneSample:
     def test_symmetric_pair_is_null(self):
         res = one_sample_ttest([-1.0, 1.0])
@@ -132,6 +141,9 @@ class TestOneSample:
     @example(values=[0.0, 0.0, 1.7147755278590442e-155], c=0.001953125)
     # The mean of these subnormal values rounds coarsely unless scaled first.
     @example(values=[0.0, 2.2250738585e-313, 2.2250738585e-313], c=0.03125)
+    # Multiplying by 3 rounds the one-ulp spread, so the scaled sample's exact
+    # variance is 1.78 c**2 times the original's: not a scaled copy.
+    @example(values=[100.0, 100.0, 99.99999999999999], c=3.0)
     def test_scale_invariance(self, values, c):
         try:
             base = one_sample_ttest(values)
@@ -139,7 +151,11 @@ class TestOneSample:
             return
         if base.std_err == 0.0:
             return
-        scaled = one_sample_ttest([v * c for v in values])
+        scaled_values = [v * c for v in values]
+        # The premise: rounding v * c left the sample's exact t statistic as it was.
+        t2, scaled_t2 = exact_t_squared(values), exact_t_squared(scaled_values)
+        assume(scaled_t2 is not None and abs(scaled_t2 - t2) <= 1e-12 * max(t2, 1))
+        scaled = one_sample_ttest(scaled_values)
         assert scaled.t_stat == pytest.approx(base.t_stat, rel=1e-9, abs=1e-9)
         assert scaled.p_value == pytest.approx(base.p_value, rel=1e-9, abs=1e-12)
 
