@@ -47,7 +47,7 @@ def bias(r: RankedList, cfg: MeasureConfig) -> float:
     the stance pair; their slant is 0 either way. Each side's utility is
     computed on its own and only then subtracted.
     """
-    positive, negative = SIDES[type(r.docs[0].stance) if r.docs else StanceLabel]
+    positive, negative = SIDES[r.label_type or StanceLabel]
     if cfg.measure_kind == "precision":
         return precision_at(r, positive, cfg.cutoff) - precision_at(r, negative, cfg.cutoff)
     if cfg.measure_kind == "rbp":

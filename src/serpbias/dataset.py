@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
 from .errors import InputError
-from .model import Document, EngineRun, LeaningLabel, RankedList, StanceLabel
+from .model import CODE, Document, EngineRun, LeaningLabel, RankedList, StanceLabel
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,45 @@ def _decode(line: str):
         raise InputError(f"malformed JSON: {exc}") from None
 
 
+# Wire string of each stance -> its label code.
+_STANCE_CODE = {label.value: CODE[label] for label in StanceLabel}
+
+
+def _document(raw) -> Document:
+    if not isinstance(raw, dict):
+        raise InputError("each docs entry must be an object")
+    rank = _field(raw, "rank", int)
+    doc_id = _field(raw, "doc_id", str)
+    stance = StanceLabel.from_str(_field(raw, "stance", str))
+    return Document(rank=rank, stance=stance, doc_id=doc_id)
+
+
+def _ranked_list(engine: str, query_id: str, leaning: LeaningLabel, raw_docs: list) -> RankedList:
+    """The list raw_docs describes, filled column by column in one pass.
+
+    An entry the pass cannot take as it stands (not an object, a missing or
+    mistyped field, an unknown stance, a rank out of place) or a repeated id
+    sends the whole list through the Document and RankedList constructors,
+    which raise the first error in their order.
+    """
+    codes = bytearray()
+    ids = []
+    try:
+        for position, raw in enumerate(raw_docs, start=1):
+            rank = raw["rank"]
+            doc_id = raw["doc_id"]
+            if rank != position or type(rank) is not int or type(doc_id) is not str:
+                break
+            codes.append(_STANCE_CODE[raw["stance"]])
+            ids.append(doc_id)
+        else:
+            if len(set(ids)) == len(ids):
+                return RankedList._from_columns(engine, query_id, leaning, bytes(codes), tuple(ids))
+    except (KeyError, TypeError):
+        pass
+    return RankedList(engine, query_id, leaning, [_document(raw) for raw in raw_docs])
+
+
 def _parse_record(obj):
     if not isinstance(obj, dict):
         raise InputError("record must be a JSON object")
@@ -76,15 +115,7 @@ def _parse_record(obj):
     leaning_text = _field(obj, "leaning", str)
     raw_docs = _field(obj, "docs", list)
     leaning = LeaningLabel.from_str(leaning_text)
-    docs = []
-    for raw in raw_docs:
-        if not isinstance(raw, dict):
-            raise InputError("each docs entry must be an object")
-        rank = _field(raw, "rank", int)
-        doc_id = _field(raw, "doc_id", str)
-        stance = StanceLabel.from_str(_field(raw, "stance", str))
-        docs.append(Document(rank=rank, stance=stance, doc_id=doc_id))
-    ranked = RankedList(engine_id=engine, query_id=query_id, leaning=leaning, docs=tuple(docs))
+    ranked = _ranked_list(engine, query_id, leaning, raw_docs)
     return engine, query_id, query_text, leaning, ranked
 
 

@@ -16,10 +16,11 @@ as comparison baselines and as executable documentation of those behaviors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Optional, Sequence
 
 from .errors import ConfigError, InputError, MeasureUndefinedError, check_choice
 from .model import Document, RankedList
@@ -49,13 +50,14 @@ class BaselineConfig:
         check_choice("baseline kind", self.kind, BASELINE_KINDS)
 
 
-def _membership(r: RankedList, g1, group_of: Optional[GroupOf]) -> list[bool]:
+def _membership(r: RankedList, g1, group_of: Optional[GroupOf]) -> Sequence[int]:
+    """1 (or True) at each rank whose document is in g1, else 0 (False)."""
     if group_of is None:
-        return [doc.stance == g1 for doc in r.docs]
+        return r.mask(g1)
     return [group_of(doc) == g1 for doc in r.docs]
 
 
-def _share(member: list[bool], i: int) -> float:
+def _share(member: Sequence[int], i: int) -> float:
     return sum(member[:i]) / i
 
 
@@ -99,7 +101,7 @@ def _d_rrd(p: float, q: float) -> float:
 _DISTANCES = {"rnd": _d_rnd, "rkl": _d_rkl, "rrd": _d_rrd}
 
 
-def _raw_score(member: list[bool], kind: str, step: int) -> float:
+def _raw_score(member: Sequence[int], kind: str, step: int) -> float:
     """Un-normalized score: sum of d(P@i, P@end) / log2(i) over evaluation points."""
     if not member:
         return 0.0
@@ -138,6 +140,7 @@ def distance_rrd(r: RankedList, g1, i: int, group_of: Optional[GroupOf] = None) 
     return _d_rrd(*_shares_at(r, g1, i, group_of))
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def normalizer_z(kind: str, list_len: int, g1_count: int, step: int = DEFAULT_STEP) -> float:
     """Largest un-normalized score over the two extremal arrangements.
 
@@ -146,7 +149,8 @@ def normalizer_z(kind: str, list_len: int, g1_count: int, step: int = DEFAULT_ST
     test suite at small sizes). Arrangements on which the distance itself is
     undefined (possible for rRD) are not attainable and are skipped. Returns
     0.0 when no arrangement produces a positive score, e.g. for group counts
-    0 or list_len.
+    0 or list_len. Values are memoized, since many lists share a length and
+    group size.
     """
     BaselineConfig(step=step, kind=kind)  # raises ConfigError on a bad kind or step
     if not 0 <= g1_count <= list_len:

@@ -15,6 +15,7 @@ for RBP, unscaled for DCG).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -83,13 +84,13 @@ def discounts(kind: str, parameter, cutoff, length: int) -> tuple[float, ...]:
 
 def _discounted_hits(r: RankedList, label: Label, weights: tuple[float, ...]) -> float:
     """Sum of the discounts of the ranks, among the first len(weights), labeled `label`."""
-    return math.fsum(w for w, doc in zip(weights, r.docs) if doc.stance == label)
+    return math.fsum(itertools.compress(weights, r.mask(label)))
 
 
 def precision_at(r: RankedList, label: Label, n: int) -> float:
     """Fraction of the top n ranks occupied by documents labeled `label`."""
     _check_cutoff(n)
-    return _discounted_hits(r, label, discounts("precision", None, n, len(r.docs))) / n
+    return _discounted_hits(r, label, discounts("precision", None, n, len(r))) / n
 
 
 def rbp(r: RankedList, label: Label, p: float) -> float:
@@ -99,11 +100,11 @@ def rbp(r: RankedList, label: Label, p: float) -> float:
     ranks beyond the list, so the value is bounded by 1 - p**len(r).
     """
     _check_persistence(p)
-    return (1.0 - p) * _discounted_hits(r, label, discounts("rbp", p, None, len(r.docs)))
+    return (1.0 - p) * _discounted_hits(r, label, discounts("rbp", p, None, len(r)))
 
 
 def dcg_at(r: RankedList, label: Label, n: int, base: float = DEFAULT_LOG_BASE) -> float:
     """Discounted cumulative gain at cutoff n: a match at rank i gains 1/log_base(i+1)."""
     _check_cutoff(n)
     _check_log_base(base)
-    return _discounted_hits(r, label, discounts("dcg", base, n, len(r.docs)))
+    return _discounted_hits(r, label, discounts("dcg", base, n, len(r)))

@@ -12,8 +12,8 @@ All types are immutable after construction and every function here is pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 from .errors import InputError
 
@@ -67,6 +67,23 @@ class IdeologyLabel(_Label):
 
 Label = Union[StanceLabel, IdeologyLabel]
 
+# One code space for both label vocabularies: a list stores its labels as one
+# byte per rank, LABELS[code], so the codes also say which vocabulary it uses.
+LABELS: tuple[Label, ...] = (*StanceLabel, *IdeologyLabel)
+CODE: dict[Label, int] = {label: code for code, label in enumerate(LABELS)}
+
+# The two opposing labels of each label space, positive side first: slant is
+# the positive side's utility minus the negative side's, and mirror swaps them.
+SIDES = {
+    StanceLabel: (StanceLabel.PRO, StanceLabel.AGAINST),
+    IdeologyLabel: (IdeologyLabel.CONSERVATIVE, IdeologyLabel.LIBERAL),
+}
+
+# bytes.translate tables: _MASKS[label] turns a list's codes into 1 where the
+# rank carries that label and 0 elsewhere; anything else matches no rank.
+_MASKS = {label: bytes(int(c == code) for c in range(256)) for label, code in CODE.items()}
+_NO_MATCH = bytes(256)
+
 
 @dataclass(frozen=True)
 class Document:
@@ -81,7 +98,7 @@ class Document:
             raise InputError(f"document rank must be >= 1, got {self.rank}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RankedList:
     """The ranked documents one engine returned for one query.
 
@@ -89,37 +106,79 @@ class RankedList:
     be unique within the list, and every document carries the same label type
     (all stance or all ideology). Empty lists are legal (a failed crawl still
     counts as a result page).
+
+    The labels are stored as `codes`, one byte per rank indexing LABELS, next
+    to the tuple `doc_ids`; the Document tuple `docs` is built from the two on
+    first access. Equality and hashing compare these columns.
     """
 
     engine_id: str
     query_id: str
     leaning: LeaningLabel
-    docs: tuple[Document, ...] = ()
+    codes: bytes
+    doc_ids: tuple[str, ...]
+    _docs: Optional[tuple[Document, ...]] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "docs", tuple(self.docs))
-        label_type = type(self.docs[0].stance) if self.docs else None
-        for position, doc in enumerate(self.docs, start=1):
+    def __init__(self, engine_id: str, query_id: str, leaning: LeaningLabel, docs=()):
+        docs = tuple(docs)
+        label_type = type(docs[0].stance) if docs else None
+        for position, doc in enumerate(docs, start=1):
             if doc.rank != position:
                 raise InputError(
-                    f"rank gap in list ({self.engine_id}, {self.query_id}): "
+                    f"rank gap in list ({engine_id}, {query_id}): "
                     f"expected rank {position}, got {doc.rank}"
+                )
+            if type(doc.stance) not in SIDES:
+                raise InputError(
+                    f"rank {position} of list ({engine_id}, {query_id}) carries "
+                    f"{doc.stance!r}, not a stance or ideology label"
                 )
             if type(doc.stance) is not label_type:
                 raise InputError(
-                    f"mixed label types in list ({self.engine_id}, {self.query_id}): "
+                    f"mixed label types in list ({engine_id}, {query_id}): "
                     f"rank {position} is {type(doc.stance).__name__}, "
                     f"rank 1 is {label_type.__name__}"
                 )
-        ids = [doc.doc_id for doc in self.docs]
+        ids = tuple(doc.doc_id for doc in docs)
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise InputError(
-                f"duplicate doc_id in list ({self.engine_id}, {self.query_id}): {dupes}"
+            raise InputError(f"duplicate doc_id in list ({engine_id}, {query_id}): {dupes}")
+        codes = bytes(CODE[doc.stance] for doc in docs)
+        self._fill(engine_id, query_id, leaning, codes, ids, docs)
+
+    @classmethod
+    def _from_columns(cls, engine_id, query_id, leaning, codes: bytes, doc_ids: tuple):
+        """A list built from columns whose invariants the caller has already checked."""
+        r = object.__new__(cls)
+        r._fill(engine_id, query_id, leaning, codes, doc_ids, None)
+        return r
+
+    def _fill(self, *values):
+        # Frozen: fields are set through the instance dict, in declaration order.
+        self.__dict__.update(zip(self.__dataclass_fields__, values))
+
+    @property
+    def docs(self) -> tuple[Document, ...]:
+        if self._docs is None:
+            labeled = zip(self.codes, self.doc_ids)
+            docs = tuple(
+                Document(rank, LABELS[code], doc_id)
+                for rank, (code, doc_id) in enumerate(labeled, start=1)
             )
+            self.__dict__["_docs"] = docs
+        return self._docs
+
+    @property
+    def label_type(self):
+        """StanceLabel or IdeologyLabel, whichever the documents carry; None if empty."""
+        return type(LABELS[self.codes[0]]) if self.codes else None
+
+    def mask(self, label) -> bytes:
+        """One byte per rank: 1 where the document is labeled `label`, else 0."""
+        return self.codes.translate(_MASKS.get(label, _NO_MATCH))
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.codes)
 
 
 @dataclass(frozen=True)
@@ -144,14 +203,6 @@ class EngineRun:
 
     def query_ids(self) -> list[str]:
         return sorted(self.lists)
-
-
-# The two opposing labels of each label space, positive side first: slant is
-# the positive side's utility minus the negative side's, and mirror swaps them.
-SIDES = {
-    StanceLabel: (StanceLabel.PRO, StanceLabel.AGAINST),
-    IdeologyLabel: (IdeologyLabel.CONSERVATIVE, IdeologyLabel.LIBERAL),
-}
 
 
 def _require_stance(label) -> None:
@@ -181,19 +232,30 @@ def transform_stance_to_ideology(leaning: LeaningLabel, stance: StanceLabel) -> 
     return pro if stance is StanceLabel.PRO else against
 
 
-def _relabel(r: RankedList, table: dict) -> RankedList:
-    """r with each document label looked up in table; labels not in it stay."""
-    docs = (Document(doc.rank, table.get(doc.stance, doc.stance), doc.doc_id) for doc in r.docs)
-    return RankedList(r.engine_id, r.query_id, r.leaning, tuple(docs))
+def _translation(mapping: dict) -> bytes:
+    """A bytes.translate table that relabels codes through mapping; other codes stay."""
+    table = bytearray(range(256))
+    for old, new in mapping.items():
+        table[CODE[old]] = CODE[new]
+    return bytes(table)
+
+
+def _relabel(r: RankedList, table: bytes) -> RankedList:
+    """r with its codes translated through table."""
+    return RankedList._from_columns(
+        r.engine_id, r.query_id, r.leaning, r.codes.translate(table), r.doc_ids
+    )
 
 
 _LIST_IDEOLOGY = {
-    leaning: {
-        stance: IdeologyLabel.NOT_RELEVANT
-        if transform_stance_to_ideology(leaning, stance) is IdeologyLabel.EXCLUDED
-        else transform_stance_to_ideology(leaning, stance)
-        for stance in StanceLabel
-    }
+    leaning: _translation(
+        {
+            stance: IdeologyLabel.NOT_RELEVANT
+            if transform_stance_to_ideology(leaning, stance) is IdeologyLabel.EXCLUDED
+            else transform_stance_to_ideology(leaning, stance)
+            for stance in StanceLabel
+        }
+    )
     for leaning in LeaningLabel
 }
 
@@ -205,12 +267,12 @@ def transform_list(r: RankedList) -> RankedList:
     position while contributing nothing to any measure. A list that already
     carries ideology labels raises InputError.
     """
-    if r.docs:
-        _require_stance(r.docs[0].stance)
+    if r.codes:
+        _require_stance(LABELS[r.codes[0]])
     return _relabel(r, _LIST_IDEOLOGY[r.leaning])
 
 
-_MIRROR = {a: b for pair in SIDES.values() for a, b in (pair, pair[::-1])}
+_MIRROR = _translation({a: b for pair in SIDES.values() for a, b in (pair, pair[::-1])})
 
 
 def mirror(r: RankedList) -> RankedList:

@@ -1,8 +1,18 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the hypothesis profiles.
+
+HYPOTHESIS_PROFILE=ci selects the deeper `ci` profile; without it the
+default profile applies. Tests that pin max_examples keep their own count.
+"""
 
 import json
+import os
+
+from hypothesis import settings
 
 from serpbias import Document, EngineRun, LeaningLabel, RankedList, StanceLabel
+
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 STANCES = tuple(StanceLabel)
 

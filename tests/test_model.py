@@ -1,5 +1,8 @@
 """Label vocabularies, list invariants, and the stance-to-ideology transform."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -191,6 +194,37 @@ def test_duplicate_doc_ids_rejected():
     )
     with pytest.raises(InputError, match="duplicate doc_id"):
         RankedList("e", "q", LeaningLabel.LIBERAL, docs)
+
+
+def test_labels_outside_both_vocabularies_rejected():
+    docs = (Document(rank=1, stance="pro", doc_id="a"),)
+    with pytest.raises(InputError, match="rank 1 .* not a stance or ideology label"):
+        RankedList("e", "q", LeaningLabel.LIBERAL, docs)
+
+
+def test_columns_mirror_the_documents():
+    r = make_list([StanceLabel.PRO, StanceLabel.NOT_RELEVANT, StanceLabel.PRO])
+    assert r.doc_ids == ("q01-d1", "q01-d2", "q01-d3")
+    assert r.label_type is StanceLabel
+    assert r.mask(StanceLabel.PRO) == bytes([1, 0, 1])
+    assert r.mask(IdeologyLabel.NOT_RELEVANT) == bytes(3)
+    assert transform_list(r).label_type is IdeologyLabel
+    assert make_list([]).label_type is None
+    # Built from columns, docs are made once and then shared.
+    m = mirror(r)
+    assert m.docs is m.docs
+    assert m.docs[1] == Document(rank=2, stance=StanceLabel.NOT_RELEVANT, doc_id="q01-d2")
+
+
+def test_ranked_list_is_frozen_and_copyable():
+    r = mirror(make_list([StanceLabel.PRO, StanceLabel.AGAINST]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.codes = b""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del r.leaning
+    for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert twin == r and hash(twin) == hash(r) and twin.docs == r.docs
+    assert repr(r).startswith("RankedList(engine_id='engine-a', query_id='q01', leaning=")
 
 
 def test_document_rank_must_be_positive():
