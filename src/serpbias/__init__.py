@@ -19,6 +19,7 @@ from .bias import (
 from .dataset import Dataset, load_dataset, parse_dataset
 from .errors import (
     ConfigError,
+    ConvergenceError,
     DegenerateSampleError,
     InputError,
     MeasureUndefinedError,
@@ -55,7 +56,10 @@ from .model import (
 from .report import (
     MODES,
     REPORT_FORMATS,
+    BaselineReport,
+    BaselineScore,
     ComparisonReport,
+    DatasetReport,
     ReportConfig,
     TestEntry,
     evaluate,
@@ -75,11 +79,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BASELINE_KINDS",
     "BaselineConfig",
+    "BaselineReport",
+    "BaselineScore",
     "BiasRecord",
     "BiasSummary",
     "ComparisonReport",
     "ConfigError",
+    "ConvergenceError",
     "Dataset",
+    "DatasetReport",
     "DegenerateSampleError",
     "Document",
     "EngineRun",

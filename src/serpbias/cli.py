@@ -2,14 +2,15 @@
 
 Subcommands: validate (parse and sanity-check a dataset), evaluate (full
 bias report), compare (paired engine comparison only), baselines (rND/rKL/
-rRD scores per list). Exit codes: 0 success, 1 input or validation error,
+rRD scores per list). Each builds one library report and writes it through
+`render_report`. Exit codes: 0 success, 1 input, validation or output error,
 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import os
 import sys
 from dataclasses import replace
 
@@ -22,15 +23,13 @@ from .report import (
     DEFAULT_ALPHA,
     MODES,
     REPORT_FORMATS,
+    BaselineReport,
+    BaselineScore,
     ComparisonReport,
+    DatasetReport,
     evaluate,
-    markdown_list,
-    markdown_table,
-    markdown_text,
     render_report,
     resolve_measures,
-    to_json_text,
-    tsv_text,
 )
 
 
@@ -90,23 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args) -> str:
-    ds = load_dataset(args.input)
-    engines = ds.engine_ids()
-    counts = {
-        "n_queries": len(ds.query_table),
-        "n_records": sum(len(run.lists) for run in ds.runs),
-        "n_documents": ds.document_count(),
-    }
-    if args.output == "json":
-        return to_json_text({"engines": engines, **counts}) + "\n"
-    if args.output == "tsv":
-        return tsv_text(("field", "value"), [("engines", ",".join(engines)), *counts.items()])
-    bullets = [f"engines: {', '.join(engines)}"]
-    bullets += [f"{key.removeprefix('n_')}: {n}" for key, n in counts.items()]
-    return markdown_text("Dataset", markdown_list(bullets))
-
-
 def _evaluation(args) -> ComparisonReport:
     ds = load_dataset(args.input)
     cfg = MeasureConfig(
@@ -116,16 +98,11 @@ def _evaluation(args) -> ComparisonReport:
     return evaluate(ds, cfg, mode=args.mode, measures=measures, alpha=args.alpha)
 
 
-def _cmd_evaluate(args) -> str:
-    return render_report(_evaluation(args), args.output)
-
-
-def _cmd_compare(args) -> str:
+def _comparison(args) -> ComparisonReport:
     rep = _evaluation(args)
     if len(rep.engines) < 2:
         raise InputError("compare needs at least 2 engines in the dataset")
-    trimmed = replace(rep, summaries=(), one_sample=())
-    return render_report(trimmed, args.output)
+    return replace(rep, summaries=(), one_sample=())
 
 
 def _g1(args):
@@ -139,78 +116,55 @@ def _g1(args):
         raise ConfigError(f"invalid --g1: {exc}") from None
 
 
-_SCORE_COLUMNS = ("engine", "query_id", "status", "score", "detail")
-
-
-def _cmd_baselines(args) -> str:
+def _baselines(args) -> BaselineReport:
     ds = load_dataset(args.input)
     cfg = BaselineConfig(step=args.step, kind=args.baseline)
     g1 = _g1(args)
+    # This per-list loop belongs in the library, next to `evaluate`. It stays
+    # here while perfbench/trace.py times it by patching cli.baseline_score and
+    # cli.transform_list, until the library records its own stage timings.
     scores = []
-    summary = []
     for run in ds.runs:
-        defined = []
         for query_id in run.query_ids():
             ranked = run.lists[query_id]
             if args.mode == "ideology":
                 ranked = transform_list(ranked)
             try:
-                score = baseline_score(ranked, g1, cfg)
-                status, detail = "ok", ""
-                defined.append(score)
+                row = (run.engine_id, query_id, "ok", baseline_score(ranked, g1, cfg))
             except InputError as exc:  # MeasureUndefinedError included
-                score, status, detail = None, "undefined", str(exc)
-            row = (run.engine_id, query_id, status, score, detail)
-            scores.append(dict(zip(_SCORE_COLUMNS, row)))
-        summary.append(
-            {
-                "engine": run.engine_id,
-                "mean_score": math.fsum(defined) / len(defined) if defined else None,
-                "defined": len(defined),
-                "undefined": len(run.lists) - len(defined),
-            }
-        )
-    doc = {
-        "mode": args.mode,
-        "config": {"baseline": args.baseline, "step": args.step, "g1": str(g1)},
-        "engines": ds.engine_ids(),
-        "scores": scores,
-        "summary": summary,
-    }
-    if args.output == "json":
-        return to_json_text(doc) + "\n"
-    if args.output == "tsv":
-        return tsv_text(_SCORE_COLUMNS, (row.values() for row in scores))
-    return markdown_text(
-        f"{args.baseline} baseline (step {args.step}, g1 = {g1})",
-        markdown_table(
-            ("engine", "query", "status", "score"),
-            [(row["engine"], row["query_id"], row["status"], row["score"]) for row in scores],
-        ),
-        markdown_table(
-            ("engine", "mean score", "defined", "undefined"), (row.values() for row in summary)
-        ),
-    )
+                row = (run.engine_id, query_id, "undefined", None, str(exc))
+            scores.append(BaselineScore(*row))
+    engines = tuple(ds.engine_ids())
+    return BaselineReport(args.mode, cfg.kind, cfg.step, str(g1), engines, tuple(scores))
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "evaluate": _cmd_evaluate,
-    "compare": _cmd_compare,
-    "baselines": _cmd_baselines,
+# The report each subcommand builds from its parsed arguments.
+_REPORTS = {
+    "validate": lambda args: DatasetReport.from_dataset(load_dataset(args.input)),
+    "evaluate": _evaluation,
+    "compare": _comparison,
+    "baselines": _baselines,
 }
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        text = _COMMANDS[args.command](args)
+        text = render_report(_REPORTS[args.command](args), args.output)
         try:
             sys.stdout.write(text)
+            sys.stdout.flush()
         except UnicodeEncodeError as exc:
             # The whole text is encoded before anything is written.
             message = f"stdout encoding {exc.encoding!r} cannot write the report: {exc.reason}"
             raise ConfigError(f"{message}; set PYTHONIOENCODING=utf-8") from None
+        except OSError as exc:  # a closed pipe or a full disk
+            # What stdout still buffers goes to the null device, so the exit flush stays quiet.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"output error: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     except (ConfigError, InputError) as exc:
         label, code = ("configuration", 2) if isinstance(exc, ConfigError) else ("input", 1)
         # Non-printable characters, such as a newline in an engine id, are escaped.

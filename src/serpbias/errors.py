@@ -30,6 +30,11 @@ class DegenerateSampleError(InputError):
     """
 
 
+class ConvergenceError(InputError, ArithmeticError):
+    """An iterative method, such as the t-test's continued fraction, ran out of
+    iterations on values that came from the data. Also an ArithmeticError."""
+
+
 def check_choice(what: str, value, choices) -> None:
     """Raise ConfigError unless value is one of choices."""
     if value not in choices:

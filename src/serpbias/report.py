@@ -1,10 +1,11 @@
-"""Evaluation protocol and report rendering.
+"""Evaluation protocol, the three reports, and their rendering.
 
 `evaluate` runs the whole pipeline over a validated dataset: per-query slant
 under each requested measure, per-engine MB/MAB aggregates, a one-sample
 t-test per (engine, measure) against a true mean of zero, and a paired
-t-test per engine pair. `render_report` serializes the result as JSON
-(floats at 17 significant digits, lossless to re-parse), flat TSV, or
+t-test per engine pair. `render_report` serializes that report, a
+`DatasetReport` or a `BaselineReport` as JSON (floats at 17 significant
+digits, lossless; `report_from_json` reads any of them back), flat TSV, or
 Markdown; identical reports always render to identical bytes.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bias import BiasRecord, BiasSummary, summarize_run
 from .dataset import Dataset
@@ -54,6 +55,12 @@ class TestEntry:
     status: str
     detail: str = ""
     result: Optional[TTestResult] = None
+
+
+_TSV_HEADER = ("section", "engine", "engine_b", "measure", "query_id", "field", "value")
+
+# The markdown t-test tables leave out the standard error.
+_MD_FIELDS = ("t_stat", "df", "p_value", "sample_mean", "reject_at")
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,89 @@ class ComparisonReport:
             paired=tuple(_test_entry(e) for e in data["paired_tests"]),
         )
 
+    def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
+        return _TSV_HEADER, self._tsv_rows()
+
+    def _tsv_rows(self):
+        config = {"mode": self.mode, **asdict(self.config)}
+        config.update(engines=self.engines, n_queries=self.n_queries)
+        for key, value in config.items():
+            if isinstance(value, (list, tuple)):
+                value = ",".join(value)
+            yield ("config", "", "", "", "", key, value)
+        for i, warning in enumerate(self.warnings, start=1):
+            yield ("warning", "", "", "", "", i, warning)
+        for s in self.summaries:
+            yield ("summary", s.engine_id, "", s.measure_kind, "", "mb", s.mb)
+            yield ("summary", s.engine_id, "", s.measure_kind, "", "mab", s.mab)
+        for s in self.summaries:
+            for rec in s.per_query:
+                yield ("beta", s.engine_id, "", s.measure_kind, rec.query_id, "beta", rec.beta)
+        for section, entries in (("one_sample", self.one_sample), ("paired", self.paired)):
+            for e in entries:
+                base = (section, e.engine, e.engine_b or "", e.measure_kind, "")
+                yield (*base, "status", e.status)
+                if e.detail:
+                    yield (*base, "detail", e.detail)
+                if e.result is not None:
+                    for name, value in zip(_RESULT_FIELDS, _result_values(e)):
+                        yield (*base, name, value)
+
+    def markdown(self) -> tuple[str, list[str]]:
+        c = self.config
+        blocks = [
+            markdown_list(
+                [
+                    f"mode: {self.mode}",
+                    f"engines: {', '.join(self.engines) if self.engines else '(none)'}",
+                    f"queries: {self.n_queries}",
+                    f"measures: {', '.join(c.measures)}",
+                    f"cutoff: {c.cutoff}, persistence: {_cell(c.persistence, '.6g')}, "
+                    f"log base: {_cell(c.log_base, '.6g')}, alpha: {_cell(c.alpha, '.6g')}",
+                    *(f"warning: {warning}" for warning in self.warnings),
+                ]
+            )
+        ]
+        sections = (
+            (
+                "Engine summaries",
+                ("engine", "measure", "MB", "MAB"),
+                [(s.engine_id, s.measure_kind, s.mb, s.mab) for s in self.summaries],
+            ),
+            (
+                "One-sample t-tests (null: mean slant is 0)",
+                ("engine", "measure", "status", "t", "df", "p", "mean", "rejected at"),
+                [
+                    (e.engine, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
+                    for e in self.one_sample
+                ],
+            ),
+            (
+                "Paired t-tests (null: engines share one true mean)",
+                (
+                    "engine A", "engine B", "measure", "status", "t", "df", "p", "mean diff",
+                    "rejected at",
+                ),
+                [
+                    (e.engine, e.engine_b, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
+                    for e in self.paired
+                ],
+            ),
+            (
+                "Per-query slant",
+                ("engine", "measure", "query", "beta"),
+                [
+                    (s.engine_id, s.measure_kind, rec.query_id, rec.beta)
+                    for s in self.summaries
+                    for rec in s.per_query
+                ],
+            ),
+        )
+        for heading, header, rows in sections:
+            if rows:
+                blocks += [f"## {heading}", markdown_table(header, rows)]
+        return "Search bias report", blocks
+
 
 _RESULT_FIELDS = tuple(f.name for f in fields(TTestResult))
 
@@ -146,6 +236,101 @@ def _test_entry(data: dict) -> TestEntry:
         detail=data["detail"],
         result=result,
     )
+
+
+@dataclass(frozen=True)
+class DatasetReport:
+    """A dataset's shape: what `serpbias validate` reports."""
+
+    engines: tuple[str, ...]
+    n_queries: int
+    n_records: int
+    n_documents: int
+
+    @classmethod
+    def from_dataset(cls, ds: Dataset) -> "DatasetReport":
+        n_records = sum(len(run.lists) for run in ds.runs)
+        return cls(tuple(ds.engine_ids()), len(ds.query_table), n_records, ds.document_count())
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "DatasetReport":
+        return cls(**{**data, "engines": tuple(data["engines"])})
+
+    def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
+        _, *counts = asdict(self).items()
+        return ("field", "value"), [("engines", ",".join(self.engines)), *counts]
+
+    def markdown(self) -> tuple[str, list[str]]:
+        _, *counts = asdict(self).items()
+        bullets = [f"{key.removeprefix('n_')}: {n}" for key, n in counts]
+        return "Dataset", [markdown_list([f"engines: {', '.join(self.engines)}", *bullets])]
+
+
+class BaselineScore(NamedTuple):
+    """One list's baseline score; status "undefined" carries no score and says why."""
+
+    engine: str
+    query_id: str
+    status: str
+    score: Optional[float]
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class BaselineReport:
+    """One rND/rKL/rRD score per (engine, query) list: what `serpbias baselines` reports."""
+
+    mode: str
+    baseline: str
+    step: int
+    g1: str
+    engines: tuple[str, ...]
+    scores: tuple[BaselineScore, ...]
+
+    def summary(self) -> Iterator[dict]:
+        """Per engine: the mean of its defined scores (None without any), then
+        the counts of defined and undefined scores."""
+        by_engine: dict[str, list] = {engine: [] for engine in self.engines}
+        for row in self.scores:
+            by_engine.setdefault(row.engine, []).append(row.score)
+        for engine, scores in by_engine.items():
+            defined = [score for score in scores if score is not None]
+            mean = math.fsum(defined) / len(defined) if defined else None
+            counts = {"defined": len(defined), "undefined": len(scores) - len(defined)}
+            yield {"engine": engine, "mean_score": mean, **counts}
+
+    def to_dict(self) -> dict:
+        return {
+            "mode": self.mode,
+            "config": {"baseline": self.baseline, "step": self.step, "g1": self.g1},
+            "engines": list(self.engines),
+            "scores": [row._asdict() for row in self.scores],
+            "summary": list(self.summary()),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "BaselineReport":
+        """The summary is not read: it is recomputed from the scores."""
+        cfg, scores = data["config"], tuple(BaselineScore(**row) for row in data["scores"])
+        engines = tuple(data["engines"])
+        return cls(data["mode"], cfg["baseline"], cfg["step"], cfg["g1"], engines, scores)
+
+    def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
+        return BaselineScore._fields, self.scores
+
+    def markdown(self) -> tuple[str, list[str]]:
+        rows = [row[:4] for row in self.scores]
+        means = [row.values() for row in self.summary()]
+        return f"{self.baseline} baseline (step {self.step}, g1 = {self.g1})", [
+            markdown_table(("engine", "query", "status", "score"), rows),
+            markdown_table(("engine", "mean score", "defined", "undefined"), means),
+        ]
+
+
+Report = ComparisonReport | DatasetReport | BaselineReport
 
 
 _MEASURE_ALIASES = {"p": "precision", "precision": "precision", "rbp": "rbp", "dcg": "dcg"}
@@ -280,19 +465,37 @@ def to_json_text(value, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
-def report_from_json(text: str) -> ComparisonReport:
-    """Inverse of the JSON rendering; numeric fields survive to full precision."""
-    return ComparisonReport.from_dict(json.loads(text))
+def report_from_json(text: str) -> Report:
+    """Inverse of the JSON rendering of any report; numeric fields survive to
+    full precision. The keys that only one schema has pick the report type."""
+    data = json.loads(text)
+    if "bias_summaries" in data:
+        return ComparisonReport.from_dict(data)
+    if "scores" in data:
+        return BaselineReport.from_dict(data)
+    return DatasetReport.from_dict(data)
 
 
-def _cell(value, float_spec: str = "") -> str:
+# The escapes that keep a text on one line, in one TSV cell, or in one markdown cell.
+_BACKSLASH_AND_BREAKS = {"\\": "\\\\", "\r": "\\r", "\n": "\\n"}
+_LINE_ESCAPES = str.maketrans(_BACKSLASH_AND_BREAKS)
+_TSV_ESCAPES = str.maketrans({**_BACKSLASH_AND_BREAKS, "\t": "\\t"})
+_MD_ESCAPES = str.maketrans({**_BACKSLASH_AND_BREAKS, "\t": "\\t", "|": "\\|"})
+
+
+def _cell(value, float_spec: str = "", escapes: dict = _TSV_ESCAPES) -> str:
     """One table cell: empty for None, a float through float_spec (repr when
-    empty), anything else through str."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, float_spec)
-    return str(value)
+    empty), anything else through str with the characters in escapes escaped."""
+    if type(value) is not str:
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return format(value, float_spec)
+        value = str(value)
+    # Most cells hold nothing to escape, and these tests cost less than translate.
+    if "\\" in value or "|" in value or not value.isprintable():
+        return value.translate(escapes)
+    return value
 
 
 def tsv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
@@ -305,113 +508,28 @@ def tsv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
 def markdown_table(header: Sequence[str], rows: Iterable[Iterable]) -> str:
     """Markdown table of cells, floats at 6 significant digits."""
     lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
-    lines += ["| " + " | ".join(_cell(value, ".6g") for value in row) + " |" for row in rows]
+    lines += [
+        "| " + " | ".join(_cell(value, ".6g", _MD_ESCAPES) for value in row) + " |" for row in rows
+    ]
     return "\n".join(lines)
 
 
 def markdown_list(items: Iterable[str]) -> str:
     """Markdown bullet list, one item per line."""
-    return "\n".join(f"- {item}" for item in items)
+    return "\n".join(f"- {item.translate(_LINE_ESCAPES)}" for item in items)
 
 
 def markdown_text(title: str, *blocks: str) -> str:
     """Markdown document: a level-1 title, then the blocks, one blank line apart."""
-    return "\n\n".join((f"# {title}",) + blocks) + "\n"
+    return "\n\n".join((f"# {title.translate(_LINE_ESCAPES)}",) + blocks) + "\n"
 
 
-_TSV_HEADER = ("section", "engine", "engine_b", "measure", "query_id", "field", "value")
-
-# The markdown t-test tables leave out the standard error.
-_MD_FIELDS = ("t_stat", "df", "p_value", "sample_mean", "reject_at")
-
-
-def _tsv_rows(rep: ComparisonReport):
-    config = {"mode": rep.mode, **asdict(rep.config)}
-    config.update(engines=rep.engines, n_queries=rep.n_queries)
-    for key, value in config.items():
-        if isinstance(value, (list, tuple)):
-            value = ",".join(value)
-        yield ("config", "", "", "", "", key, value)
-    for i, warning in enumerate(rep.warnings, start=1):
-        yield ("warning", "", "", "", "", i, warning)
-    for s in rep.summaries:
-        yield ("summary", s.engine_id, "", s.measure_kind, "", "mb", s.mb)
-        yield ("summary", s.engine_id, "", s.measure_kind, "", "mab", s.mab)
-    for s in rep.summaries:
-        for rec in s.per_query:
-            yield ("beta", s.engine_id, "", s.measure_kind, rec.query_id, "beta", rec.beta)
-    for section, entries in (("one_sample", rep.one_sample), ("paired", rep.paired)):
-        for e in entries:
-            base = (section, e.engine, e.engine_b or "", e.measure_kind, "")
-            yield (*base, "status", e.status)
-            if e.detail:
-                yield (*base, "detail", e.detail)
-            if e.result is not None:
-                for name, value in zip(_RESULT_FIELDS, _result_values(e)):
-                    yield (*base, name, value)
-
-
-def _render_markdown(rep: ComparisonReport) -> str:
-    c = rep.config
-    blocks = [
-        markdown_list(
-            [
-                f"mode: {rep.mode}",
-                f"engines: {', '.join(rep.engines) if rep.engines else '(none)'}",
-                f"queries: {rep.n_queries}",
-                f"measures: {', '.join(c.measures)}",
-                f"cutoff: {c.cutoff}, persistence: {_cell(c.persistence, '.6g')}, "
-                f"log base: {_cell(c.log_base, '.6g')}, alpha: {_cell(c.alpha, '.6g')}",
-                *(f"warning: {warning}" for warning in rep.warnings),
-            ]
-        )
-    ]
-    sections = (
-        (
-            "Engine summaries",
-            ("engine", "measure", "MB", "MAB"),
-            [(s.engine_id, s.measure_kind, s.mb, s.mab) for s in rep.summaries],
-        ),
-        (
-            "One-sample t-tests (null: mean slant is 0)",
-            ("engine", "measure", "status", "t", "df", "p", "mean", "rejected at"),
-            [
-                (e.engine, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
-                for e in rep.one_sample
-            ],
-        ),
-        (
-            "Paired t-tests (null: engines share one true mean)",
-            (
-                "engine A", "engine B", "measure", "status", "t", "df", "p", "mean diff",
-                "rejected at",
-            ),
-            [
-                (e.engine, e.engine_b, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
-                for e in rep.paired
-            ],
-        ),
-        (
-            "Per-query slant",
-            ("engine", "measure", "query", "beta"),
-            [
-                (s.engine_id, s.measure_kind, rec.query_id, rec.beta)
-                for s in rep.summaries
-                for rec in s.per_query
-            ],
-        ),
-    )
-    for heading, header, rows in sections:
-        if rows:
-            blocks += [f"## {heading}", markdown_table(header, rows)]
-    return markdown_text("Search bias report", *blocks)
-
-
-def render_report(rep: ComparisonReport, fmt: str = "json") -> str:
-    """Serialize a report; identical reports render to identical bytes."""
+def render_report(rep: Report, fmt: str = "json") -> str:
+    """Serialize any report; identical reports render to identical bytes."""
     check_choice("output format", fmt, REPORT_FORMATS)
     if fmt == "json":
         return to_json_text(rep.to_dict()) + "\n"
     if fmt == "tsv":
-        return tsv_text(_TSV_HEADER, _tsv_rows(rep))
-    return _render_markdown(rep)
+        return tsv_text(*rep.tsv())
+    title, blocks = rep.markdown()
+    return markdown_text(title, *blocks)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ConfigError, DegenerateSampleError, InputError
+from .errors import ConfigError, ConvergenceError, DegenerateSampleError, InputError
 
 _MAX_ITER = 300
 _CF_EPS = 1e-15
@@ -62,7 +62,7 @@ def _betacf(a: float, b: float, x: float) -> float:
             h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    raise ConvergenceError("incomplete beta continued fraction did not converge")
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

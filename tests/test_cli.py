@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import random
+import re
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import jsonl, record
 from serpbias import cli as cli_module
+from serpbias import stats
 
 
 def cli(*args, stdin=None):
@@ -191,6 +194,97 @@ def test_unencodable_stdout_is_configuration_error(tmp_path):
     assert len(err.getvalue().splitlines()) == 1
     assert err.getvalue().startswith("configuration error: stdout encoding 'ascii'")
     assert raw.getvalue() == b""
+
+
+def run_main(*argv):
+    """cli.main in process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_module.main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_error(code, stderr, prefix):
+    assert code == 1
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith(prefix)
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate", "baselines"])
+def test_closed_pipe_is_one_line_output_error(dataset_path, command):
+    # The read end is closed before the child starts, so its first write fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "serpbias", command, "--input", dataset_path],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert_one_line_error(proc.returncode, proc.stderr, "output error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_full_disk_is_one_line_output_error(dataset_path, command):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "serpbias", command, "--input", dataset_path],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert_one_line_error(proc.returncode, proc.stderr, "output error: ")
+
+
+def test_non_convergence_is_one_line_error(dataset_path, monkeypatch):
+    monkeypatch.setattr(stats, "_MAX_ITER", 1)
+    code, out, err = run_main("evaluate", "--input", dataset_path)
+    assert_one_line_error(code, err, "input error: incomplete beta continued fraction")
+    assert out == ""
+
+
+# Each id holds one character that would split a TSV row or markdown table row,
+# or break a line, unless its cell escapes it.
+ODD_IDS = ("back\\slash", "tab\there", "cr\rhere", "lf\nhere", "pipe|here")
+_UNESCAPE = {"\\": "\\", "t": "\t", "r": "\r", "n": "\n", "|": "|"}
+
+
+def unescape(cell):
+    return re.sub(r"\\(.)", lambda m: _UNESCAPE[m.group(1)], cell)
+
+
+def test_cells_escape_what_would_break_their_rows(tmp_path):
+    path = tmp_path / "odd.jsonl"
+    stances = ["pro", "against", "neutral", "pro"]
+    path.write_text(jsonl([record(e, q, stances) for e in ODD_IDS for q in ODD_IDS]))
+    for command in ("validate", "evaluate", "baselines"):
+        code, tsv, _ = run_main(command, "--input", path, "--output", "tsv")
+        assert code == 0 and tsv.endswith("\n") and "\r" not in tsv
+        lines = tsv[:-1].split("\n")
+        assert all(line.count("\t") == lines[0].count("\t") for line in lines)
+        if command == "baselines":
+            assert {unescape(line.split("\t")[0]) for line in lines[1:]} == set(ODD_IDS)
+
+        code, md, _ = run_main(command, "--input", path, "--output", "markdown")
+        assert code == 0 and "\r" not in md
+        pipes = None  # unescaped pipes per row of the current table
+        for line in md.split("\n"):
+            if not line.startswith("|"):
+                assert line == "" or line.startswith(("# ", "## ", "- "))
+                pipes = None
+                continue
+            count = re.sub(r"\\.", "", line).count("|")
+            assert count == (pipes or count)
+            pipes = count
+        if command == "baselines":
+            rows = [line for line in md.split("\n") if line.startswith("| ")][1:]
+            engines = {unescape(row[2:].split(" | ")[0]) for row in rows}
+            assert set(ODD_IDS) <= engines
 
 
 @st.composite

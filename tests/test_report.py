@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import jsonl, record
+from serpbias import cli
 from serpbias import (
+    BaselineReport,
+    BaselineScore,
     ComparisonReport,
     ConfigError,
     MeasureConfig,
@@ -20,6 +23,7 @@ from serpbias import (
     report_from_json,
 )
 from serpbias.report import resolve_measures
+from test_golden import BASE_CASES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -130,6 +134,31 @@ def test_json_round_trip_preserves_everything():
         text = render_report(rep, "json")
         assert report_from_json(text) == rep
         assert render_report(report_from_json(text), "json") == text
+    # The validate and baselines reports: each golden JSON output reads back as
+    # the report the CLI builds, and renders again to every golden format.
+    for name in ("validate", *(n for n in sorted(BASE_CASES) if n.startswith("baselines-"))):
+        args = cli.build_parser().parse_args(BASE_CASES[name])
+        rep = cli._REPORTS[args.command](args)
+        text = (GOLDEN / f"{name}.json.out").read_bytes().decode("utf-8")
+        assert report_from_json(text) == rep
+        for fmt in ("json", "tsv", "markdown"):
+            golden = (GOLDEN / f"{name}.{fmt}.out").read_bytes().decode("utf-8")
+            assert render_report(report_from_json(text), fmt) == golden
+
+
+def test_baseline_summary_means_the_defined_scores():
+    rows = (
+        BaselineScore("a", "q1", "ok", 0.25),
+        BaselineScore("a", "q2", "undefined", None, "no g1 document"),
+        BaselineScore("a", "q3", "ok", 0.5),
+        BaselineScore("b", "q1", "undefined", None, "no g1 document"),
+    )
+    rep = BaselineReport("stance", "rnd", 10, "pro", ("a", "b"), rows)
+    assert list(rep.summary()) == [
+        {"engine": "a", "mean_score": 0.375, "defined": 2, "undefined": 1},
+        {"engine": "b", "mean_score": None, "defined": 0, "undefined": 1},
+    ]
+    assert report_from_json(render_report(rep)) == rep
 
 
 def test_rendering_is_deterministic():

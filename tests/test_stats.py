@@ -11,8 +11,10 @@ import scipy.stats
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import serpbias.stats
 from serpbias import (
     ConfigError,
+    ConvergenceError,
     DegenerateSampleError,
     InputError,
     one_sample_ttest,
@@ -71,6 +73,13 @@ class TestIncompleteBeta:
                     assert regularized_incomplete_beta(a, b, x) == pytest.approx(
                         expected, abs=1e-12
                     )
+
+    def test_non_convergence_is_an_input_and_arithmetic_error(self, monkeypatch):
+        monkeypatch.setattr(serpbias.stats, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError) as info:
+            regularized_incomplete_beta(10.0, 0.5, 0.9)
+        assert isinstance(info.value, ArithmeticError)
+        assert isinstance(info.value, InputError)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
