@@ -25,10 +25,29 @@ from .model import CODE, Document, EngineRun, LeaningLabel, RankedList, StanceLa
 
 @dataclass(frozen=True)
 class Dataset:
-    """All engine runs plus the shared query table (query_id -> text, leaning)."""
+    """All engine runs plus the shared query table (query_id -> text, leaning).
+
+    Construction checks, engine by engine in sorted order, that engine ids are
+    unique and that every run covers exactly the table's query ids.
+    """
 
     runs: tuple[EngineRun, ...]
     query_table: dict[str, tuple[str, LeaningLabel]]
+
+    def __post_init__(self):
+        queries, previous = self.query_table.keys(), None
+        for run in sorted(self.runs, key=lambda run: run.engine_id):
+            engine, covered = run.engine_id, run.lists.keys()
+            if engine == previous:
+                raise InputError(f"engine {engine!r} has more than one run")
+            if covered != queries:
+                what = f"is missing queries {sorted(queries - covered)}"
+                if covered >= queries:
+                    what = f"has queries {sorted(covered - queries)} outside the query table"
+                raise InputError(
+                    f"engine {engine!r} {what}; all engines must cover the identical query set"
+                )
+            previous = engine
 
     def engine_ids(self) -> list[str]:
         return [run.engine_id for run in self.runs]
@@ -151,15 +170,6 @@ def parse_dataset(stream: Union[IO[str], Iterable[str]]) -> Dataset:
             raise InputError(f"line {line_no}: {exc}") from None
     if not by_engine:
         raise InputError("no records in input")
-    all_queries = set(query_table)
-    for engine in sorted(by_engine):
-        covered = set(by_engine[engine])
-        if covered != all_queries:
-            missing = sorted(all_queries - covered)
-            raise InputError(
-                f"engine {engine!r} is missing queries {missing}; "
-                "all engines must cover the identical query set"
-            )
     runs = tuple(
         EngineRun(engine_id=engine, lists=by_engine[engine]) for engine in sorted(by_engine)
     )

@@ -12,8 +12,9 @@ All types are immutable after construction and every function here is pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Union
 
 from .errors import InputError
 
@@ -117,7 +118,6 @@ class RankedList:
     leaning: LeaningLabel
     codes: bytes
     doc_ids: tuple[str, ...]
-    _docs: Optional[tuple[Document, ...]] = field(default=None, compare=False, repr=False)
 
     def __init__(self, engine_id: str, query_id: str, leaning: LeaningLabel, docs=()):
         docs = tuple(docs)
@@ -144,29 +144,23 @@ class RankedList:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise InputError(f"duplicate doc_id in list ({engine_id}, {query_id}): {dupes}")
         codes = bytes(CODE[doc.stance] for doc in docs)
-        self._fill(engine_id, query_id, leaning, codes, ids, docs)
+        self._fill(engine_id, query_id, leaning, codes, ids)
 
     @classmethod
     def _from_columns(cls, engine_id, query_id, leaning, codes: bytes, doc_ids: tuple):
         """A list built from columns whose invariants the caller has already checked."""
         r = object.__new__(cls)
-        r._fill(engine_id, query_id, leaning, codes, doc_ids, None)
+        r._fill(engine_id, query_id, leaning, codes, doc_ids)
         return r
 
     def _fill(self, *values):
         # Frozen: fields are set through the instance dict, in declaration order.
         self.__dict__.update(zip(self.__dataclass_fields__, values))
 
-    @property
+    @cached_property
     def docs(self) -> tuple[Document, ...]:
-        if self._docs is None:
-            labeled = zip(self.codes, self.doc_ids)
-            docs = tuple(
-                Document(rank, LABELS[code], doc_id)
-                for rank, (code, doc_id) in enumerate(labeled, start=1)
-            )
-            self.__dict__["_docs"] = docs
-        return self._docs
+        labeled = enumerate(zip(self.codes, self.doc_ids), start=1)
+        return tuple(Document(rank, LABELS[code], doc_id) for rank, (code, doc_id) in labeled)
 
     @property
     def label_type(self):

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bias import BiasRecord, BiasSummary, summarize_run
 from .dataset import Dataset
-from .errors import ConfigError, DegenerateSampleError, check_choice
+from .errors import ConfigError, DegenerateSampleError, InputError, check_choice
 from .measures import MEASURE_KINDS, MeasureConfig
 from .model import EngineRun, IdeologyLabel, StanceLabel, transform_list
 from .stats import TTestResult, one_sample_ttest, paired_ttest
@@ -130,8 +130,6 @@ class ComparisonReport:
         config = {"mode": self.mode, **asdict(self.config)}
         config.update(engines=self.engines, n_queries=self.n_queries)
         for key, value in config.items():
-            if isinstance(value, (list, tuple)):
-                value = ",".join(value)
             yield ("config", "", "", "", "", key, value)
         for i, warning in enumerate(self.warnings, start=1):
             yield ("warning", "", "", "", "", i, warning)
@@ -156,13 +154,16 @@ class ComparisonReport:
         blocks = [
             markdown_list(
                 [
-                    f"mode: {self.mode}",
-                    f"engines: {', '.join(self.engines) if self.engines else '(none)'}",
-                    f"queries: {self.n_queries}",
-                    f"measures: {', '.join(c.measures)}",
-                    f"cutoff: {c.cutoff}, persistence: {_cell(c.persistence, '.6g')}, "
-                    f"log base: {_cell(c.log_base, '.6g')}, alpha: {_cell(c.alpha, '.6g')}",
-                    *(f"warning: {warning}" for warning in self.warnings),
+                    ("mode", self.mode),
+                    ("engines", self.engines or "(none)"),
+                    ("queries", self.n_queries),
+                    ("measures", c.measures),
+                    (
+                        "cutoff",
+                        f"{c.cutoff}, persistence: {_cell(c.persistence, '.6g')}, "
+                        f"log base: {_cell(c.log_base, '.6g')}, alpha: {_cell(c.alpha, '.6g')}",
+                    ),
+                    *(("warning", warning) for warning in self.warnings),
                 ]
             )
         ]
@@ -260,13 +261,11 @@ class DatasetReport:
         return cls(**{**data, "engines": tuple(data["engines"])})
 
     def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
-        _, *counts = asdict(self).items()
-        return ("field", "value"), [("engines", ",".join(self.engines)), *counts]
+        return ("field", "value"), asdict(self).items()
 
     def markdown(self) -> tuple[str, list[str]]:
-        _, *counts = asdict(self).items()
-        bullets = [f"{key.removeprefix('n_')}: {n}" for key, n in counts]
-        return "Dataset", [markdown_list([f"engines: {', '.join(self.engines)}", *bullets])]
+        bullets = [(key.removeprefix("n_"), value) for key, value in asdict(self).items()]
+        return "Dataset", [markdown_list(bullets)]
 
 
 class BaselineScore(NamedTuple):
@@ -467,13 +466,17 @@ def to_json_text(value, indent: int = 0) -> str:
 
 def report_from_json(text: str) -> Report:
     """Inverse of the JSON rendering of any report; numeric fields survive to
-    full precision. The keys that only one schema has pick the report type."""
-    data = json.loads(text)
-    if "bias_summaries" in data:
-        return ComparisonReport.from_dict(data)
-    if "scores" in data:
-        return BaselineReport.from_dict(data)
-    return DatasetReport.from_dict(data)
+    full precision. The keys that only one schema has pick the report type.
+    Text that is not a report raises InputError."""
+    try:
+        data = json.loads(text)
+        if "bias_summaries" in data:
+            return ComparisonReport.from_dict(data)
+        if "scores" in data:
+            return BaselineReport.from_dict(data)
+        return DatasetReport.from_dict(data)
+    except (LookupError, TypeError, ValueError, RecursionError) as exc:
+        raise InputError(f"not a serpbias report: {type(exc).__name__}: {exc}") from None
 
 
 # The escapes that keep a text on one line, in one TSV cell, or in one markdown cell.
@@ -483,19 +486,28 @@ _TSV_ESCAPES = str.maketrans({**_BACKSLASH_AND_BREAKS, "\t": "\\t"})
 _MD_ESCAPES = str.maketrans({**_BACKSLASH_AND_BREAKS, "\t": "\\t", "|": "\\|"})
 
 
-def _cell(value, float_spec: str = "", escapes: dict = _TSV_ESCAPES) -> str:
+def _cell(value, float_spec: str = "", escapes: dict = _TSV_ESCAPES, sep: str = ",") -> str:
     """One table cell: empty for None, a float through float_spec (repr when
-    empty), anything else through str with the characters in escapes escaped."""
+    empty), a tuple of ids through _joined, anything else through str with
+    the characters in escapes escaped."""
     if type(value) is not str:
         if value is None:
             return ""
         if isinstance(value, float):
             return format(value, float_spec)
+        if isinstance(value, tuple):
+            return _joined(value, escapes, sep)
         value = str(value)
     # Most cells hold nothing to escape, and these tests cost less than translate.
     if "\\" in value or "|" in value or not value.isprintable():
         return value.translate(escapes)
     return value
+
+
+def _joined(ids: tuple, escapes: dict, sep: str) -> str:
+    """Ids in one cell, joined by sep: each escaped like a cell, and each `,`
+    inside an id written as `\\,`, so a bare `,` only separates ids."""
+    return sep.join(_cell(i, "", escapes).replace(",", "\\,") for i in ids)
 
 
 def tsv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
@@ -514,9 +526,10 @@ def markdown_table(header: Sequence[str], rows: Iterable[Iterable]) -> str:
     return "\n".join(lines)
 
 
-def markdown_list(items: Iterable[str]) -> str:
-    """Markdown bullet list, one item per line."""
-    return "\n".join(f"- {item.translate(_LINE_ESCAPES)}" for item in items)
+def markdown_list(items: Iterable[tuple[str, object]]) -> str:
+    """Markdown bullet list, one `key: value` line per item, each value a cell
+    that escapes backslashes and line breaks and joins ids with ", "."""
+    return "\n".join(f"- {key}: {_cell(value, '.6g', _LINE_ESCAPES, ', ')}" for key, value in items)
 
 
 def markdown_text(title: str, *blocks: str) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError, ConvergenceError, DegenerateSampleError, InputError
 
@@ -98,6 +98,28 @@ def student_t_sf(t: float, df: int) -> float:
     return regularized_incomplete_beta(0.5 * df, 0.5, x)
 
 
+def _finite(values: Iterable, what: str = "observation") -> list[float]:
+    """values as floats; InputError naming the first one that is not a finite
+    number (text is not one)."""
+    values = list(values)
+    try:
+        # Text makes sum raise, and a NaN or an infinity makes it non-finite.
+        if math.isfinite(sum(values)):
+            return list(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    floats = []
+    for value in values:
+        try:
+            x = math.nan if isinstance(value, (str, bytes, bytearray)) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            x = math.nan
+        if not math.isfinite(x):
+            raise InputError(f"t-test {what} must be a finite number, got {value!r}")
+        floats.append(x)
+    return floats
+
+
 def one_sample_ttest(
     values: Sequence[float], mu0: float = 0.0, alpha: Optional[float] = None
 ) -> TTestResult:
@@ -106,8 +128,10 @@ def one_sample_ttest(
     A zero-variance sample sitting exactly on mu0 yields the degenerate
     result t = 0, p = 1; a zero-variance sample anywhere else makes the
     outcome certain and raises DegenerateSampleError instead of faking p = 0.
+    An observation or mu0 that is not a finite number raises InputError.
     """
-    vals = [float(v) for v in values]
+    vals = _finite(values)
+    [mu0] = _finite([mu0], "null mean")
     n = len(vals)
     if n < 2:
         raise InputError(f"t-test needs at least 2 observations, got {n}")
@@ -149,7 +173,9 @@ def one_sample_ttest(
 def paired_ttest(
     a: Sequence[float], b: Sequence[float], alpha: Optional[float] = None
 ) -> TTestResult:
-    """Two-tailed paired t-test: one-sample test on the per-position differences."""
+    """Two-tailed paired t-test: one-sample test on the per-position differences.
+    Observations and their differences must be finite numbers, else InputError."""
+    a, b = _finite(a), _finite(b)
     if len(a) != len(b):
         raise InputError(f"paired samples differ in length: {len(a)} vs {len(b)}")
     return one_sample_ttest([x - y for x, y in zip(a, b)], 0.0, alpha)

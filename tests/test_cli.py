@@ -249,13 +249,24 @@ def test_non_convergence_is_one_line_error(dataset_path, monkeypatch):
 
 
 # Each id holds one character that would split a TSV row or markdown table row,
-# or break a line, unless its cell escapes it.
-ODD_IDS = ("back\\slash", "tab\there", "cr\rhere", "lf\nhere", "pipe|here")
-_UNESCAPE = {"\\": "\\", "t": "\t", "r": "\r", "n": "\n", "|": "|"}
+# break a line, or split a cell or bullet that joins ids, unless it is escaped.
+ODD_IDS = ("back\\slash", "tab\there", "cr\rhere", "lf\nhere", "pipe|here", "a,b")
+_UNESCAPE = {"\\": "\\", "t": "\t", "r": "\r", "n": "\n", "|": "|", ",": ","}
 
 
 def unescape(cell):
     return re.sub(r"\\(.)", lambda m: _UNESCAPE[m.group(1)], cell)
+
+
+def split_ids(joined, sep):
+    """The ids a joined cell or bullet holds: split at each sep outside an escape."""
+    ids = [""]
+    for token in re.findall(rf"\\.|{re.escape(sep)}|.", joined, re.S):
+        if token == sep:
+            ids.append("")
+        else:
+            ids[-1] += token
+    return [unescape(i) for i in ids]
 
 
 def test_cells_escape_what_would_break_their_rows(tmp_path):
@@ -269,6 +280,10 @@ def test_cells_escape_what_would_break_their_rows(tmp_path):
         assert all(line.count("\t") == lines[0].count("\t") for line in lines)
         if command == "baselines":
             assert {unescape(line.split("\t")[0]) for line in lines[1:]} == set(ODD_IDS)
+        else:
+            rows = [line.split("\t") for line in lines]
+            [joined] = [row[-1] for row in rows if row[-2] == "engines"]
+            assert split_ids(joined, ",") == sorted(ODD_IDS)
 
         code, md, _ = run_main(command, "--input", path, "--output", "markdown")
         assert code == 0 and "\r" not in md
@@ -285,6 +300,9 @@ def test_cells_escape_what_would_break_their_rows(tmp_path):
             rows = [line for line in md.split("\n") if line.startswith("| ")][1:]
             engines = {unescape(row[2:].split(" | ")[0]) for row in rows}
             assert set(ODD_IDS) <= engines
+        else:
+            [joined] = [line for line in md.split("\n") if line.startswith("- engines: ")]
+            assert split_ids(joined.removeprefix("- engines: "), ", ") == sorted(ODD_IDS)
 
 
 @st.composite

@@ -3,9 +3,21 @@
 import io
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import jsonl, record
-from serpbias import InputError, LeaningLabel, StanceLabel, load_dataset, parse_dataset
+from serpbias import (
+    Dataset,
+    EngineRun,
+    InputError,
+    LeaningLabel,
+    RankedList,
+    StanceLabel,
+    evaluate,
+    load_dataset,
+    parse_dataset,
+)
 
 
 def parse(text):
@@ -149,3 +161,52 @@ def test_decode_failures_name_their_line(tmp_path, bad_line, message):
     path.write_bytes(VALID_LINES.encode() + bad_line + b"\n" + VALID_LINES.encode())
     with pytest.raises(InputError, match=f"^line 201: {message}"):
         load_dataset(str(path))
+
+
+QUERY_POOL = ("q1", "q2", "q3", "q4", "q5", "q6")
+
+
+def hand_built(table_queries, runs):
+    """A Dataset over table_queries; runs are (engine id, query ids) pairs."""
+    table = {q: (f"topic {q}", LeaningLabel.LIBERAL) for q in table_queries}
+    return Dataset(
+        runs=tuple(
+            EngineRun(engine, {q: RankedList(engine, q, LeaningLabel.LIBERAL) for q in queries})
+            for engine, queries in runs
+        ),
+        query_table=table,
+    )
+
+
+query_sets = st.frozensets(st.sampled_from(QUERY_POOL))
+
+
+@given(
+    table=query_sets,
+    # None stands for the table's own query set, so valid datasets are common.
+    runs=st.lists(st.tuples(st.sampled_from("abc"), st.none() | query_sets), max_size=4),
+)
+# Two engines on disjoint 3-query sets: nothing to pair query by query.
+@example(table=frozenset(QUERY_POOL), runs=[("a", frozenset(QUERY_POOL[:3])),
+                                            ("b", frozenset(QUERY_POOL[3:]))])
+def test_dataset_checks_coverage_and_unique_engines(table, runs):
+    runs = [(engine, table if queries is None else queries) for engine, queries in runs]
+    engines = [engine for engine, _ in runs]
+    broken = len(set(engines)) < len(engines) or any(qs != table for _, qs in runs)
+    if broken:
+        with pytest.raises(InputError, match="more than one run|identical query set"):
+            hand_built(table, runs)
+    else:
+        ds = hand_built(table, runs)
+        assert sorted(ds.engine_ids()) == sorted(engines)
+        if table:
+            assert evaluate(ds).n_queries == len(table)
+
+
+def test_hand_built_dataset_names_what_is_wrong():
+    with pytest.raises(InputError, match="^engine 'b' is missing queries \\['q2'\\]; all"):
+        hand_built(["q1", "q2"], [("c", ["q1"]), ("b", ["q1"]), ("a", ["q1", "q2"])])
+    with pytest.raises(InputError, match="^engine 'a' has queries \\['q3'\\] outside the query"):
+        hand_built(["q1", "q2"], [("a", ["q1", "q2", "q3"])])
+    with pytest.raises(InputError, match="^engine 'a' has more than one run$"):
+        hand_built(["q1"], [("a", ["q1"]), ("b", ["q1"]), ("a", ["q1"])])

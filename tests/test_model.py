@@ -204,6 +204,8 @@ def test_labels_outside_both_vocabularies_rejected():
 
 def test_columns_mirror_the_documents():
     r = make_list([StanceLabel.PRO, StanceLabel.NOT_RELEVANT, StanceLabel.PRO])
+    columns = ["engine_id", "query_id", "leaning", "codes", "doc_ids"]
+    assert [f.name for f in dataclasses.fields(r)] == columns
     assert r.doc_ids == ("q01-d1", "q01-d2", "q01-d3")
     assert r.label_type is StanceLabel
     assert r.mask(StanceLabel.PRO) == bytes([1, 0, 1])

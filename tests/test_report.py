@@ -14,6 +14,7 @@ from serpbias import (
     BaselineScore,
     ComparisonReport,
     ConfigError,
+    InputError,
     MeasureConfig,
     ReportConfig,
     evaluate,
@@ -144,6 +145,26 @@ def test_json_round_trip_preserves_everything():
         for fmt in ("json", "tsv", "markdown"):
             golden = (GOLDEN / f"{name}.{fmt}.out").read_bytes().decode("utf-8")
             assert render_report(report_from_json(text), fmt) == golden
+
+
+VALIDATE_JSON = (GOLDEN / "validate.json.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        "{}",
+        '{"bias_summaries": []}',
+        "nope",
+        "[" * 100_000,
+        VALIDATE_JSON.replace("{", '{"extra": 1,', 1),
+    ],
+    ids=["list", "empty-object", "no-config", "not-json", "deep-nesting", "extra-key"],
+)
+def test_report_from_json_rejects_what_is_not_a_report(text):
+    with pytest.raises(InputError, match="^not a serpbias report: "):
+        report_from_json(text)
 
 
 def test_baseline_summary_means_the_defined_scores():

@@ -211,6 +211,24 @@ class TestPaired:
         assert res.p_value == pytest.approx(ref.pvalue, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: one_sample_ttest([math.nan, 1.0, 2.0]),
+        lambda: one_sample_ttest([math.inf, 1.0, 2.0]),
+        lambda: one_sample_ttest([1.0, 2.0, 3.0], mu0=math.nan),
+        lambda: paired_ttest([1e308, 0.0], [-1e308, 0.0]),
+        lambda: one_sample_ttest(["a", 1.0]),
+        lambda: one_sample_ttest(["1.5", 1.0]),
+        lambda: paired_ttest([1.0, 2.0], [1.0, None]),
+    ],
+    ids=["nan", "inf", "nan-null-mean", "overflowing-difference", "text", "numeric-text", "none"],
+)
+def test_observations_must_be_finite_numbers(call):
+    with pytest.raises(InputError, match="must be a finite number, got "):
+        call()
+
+
 def test_null_rejection_rate_is_calibrated():
     # Smaller sibling of the acceptance check: 2000 null samples at alpha=0.05.
     rng = np.random.default_rng(1234)
