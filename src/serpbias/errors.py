@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check of a choice-valued setting."""
+"""Exception types shared across the package, and the checks of setting values."""
 
 
 class SerpBiasError(Exception):
@@ -39,3 +39,19 @@ def check_choice(what: str, value, choices) -> None:
     """Raise ConfigError unless value is one of choices."""
     if value not in choices:
         raise ConfigError(f"unknown {what} {value!r} (expected one of: {', '.join(choices)})")
+
+
+def check_positive_int(what: str, value) -> None:
+    """Raise ConfigError unless value is an int of at least 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+
+
+def check_fraction(what: str, value) -> None:
+    """Raise ConfigError unless value is a number strictly between 0 and 1."""
+    try:
+        if 0.0 < value < 1.0:
+            return
+    except TypeError:  # not a number
+        pass
+    raise ConfigError(f"{what} must lie strictly between 0 and 1, got {value!r}")

@@ -6,6 +6,10 @@ distances are discounted by 1/log2(i), summed over evaluation points spaced
 `step` ranks apart, and normalized by the largest value attainable at the
 same list length and group size, so defined scores land in [0, 1].
 
+Each list is scored in one pass over its prefix shares. The result is
+bit-identical to the per-prefix sum of the distances that `distance_rnd`,
+`distance_rkl` and `distance_rrd` define.
+
 By construction they collapse direction (a list over-representing g1 and its
 mirror image can score the same), ignore every label other than the group
 mapping (a not-relevant document still counts toward its group), and rRD is
@@ -20,9 +24,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import truediv
 from typing import Callable, Hashable, Optional, Sequence
 
-from .errors import ConfigError, InputError, MeasureUndefinedError, check_choice
+from .errors import InputError, MeasureUndefinedError, check_choice, check_positive_int
 from .model import Document, RankedList
 
 BASELINE_KINDS = ("rnd", "rkl", "rrd")
@@ -45,8 +50,7 @@ class BaselineConfig:
     kind: str = "rnd"
 
     def __post_init__(self):
-        if not isinstance(self.step, int) or self.step < 1:
-            raise ConfigError(f"step must be a positive integer, got {self.step!r}")
+        check_positive_int("step", self.step)
         check_choice("baseline kind", self.kind, BASELINE_KINDS)
 
 
@@ -61,9 +65,16 @@ def _share(member: Sequence[int], i: int) -> float:
     return sum(member[:i]) / i
 
 
-def _eval_points(length: int, step: int) -> list[int]:
+def _eval_points(length: int, step: int) -> range:
     # The 1/log2(i) discount is undefined at i = 1, so step 1 starts at top-2.
-    return [i for i in range(step, length + 1, step) if i > 1]
+    return range(step if step > 1 else 2, length + 1, step)
+
+
+@functools.lru_cache(maxsize=1024)
+def _eval_table(length: int, step: int) -> tuple[range, tuple[float, ...]]:
+    """The evaluation points of a list of `length` at `step`, and their log2(i)."""
+    points = _eval_points(length, step)
+    return points, tuple(map(math.log2, points))
 
 
 def _d_rnd(p: float, q: float) -> float:
@@ -98,20 +109,41 @@ def _d_rrd(p: float, q: float) -> float:
     return abs(p / (1.0 - p) - q / (1.0 - q))
 
 
-_DISTANCES = {"rnd": _d_rnd, "rkl": _d_rkl, "rrd": _d_rrd}
-
-
 def _raw_score(member: Sequence[int], kind: str, step: int) -> float:
-    """Un-normalized score: sum of d(P@i, P@end) / log2(i) over evaluation points."""
-    if not member:
+    """Un-normalized score: sum of d(P@i, P@end) / log2(i) over evaluation points.
+
+    One pass over the prefix shares P@i writes out the expressions of the
+    per-prefix distances `_d_*`, so every float operation and the result
+    are the ones their per-prefix sum would give.
+    """
+    points, logs = _eval_table(len(member), step)
+    if not points:
         return 0.0
-    distance = _DISTANCES[kind]
-    q = _share(member, len(member))
-    prefix = list(itertools.accumulate(member))
-    return math.fsum(
-        distance(prefix[i - 1] / i, q) / math.log2(i)
-        for i in _eval_points(len(member), step)
-    )
+    q = sum(member) / len(member)
+    counts = itertools.islice(itertools.accumulate(member), points[0] - 1, None, step)
+    ps = list(map(truediv, counts, points))
+    if kind == "rnd":
+        dists = [abs(p - q) for p in ps]
+    elif kind == "rkl":
+        if q == 0.0 or q == 1.0:
+            return 0.0  # every prefix holds one group alone, at distance exactly 0.0
+        # Prefixes holding one group alone (p is 0 or 1) lead the list; their
+        # 0*log(0) terms go through _d_rkl, the rest have both terms finite.
+        lead = next((j for j, p in enumerate(ps) if 0.0 < p < 1.0), len(ps))
+        dists = [_d_rkl(p, q) for p in ps[:lead]]
+        log2, r = math.log2, 1.0 - q
+        # `0.0 if d < 0.0 else d` is _d_rkl's max(d, 0.0) without a call per point.
+        dists += [
+            0.0 if (d := p * log2(p / q) + (1.0 - p) * log2((1.0 - p) / r)) < 0.0 else d
+            for p in ps[lead:]
+        ]
+    else:
+        # An all-g1 prefix can only lead the list, so the first point raises
+        # whatever error any point would, in _d_rrd's order.
+        dists = [_d_rrd(ps[0], q)]
+        qr = q / (1.0 - q)
+        dists += [abs(p / (1.0 - p) - qr) for p in ps[1:]]
+    return math.fsum(map(truediv, dists, logs))
 
 
 def _shares_at(r: RankedList, g1, i: int, group_of: Optional[GroupOf]) -> tuple[float, float]:

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, check_choice
+from .errors import ConfigError, check_choice, check_fraction, check_positive_int
 from .model import Label, RankedList
 
 MEASURE_KINDS = ("precision", "rbp", "dcg")
@@ -44,25 +44,19 @@ class MeasureConfig:
     measure_kind: str = "precision"
 
     def __post_init__(self):
-        _check_cutoff(self.cutoff)
-        _check_persistence(self.persistence)
+        check_positive_int("cutoff", self.cutoff)
+        check_fraction("persistence", self.persistence)
         _check_log_base(self.log_base)
         check_choice("measure kind", self.measure_kind, MEASURE_KINDS)
 
 
-def _check_cutoff(n):
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"cutoff must be a positive integer, got {n!r}")
-
-
-def _check_persistence(p):
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"persistence must lie strictly between 0 and 1, got {p!r}")
-
-
 def _check_log_base(base):
-    if not (base > 1.0 and math.isfinite(base)):
-        raise ConfigError(f"log base must be a finite number greater than 1, got {base!r}")
+    try:
+        if base > 1.0 and math.isfinite(base):
+            return
+    except TypeError:  # not a number
+        pass
+    raise ConfigError(f"log base must be a finite number greater than 1, got {base!r}")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -89,7 +83,7 @@ def _discounted_hits(r: RankedList, label: Label, weights: tuple[float, ...]) ->
 
 def precision_at(r: RankedList, label: Label, n: int) -> float:
     """Fraction of the top n ranks occupied by documents labeled `label`."""
-    _check_cutoff(n)
+    check_positive_int("cutoff", n)
     return _discounted_hits(r, label, discounts("precision", None, n, len(r))) / n
 
 
@@ -99,12 +93,12 @@ def rbp(r: RankedList, label: Label, p: float) -> float:
     The sum runs over retrieved documents only; no residual is imputed for
     ranks beyond the list, so the value is bounded by 1 - p**len(r).
     """
-    _check_persistence(p)
+    check_fraction("persistence", p)
     return (1.0 - p) * _discounted_hits(r, label, discounts("rbp", p, None, len(r)))
 
 
 def dcg_at(r: RankedList, label: Label, n: int, base: float = DEFAULT_LOG_BASE) -> float:
     """Discounted cumulative gain at cutoff n: a match at rank i gains 1/log_base(i+1)."""
-    _check_cutoff(n)
+    check_positive_int("cutoff", n)
     _check_log_base(base)
     return _discounted_hits(r, label, discounts("dcg", base, n, len(r)))

@@ -11,14 +11,16 @@ Markdown; identical reports always render to identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bias import BiasRecord, BiasSummary, summarize_run
 from .dataset import Dataset
-from .errors import ConfigError, DegenerateSampleError, InputError, check_choice
+from .errors import ConfigError, DegenerateSampleError, InputError, check_choice, check_fraction
 from .measures import MEASURE_KINDS, MeasureConfig
 from .model import EngineRun, IdeologyLabel, StanceLabel, transform_list
 from .stats import TTestResult, one_sample_ttest, paired_ttest
@@ -99,28 +101,15 @@ class ComparisonReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ComparisonReport":
-        cfg = data["config"]
         return cls(
-            mode=data["mode"],
-            config=ReportConfig(**{**cfg, "measures": tuple(cfg["measures"])}),
-            engines=tuple(data["engines"]),
-            n_queries=data["n_queries"],
-            warnings=tuple(data["warnings"]),
-            summaries=tuple(
-                BiasSummary(
-                    engine_id=s["engine"],
-                    measure_kind=s["measure"],
-                    mb=s["mb"],
-                    mab=s["mab"],
-                    per_query=tuple(
-                        BiasRecord(rec["query_id"], s["measure"], rec["beta"])
-                        for rec in s["per_query"]
-                    ),
-                )
-                for s in data["bias_summaries"]
-            ),
-            one_sample=tuple(_test_entry(e) for e in data["one_sample_tests"]),
-            paired=tuple(_test_entry(e) for e in data["paired_tests"]),
+            mode=_leaf(data, "mode", "text"),
+            config=ReportConfig(**_fields(ReportConfig, data["config"])),
+            engines=_leaf(data, "engines", "ids"),
+            n_queries=_leaf(data, "n_queries", "count"),
+            warnings=_leaf(data, "warnings", "ids"),
+            summaries=tuple(map(_bias_summary, _leaf(data, "bias_summaries", "rows"))),
+            one_sample=tuple(map(_test_entry, _leaf(data, "one_sample_tests", "rows"))),
+            paired=tuple(map(_test_entry, _leaf(data, "paired_tests", "rows"))),
         )
 
     def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
@@ -225,16 +214,27 @@ def _test_dict(entry: TestEntry) -> dict:
     return out
 
 
+def _bias_summary(data: dict) -> BiasSummary:
+    measure = _leaf(data, "measure", "text")
+    per_query = tuple(
+        BiasRecord(_leaf(rec, "query_id", "text"), measure, _leaf(rec, "beta", "number"))
+        for rec in _leaf(data, "per_query", "rows")
+    )
+    mb, mab = _leaf(data, "mb", "number"), _leaf(data, "mab", "number")
+    return BiasSummary(_leaf(data, "engine", "text"), measure, mb, mab, per_query)
+
+
 def _test_entry(data: dict) -> TestEntry:
     result = None
-    if data["t_stat"] is not None:
-        result = TTestResult(*(data[name] for name in _RESULT_FIELDS))
+    # The writer gives every result field a value, or nulls them all.
+    if any(data[name] is not None for name in _RESULT_FIELDS):
+        result = TTestResult(**_fields(TTestResult, data, exact=False))
     return TestEntry(
-        engine=data["engine"],
-        engine_b=data.get("engine_b"),
-        measure_kind=data["measure"],
-        status=data["status"],
-        detail=data["detail"],
+        engine=_leaf(data, "engine", "text"),
+        engine_b=_leaf(data, "engine_b", "text") if "engine_b" in data else None,
+        measure_kind=_leaf(data, "measure", "text"),
+        status=_leaf(data, "status", "text"),
+        detail=_leaf(data, "detail", "text"),
         result=result,
     )
 
@@ -258,7 +258,7 @@ class DatasetReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DatasetReport":
-        return cls(**{**data, "engines": tuple(data["engines"])})
+        return cls(**_fields(cls, data))
 
     def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
         return ("field", "value"), asdict(self).items()
@@ -313,9 +313,17 @@ class BaselineReport:
     @classmethod
     def from_dict(cls, data: dict) -> "BaselineReport":
         """The summary is not read: it is recomputed from the scores."""
-        cfg, scores = data["config"], tuple(BaselineScore(**row) for row in data["scores"])
-        engines = tuple(data["engines"])
-        return cls(data["mode"], cfg["baseline"], cfg["step"], cfg["g1"], engines, scores)
+        cfg = data["config"]
+        rows = _leaf(data, "scores", "rows")
+        scores = tuple(BaselineScore(**_fields(BaselineScore, row)) for row in rows)
+        return cls(
+            _leaf(data, "mode", "text"),
+            _leaf(cfg, "baseline", "text"),
+            _leaf(cfg, "step", "count"),
+            _leaf(cfg, "g1", "text"),
+            _leaf(data, "engines", "ids"),
+            scores,
+        )
 
     def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
         return BaselineScore._fields, self.scores
@@ -365,8 +373,7 @@ def evaluate(
     """
     cfg = cfg if cfg is not None else MeasureConfig()
     check_choice("mode", mode, MODES)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    check_fraction("alpha", alpha)
     kinds = tuple(sorted(MEASURE_KINDS if measures is None else set(measures)))
     kind_cfgs = [replace(cfg, measure_kind=kind) for kind in kinds]
 
@@ -464,10 +471,63 @@ def to_json_text(value, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
+# What the JSON writer puts in a field of each kind: a test and its description.
+_KINDS = {
+    "text": (lambda v: isinstance(v, str), "a string"),
+    "count": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "ids": (
+        lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v),
+        "a list of strings",
+    ),
+    "rows": (lambda v: isinstance(v, list), "a list"),
+}
+
+# The kind of JSON value the writer gives a field of each annotated type.
+_ANNOTATED = {
+    str: "text",
+    int: "count",
+    float: "number",
+    Optional[float]: "number?",
+    tuple[str, ...]: "ids",
+}
+
+
+def _leaf(data: dict, key: str, kind: str):
+    """data[key] if it holds what the writer puts there, else TypeError naming
+    the field. kind is a key of _KINDS; a trailing "?" also takes null. Ids
+    come back as a tuple."""
+    value = data[key]
+    nullable = kind.endswith("?")
+    if value is None and nullable:
+        return None
+    check, what = _KINDS[kind.rstrip("?")]
+    if not check(value):
+        raise TypeError(f"field {key!r} must be {what}{' or null' if nullable else ''}")
+    return tuple(value) if kind == "ids" else value
+
+
+@functools.cache
+def _field_kinds(cls) -> dict[str, str]:
+    """Each field of cls, and the kind of JSON value the writer gives it."""
+    return {name: _ANNOTATED[hint] for name, hint in typing.get_type_hints(cls).items()}
+
+
+def _fields(cls, data: dict, exact: bool = True) -> dict:
+    """cls's fields read from the same keys of data, each checked by _leaf as
+    its annotation says. With exact, data holds no other key."""
+    kinds = _field_kinds(cls)
+    unknown = [key for key in data if key not in kinds] if exact else []
+    if unknown:
+        raise TypeError(f"unexpected field {unknown[0]!r}")
+    return {name: _leaf(data, name, kind) for name, kind in kinds.items()}
+
+
 def report_from_json(text: str) -> Report:
     """Inverse of the JSON rendering of any report; numeric fields survive to
     full precision. The keys that only one schema has pick the report type.
-    Text that is not a report raises InputError."""
+    Text that is not a report, or holds a field of the wrong type, raises
+    InputError."""
     try:
         data = json.loads(text)
         if "bias_summaries" in data:

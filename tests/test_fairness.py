@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import make_list
 from serpbias import (
@@ -23,7 +25,7 @@ from serpbias import (
     normalizer_z,
     precision_at,
 )
-from serpbias.fairness import _d_rkl, _eval_points, _raw_score
+from serpbias.fairness import _d_rkl, _d_rnd, _d_rrd, _eval_points, _raw_score
 
 P, N, A, X = (
     StanceLabel.PRO,
@@ -33,16 +35,69 @@ P, N, A, X = (
 )
 
 
+def per_prefix_raw_score(member, kind, step):
+    """Reference raw score: one distance call and one discount per evaluation point."""
+    if not member:
+        return 0.0
+    distance = {"rnd": _d_rnd, "rkl": _d_rkl, "rrd": _d_rrd}[kind]
+    q = sum(member) / len(member)
+    prefix = list(itertools.accumulate(member))
+    points = [i for i in range(step, len(member) + 1, step) if i > 1]
+    return math.fsum(distance(prefix[i - 1] / i, q) / math.log2(i) for i in points)
+
+
 def brute_force_max(kind, n, k, step):
     """Independent normalizer oracle: max raw score over all arrangements."""
     best = 0.0
     for positions in itertools.combinations(range(n), k):
         member = [i in positions for i in range(n)]
         try:
-            best = max(best, _raw_score(member, kind, step))
+            best = max(best, per_prefix_raw_score(member, kind, step))
         except MeasureUndefinedError:
             continue
     return best
+
+
+def _outcome(score, *args):
+    """The score's exact bits, or the type and text of the error it raised."""
+    try:
+        return score(*args).hex()
+    except Exception as exc:  # any error, so that any difference shows
+        return type(exc).__name__, str(exc)
+
+
+def _count_of(k, n=12):
+    """A list of n documents, k of them in g1, spread evenly."""
+    return [i * k // n != (i + 1) * k // n for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["rnd", "rkl", "rrd"])
+@given(
+    member=st.lists(st.booleans(), max_size=60),
+    as_bytes=st.booleans(),
+    step=st.integers(min_value=1, max_value=6),
+)
+@example(member=_count_of(0), as_bytes=True, step=1)
+@example(member=_count_of(1), as_bytes=True, step=1)
+@example(member=_count_of(11), as_bytes=False, step=1)
+@example(member=_count_of(12), as_bytes=False, step=2)
+# No evaluation points: the score is 0.0, and rRD's q / (1 - q) at q = 1 is never taken.
+@example(member=[True], as_bytes=False, step=1)
+@example(member=[], as_bytes=True, step=3)
+def test_one_pass_score_matches_the_per_prefix_sum(kind, member, as_bytes, step):
+    if as_bytes:
+        member = bytes(member)
+    assert _outcome(_raw_score, member, kind, step) == _outcome(
+        per_prefix_raw_score, member, kind, step
+    )
+
+
+def test_undefined_rrd_names_the_list_not_the_normalizer():
+    # Both arrangements of a g1 majority are undefined, so the normalizer is
+    # 0.0; the list's own score fails first and says why.
+    r = make_list([P] * 6 + [A] * 4)
+    with pytest.raises(MeasureUndefinedError, match="strict minority"):
+        baseline_score(r, P, BaselineConfig(step=5, kind="rrd"))
 
 
 class TestDistances:

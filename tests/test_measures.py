@@ -7,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_list
-from serpbias import ConfigError, MeasureConfig, StanceLabel, dcg_at, precision_at, rbp
+from serpbias import (
+    BaselineConfig,
+    ConfigError,
+    Dataset,
+    MeasureConfig,
+    StanceLabel,
+    dcg_at,
+    evaluate,
+    precision_at,
+    rbp,
+)
 
 P, N, A, X = (
     StanceLabel.PRO,
@@ -154,3 +164,25 @@ def test_config_validation():
         MeasureConfig(log_base=math.inf)
     with pytest.raises(ConfigError):
         MeasureConfig(measure_kind="bm25")
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: BaselineConfig(step=True), "step must be a positive integer, got True"),
+        (lambda: MeasureConfig(cutoff=True), "cutoff must be a positive integer, got True"),
+        (lambda: precision_at(make_list([P]), P, False), "cutoff must be a positive integer"),
+        (lambda: MeasureConfig(persistence="0.8"), "persistence must lie strictly between"),
+        (lambda: rbp(make_list([P]), P, None), "persistence must lie strictly between"),
+        (lambda: MeasureConfig(log_base="2"), "log base must be a finite number"),
+        (lambda: dcg_at(make_list([P]), P, 10, "2"), "log base must be a finite number"),
+        (lambda: evaluate(Dataset((), {}), alpha="0.05"), "alpha must lie strictly between"),
+    ],
+    ids=[
+        "bool-step", "bool-cutoff", "bool-n", "text-persistence",
+        "none-p", "text-log-base", "text-base", "text-alpha",
+    ],
+)
+def test_settings_reject_bools_and_text_with_config_error(make, text):
+    with pytest.raises(ConfigError, match=f"^{text}"):
+        make()

@@ -150,21 +150,49 @@ def test_json_round_trip_preserves_everything():
 VALIDATE_JSON = (GOLDEN / "validate.json.out").read_text(encoding="utf-8")
 
 
+def mistyped(name, *path_and_value):
+    """The golden JSON output `name` with the field at path set to value."""
+    *path, last, value = path_and_value
+    data = json.loads((GOLDEN / f"{name}.json.out").read_text(encoding="utf-8"))
+    target = data
+    for key in path:
+        target = target[key]
+    target[last] = value
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, field",
     [
-        "[]",
-        "{}",
-        '{"bias_summaries": []}',
-        "nope",
-        "[" * 100_000,
-        VALIDATE_JSON.replace("{", '{"extra": 1,', 1),
+        ("[]", ""),
+        ("{}", ""),
+        ('{"bias_summaries": []}', ""),
+        ("nope", ""),
+        ("[" * 100_000, ""),
+        (VALIDATE_JSON.replace("{", '{"extra": 1,', 1), "'extra'"),
+        ('{"engines": "abc", "n_queries": "six", "n_records": null, "n_documents": [1]}',
+         "'engines'"),
+        (mistyped("validate", "n_records", None), "'n_records'"),
+        (mistyped("evaluate-stance", "config", "persistence", "0.8"), "'persistence'"),
+        (mistyped("evaluate-stance", "bias_summaries", 0, "per_query", 0, "beta", True),
+         "'beta'"),
+        (mistyped("evaluate-stance", "one_sample_tests", 0, "df", 1.5), "'df'"),
+        (mistyped("evaluate-stance", "paired_tests", 0, "status", None), "'status'"),
+        (mistyped("baselines-rnd", "config", "step", True), "'step'"),
+        (mistyped("baselines-rnd", "scores", 0, "score", "0.5"), "'score'"),
+        (mistyped("baselines-rnd", "engines", ["a", 1]), "'engines'"),
     ],
-    ids=["list", "empty-object", "no-config", "not-json", "deep-nesting", "extra-key"],
+    ids=[
+        "list", "empty-object", "no-config", "not-json", "deep-nesting", "extra-key",
+        "validate-text-fields", "validate-null-count", "evaluate-text-persistence",
+        "evaluate-bool-beta", "evaluate-float-df", "evaluate-null-status",
+        "baselines-bool-step", "baselines-text-score", "baselines-int-engine",
+    ],
 )
-def test_report_from_json_rejects_what_is_not_a_report(text):
-    with pytest.raises(InputError, match="^not a serpbias report: "):
+def test_report_from_json_rejects_what_is_not_a_report(text, field):
+    with pytest.raises(InputError, match="^not a serpbias report: ") as caught:
         report_from_json(text)
+    assert field in str(caught.value)
 
 
 def test_baseline_summary_means_the_defined_scores():
