@@ -86,6 +86,21 @@ def _decode(line: str):
         raise InputError(f"malformed JSON: {exc}") from None
 
 
+def _check_unicode(engine: str, query_id: str, query_text: str, doc_ids: tuple) -> None:
+    """InputError naming the first of these texts that holds a lone surrogate,
+    which only a JSON escape such as "\\udc80" can put there: no UTF-8 output
+    can hold it."""
+    named = [("engine", engine), ("query_id", query_id), ("query", query_text)]
+    for key, text in named + [("doc_id", doc_id) for doc_id in doc_ids]:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InputError(
+                f"field {key!r} is not valid Unicode text "
+                f"(lone surrogate U+{ord(text[exc.start]):04X})"
+            ) from None
+
+
 # Wire string of each stance -> its label code.
 _STANCE_CODE = {label.value: CODE[label] for label in StanceLabel}
 
@@ -142,7 +157,8 @@ def parse_dataset(stream: Union[IO[str], Iterable[str]]) -> Dataset:
     """Parse and validate a JSON Lines dataset.
 
     Blank lines are skipped. Raises InputError, with the offending line
-    number where one exists, on text that is not UTF-8, malformed JSON,
+    number where one exists, on text that is not UTF-8, malformed JSON, an
+    id or query text that escapes a lone surrogate,
     missing or mistyped fields, unknown labels, rank gaps, duplicate doc ids,
     duplicate (engine, query) pairs, inconsistent query metadata, or query
     sets that differ across engines.
@@ -154,6 +170,10 @@ def parse_dataset(stream: Union[IO[str], Iterable[str]]) -> Dataset:
             continue
         try:
             engine, query_id, query_text, leaning, ranked = _parse_record(_decode(line))
+            # Only an escape puts a lone surrogate in a line that is UTF-8, and
+            # a one-character test costs a small part of a two-character one.
+            if "\\" in line:
+                _check_unicode(engine, query_id, query_text, ranked.doc_ids)
             lists = by_engine.setdefault(engine, {})
             if query_id in lists:
                 raise InputError(f"duplicate record for engine {engine!r}, query {query_id!r}")

@@ -16,6 +16,8 @@ import json
 import math
 import typing
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import repeat
+from json.encoder import encode_basestring as _encode_text
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bias import BiasRecord, BiasSummary, summarize_run
@@ -101,6 +103,13 @@ class ComparisonReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ComparisonReport":
+        _known(
+            data,
+            (
+                "mode", "config", "engines", "n_queries", "warnings", "bias_summaries",
+                "one_sample_tests", "paired_tests",
+            ),
+        )
         return cls(
             mode=_leaf(data, "mode", "text"),
             config=ReportConfig(**_fields(ReportConfig, data["config"])),
@@ -108,8 +117,12 @@ class ComparisonReport:
             n_queries=_leaf(data, "n_queries", "count"),
             warnings=_leaf(data, "warnings", "ids"),
             summaries=tuple(map(_bias_summary, _leaf(data, "bias_summaries", "rows"))),
-            one_sample=tuple(map(_test_entry, _leaf(data, "one_sample_tests", "rows"))),
-            paired=tuple(map(_test_entry, _leaf(data, "paired_tests", "rows"))),
+            one_sample=tuple(
+                _test_entry(row, paired=False) for row in _leaf(data, "one_sample_tests", "rows")
+            ),
+            paired=tuple(
+                _test_entry(row, paired=True) for row in _leaf(data, "paired_tests", "rows")
+            ),
         )
 
     def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
@@ -199,6 +212,10 @@ class ComparisonReport:
 
 _RESULT_FIELDS = tuple(f.name for f in fields(TTestResult))
 
+# The keys of a test entry; only a paired test names its second engine.
+_ONE_SAMPLE_KEYS = ("engine", "measure", "status", "detail", *_RESULT_FIELDS)
+_PAIRED_KEYS = ("engine_b", *_ONE_SAMPLE_KEYS)
+
 
 def _result_values(entry: TestEntry, names: Sequence[str] = _RESULT_FIELDS) -> list:
     """The named fields of the entry's t-test result; all None when there is none."""
@@ -215,23 +232,25 @@ def _test_dict(entry: TestEntry) -> dict:
 
 
 def _bias_summary(data: dict) -> BiasSummary:
+    _known(data, ("engine", "measure", "mb", "mab", "per_query"))
     measure = _leaf(data, "measure", "text")
     per_query = tuple(
         BiasRecord(_leaf(rec, "query_id", "text"), measure, _leaf(rec, "beta", "number"))
-        for rec in _leaf(data, "per_query", "rows")
+        for rec in map(_known, _leaf(data, "per_query", "rows"), repeat(("query_id", "beta")))
     )
     mb, mab = _leaf(data, "mb", "number"), _leaf(data, "mab", "number")
     return BiasSummary(_leaf(data, "engine", "text"), measure, mb, mab, per_query)
 
 
-def _test_entry(data: dict) -> TestEntry:
+def _test_entry(data: dict, paired: bool) -> TestEntry:
+    _known(data, _PAIRED_KEYS if paired else _ONE_SAMPLE_KEYS)
     result = None
     # The writer gives every result field a value, or nulls them all.
     if any(data[name] is not None for name in _RESULT_FIELDS):
         result = TTestResult(**_fields(TTestResult, data, exact=False))
     return TestEntry(
         engine=_leaf(data, "engine", "text"),
-        engine_b=_leaf(data, "engine_b", "text") if "engine_b" in data else None,
+        engine_b=_leaf(data, "engine_b", "text") if paired else None,
         measure_kind=_leaf(data, "measure", "text"),
         status=_leaf(data, "status", "text"),
         detail=_leaf(data, "detail", "text"),
@@ -313,7 +332,8 @@ class BaselineReport:
     @classmethod
     def from_dict(cls, data: dict) -> "BaselineReport":
         """The summary is not read: it is recomputed from the scores."""
-        cfg = data["config"]
+        _known(data, ("mode", "config", "engines", "scores", "summary"))
+        cfg = _known(data["config"], ("baseline", "step", "g1"))
         rows = _leaf(data, "scores", "rows")
         scores = tuple(BaselineScore(**_fields(BaselineScore, row)) for row in rows)
         return cls(
@@ -447,28 +467,65 @@ def _float_text(x: float) -> str:
     return out
 
 
+# Stands in for the key of an array item in the writer's (key, value) pairs.
+_ITEM = object()
+
+
 def to_json_text(value, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, float):
-        return _float_text(value)
-    if value is None or isinstance(value, (bool, int, str)):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(inner + to_json_text(v, indent + 1) for v in value)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k), ensure_ascii=False)}: {to_json_text(v, indent + 1)}"
-            for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    raise TypeError(f"cannot render {type(value).__name__} as JSON")
+    """Deterministic JSON with floats at 17 significant digits.
+
+    The layout is that of json.dumps(value, ensure_ascii=False, indent=2),
+    nested indent levels deep. Text, and each key as str(key), goes through
+    the encoder json.dumps uses; a NamedTuple renders as an array, and any
+    other subclass of a JSON type as json.dumps renders it. Scalars are
+    written in line, so only a container costs a Python call.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    breaks: list[str] = []  # breaks[d] is a newline and d levels of indent
+
+    def items(pairs, depth: int, sep: str, rest: str) -> None:
+        # Each value after sep (rest from the second on) and its key, if any.
+        for key, v in pairs:
+            if key is _ITEM:
+                prefix = sep
+            else:
+                prefix = sep + _encode_text(key if type(key) is str else str(key)) + ": "
+            sep = rest
+            t = type(v)
+            if t is float:
+                text = format(v, ".17g")
+                # Without a point or an exponent it is integral or not finite.
+                append(prefix + (text if "." in text or "e" in text else _float_text(v)))
+            elif isinstance(v, str):
+                append(prefix + _encode_text(v))
+            elif v is None:
+                append(prefix + "null")
+            elif t is bool:
+                append(prefix + ("true" if v else "false"))
+            elif isinstance(v, int):
+                append(prefix + int.__repr__(v))
+            elif isinstance(v, float):
+                append(prefix + _float_text(v))
+            elif not isinstance(v, (list, tuple, dict)):
+                raise TypeError(f"cannot render {t.__name__} as JSON")
+            elif not v:
+                append(prefix + ("{}" if isinstance(v, dict) else "[]"))
+            else:
+                while len(breaks) <= depth + 1:
+                    breaks.append("\n" + "  " * len(breaks))
+                inner = breaks[depth + 1]
+                if isinstance(v, dict):
+                    append(prefix + "{")
+                    items(v.items(), depth + 1, inner, "," + inner)
+                    append(breaks[depth] + "}")
+                else:
+                    append(prefix + "[")
+                    items(zip(repeat(_ITEM), v), depth + 1, inner, "," + inner)
+                    append(breaks[depth] + "]")
+
+    items(((_ITEM, value),), indent, "", "")
+    return "".join(chunks)
 
 
 # What the JSON writer puts in a field of each kind: a test and its description.
@@ -513,13 +570,22 @@ def _field_kinds(cls) -> dict[str, str]:
     return {name: _ANNOTATED[hint] for name, hint in typing.get_type_hints(cls).items()}
 
 
+def _known(data: dict, keys) -> dict:
+    """data, if it is an object that holds no key outside keys, else TypeError."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, not {type(data).__name__}")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise TypeError(f"unexpected field {unknown[0]!r}")
+    return data
+
+
 def _fields(cls, data: dict, exact: bool = True) -> dict:
     """cls's fields read from the same keys of data, each checked by _leaf as
     its annotation says. With exact, data holds no other key."""
     kinds = _field_kinds(cls)
-    unknown = [key for key in data if key not in kinds] if exact else []
-    if unknown:
-        raise TypeError(f"unexpected field {unknown[0]!r}")
+    if exact:
+        _known(data, kinds)
     return {name: _leaf(data, name, kind) for name, kind in kinds.items()}
 
 
@@ -571,17 +637,41 @@ def _joined(ids: tuple, escapes: dict, sep: str) -> str:
 
 
 def tsv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
-    """Tab-separated table: the header line, then one line of cells per row."""
+    """Tab-separated table: the header line, then one line of cells per row.
+    A float or a text with nothing to escape is written in line; every other
+    cell goes through _cell."""
     lines = ["\t".join(header)]
-    lines += ["\t".join(_cell(value) for value in row) for row in rows]
+    lines += [
+        "\t".join(
+            [
+                v if type(v) is str and "\\" not in v and v.isprintable()
+                else repr(v) if type(v) is float
+                else _cell(v)
+                for v in row
+            ]
+        )
+        for row in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
 def markdown_table(header: Sequence[str], rows: Iterable[Iterable]) -> str:
-    """Markdown table of cells, floats at 6 significant digits."""
+    """Markdown table of cells, floats at 6 significant digits. As in
+    tsv_text, only a cell that is neither a float nor a text with nothing to
+    escape goes through _cell."""
     lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
     lines += [
-        "| " + " | ".join(_cell(value, ".6g", _MD_ESCAPES) for value in row) + " |" for row in rows
+        "| "
+        + " | ".join(
+            [
+                v if type(v) is str and "\\" not in v and "|" not in v and v.isprintable()
+                else format(v, ".6g") if type(v) is float
+                else _cell(v, ".6g", _MD_ESCAPES)
+                for v in row
+            ]
+        )
+        + " |"
+        for row in rows
     ]
     return "\n".join(lines)
 

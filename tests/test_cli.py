@@ -196,6 +196,40 @@ def test_unencodable_stdout_is_configuration_error(tmp_path):
     assert raw.getvalue() == b""
 
 
+@pytest.mark.parametrize("field", ["engine", "query_id", "query", "doc_id"])
+def test_escaped_lone_surrogate_is_one_line_input_error(tmp_path, field):
+    # json.dumps writes the surrogate as the escape \udc80; json.loads takes it back.
+    rec = record("e", "q1", ["pro", "against"])
+    if field == "doc_id":
+        rec["docs"][1]["doc_id"] = "d\udc80"
+    else:
+        rec[field] += "\udc80"
+    path = tmp_path / "lone.jsonl"
+    path.write_text(jsonl([record("e", "q0", ["pro"]), rec]), encoding="utf-8")
+    assert "\\udc80" in path.read_text(encoding="utf-8")
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "serpbias", "validate", "--input", str(path), "--output", "tsv"],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.stdout == b""
+    assert proc.stderr.decode("utf-8") == (
+        f"input error: line 2: field {field!r} is not valid Unicode text "
+        "(lone surrogate U+DC80)\n"
+    )
+    assert proc.returncode == 1
+
+
+def test_escaped_surrogate_pair_is_one_character(tmp_path):
+    path = tmp_path / "pair.jsonl"
+    path.write_text(jsonl([record("e\U0001f600", "q1", ["pro"])]), encoding="utf-8")
+    assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+    code, out, err = run_main("validate", "--input", path, "--output", "tsv")
+    assert (code, err) == (0, "")
+    assert "engines\te\U0001f600\n" in out
+
+
 def run_main(*argv):
     """cli.main in process: exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -352,6 +386,9 @@ flag_values = st.one_of(
 # A rank gap in a list whose engine id holds a newline.
 @example(data=b'{"engine": "a\\nb", "query_id": "q", "query": "t", "leaning": "liberal", '
          b'"docs": [{"rank": 2, "doc_id": "d", "stance": "pro"}]}', mode="stance", flags={})
+# An engine id whose JSON escape leaves a lone surrogate.
+@example(data=b'{"engine": "e\\udc80", "query_id": "q", "query": "t", "leaning": "liberal", '
+         b'"docs": []}', mode="stance", flags={})
 # A flag value that does not parse.
 @example(data=b"", mode="stance", flags={"--cutoff": "abc"})
 def test_any_input_exits_cleanly_with_one_line(fuzz_path, data, mode, flags):

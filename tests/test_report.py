@@ -1,11 +1,16 @@
 """Evaluation protocol assembly and report rendering."""
 
+import enum
 import io
 import json
+import math
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import jsonl, record
 from serpbias import cli
@@ -23,7 +28,9 @@ from serpbias import (
     render_report,
     report_from_json,
 )
-from serpbias.report import resolve_measures
+from serpbias.report import (
+    _MD_ESCAPES, _cell, _float_text, markdown_table, resolve_measures, to_json_text, tsv_text,
+)
 from test_golden import BASE_CASES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -147,11 +154,22 @@ def test_json_round_trip_preserves_everything():
             assert render_report(report_from_json(text), fmt) == golden
 
 
+def test_every_golden_json_reads_back_and_renders_every_golden_format():
+    for path in sorted(GOLDEN.glob("*.json.out")):
+        text = path.read_bytes().decode("utf-8")
+        rep = report_from_json(text)
+        for fmt in ("json", "tsv", "markdown"):
+            golden = path.with_name(path.name.replace(".json.", f".{fmt}."))
+            if golden.exists():
+                assert render_report(rep, fmt) == golden.read_bytes().decode("utf-8"), golden.name
+
+
 VALIDATE_JSON = (GOLDEN / "validate.json.out").read_text(encoding="utf-8")
 
 
-def mistyped(name, *path_and_value):
-    """The golden JSON output `name` with the field at path set to value."""
+def edited(name, *path_and_value):
+    """The golden JSON output `name` with the field at path set to value,
+    which adds the field where there is none."""
     *path, last, value = path_and_value
     data = json.loads((GOLDEN / f"{name}.json.out").read_text(encoding="utf-8"))
     target = data
@@ -172,21 +190,39 @@ def mistyped(name, *path_and_value):
         (VALIDATE_JSON.replace("{", '{"extra": 1,', 1), "'extra'"),
         ('{"engines": "abc", "n_queries": "six", "n_records": null, "n_documents": [1]}',
          "'engines'"),
-        (mistyped("validate", "n_records", None), "'n_records'"),
-        (mistyped("evaluate-stance", "config", "persistence", "0.8"), "'persistence'"),
-        (mistyped("evaluate-stance", "bias_summaries", 0, "per_query", 0, "beta", True),
+        (edited("validate", "n_records", None), "'n_records'"),
+        (edited("evaluate-stance", "config", "persistence", "0.8"), "'persistence'"),
+        (edited("evaluate-stance", "bias_summaries", 0, "per_query", 0, "beta", True),
          "'beta'"),
-        (mistyped("evaluate-stance", "one_sample_tests", 0, "df", 1.5), "'df'"),
-        (mistyped("evaluate-stance", "paired_tests", 0, "status", None), "'status'"),
-        (mistyped("baselines-rnd", "config", "step", True), "'step'"),
-        (mistyped("baselines-rnd", "scores", 0, "score", "0.5"), "'score'"),
-        (mistyped("baselines-rnd", "engines", ["a", 1]), "'engines'"),
+        (edited("evaluate-stance", "one_sample_tests", 0, "df", 1.5), "'df'"),
+        (edited("evaluate-stance", "paired_tests", 0, "status", None), "'status'"),
+        (edited("baselines-rnd", "config", "step", True), "'step'"),
+        (edited("baselines-rnd", "scores", 0, "score", "0.5"), "'score'"),
+        (edited("baselines-rnd", "engines", ["a", 1]), "'engines'"),
+        # An unknown key at each level the reader reads.
+        (edited("evaluate-stance", "extra", 1), "'extra'"),
+        (edited("evaluate-stance", "config", "extra", 1), "'extra'"),
+        (edited("evaluate-stance", "bias_summaries", 0, "extra", 1), "'extra'"),
+        (edited("evaluate-stance", "bias_summaries", 0, "per_query", 0, "extra", 1), "'extra'"),
+        (edited("evaluate-stance", "one_sample_tests", 0, "extra", 1), "'extra'"),
+        (edited("evaluate-stance", "one_sample_tests", 0, "engine_b", "engine-b"), "'engine_b'"),
+        (edited("evaluate-stance", "paired_tests", 0, "extra", 1), "'extra'"),
+        (edited("compare-stance", "extra", 1), "'extra'"),
+        (edited("baselines-rnd", "extra", 1), "'extra'"),
+        (edited("baselines-rnd", "config", "extra", 1), "'extra'"),
+        (edited("baselines-rnd", "scores", 0, "extra", 1), "'extra'"),
+        (edited("evaluate-stance", "bias_summaries", 0, "per_query", 0, []), "list"),
     ],
     ids=[
         "list", "empty-object", "no-config", "not-json", "deep-nesting", "extra-key",
         "validate-text-fields", "validate-null-count", "evaluate-text-persistence",
         "evaluate-bool-beta", "evaluate-float-df", "evaluate-null-status",
         "baselines-bool-step", "baselines-text-score", "baselines-int-engine",
+        "evaluate-extra-key", "evaluate-config-extra-key", "evaluate-summary-extra-key",
+        "evaluate-beta-extra-key", "evaluate-one-sample-extra-key",
+        "evaluate-one-sample-engine-b", "evaluate-paired-extra-key", "compare-extra-key",
+        "baselines-extra-key", "baselines-config-extra-key", "baselines-score-extra-key",
+        "evaluate-beta-not-object",
     ],
 )
 def test_report_from_json_rejects_what_is_not_a_report(text, field):
@@ -297,3 +333,139 @@ def test_report_references_each_pair_once():
     assert len(paired_keys) == len(set(paired_keys)) == 3
     summary_keys = [(s.engine_id, s.measure_kind) for s in rep.summaries]
     assert len(summary_keys) == len(set(summary_keys)) == 6
+
+
+# ---------------------------------------------------------------------------
+# The writers against the per-value versions they replaced, kept here as references.
+
+
+def reference_json(value, indent=0):
+    """The recursive JSON writer: one json.dumps per scalar and key."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, float):
+        return _float_text(value)
+    if value is None or isinstance(value, (bool, int, str)):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ",\n".join(inner + reference_json(v, indent + 1) for v in value)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{json.dumps(str(k), ensure_ascii=False)}: {reference_json(v, indent + 1)}"
+            for k, v in value.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    raise TypeError(f"cannot render {type(value).__name__} as JSON")
+
+
+def reference_tsv(header, rows):
+    """The TSV writer with one _cell call per cell."""
+    lines = ["\t".join(header)]
+    lines += ["\t".join(_cell(value) for value in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def reference_markdown_table(header, rows):
+    """The markdown table writer with one _cell call per cell."""
+    lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
+    lines += [
+        "| " + " | ".join(_cell(value, ".6g", _MD_ESCAPES) for value in row) + " |" for row in rows
+    ]
+    return "\n".join(lines)
+
+
+class Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class Text(str):
+    pass
+
+
+class Number(float):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 1 << 70
+
+
+# Text that mixes what JSON, TSV and markdown each escape with plain and non-ASCII characters.
+odd_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\|\t\r\n\x00\x1b\x7f\x85\u2028\udc80,é€😀 a'), st.characters()
+    ),
+    max_size=6,
+)
+edge_floats = st.sampled_from(
+    [-0.0, 0.0, 1.0, -3.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]
+    + [math.nan, math.inf, -math.inf]
+)
+scalars = st.one_of(
+    odd_text,
+    odd_text.map(Text),
+    st.floats(),
+    edge_floats,
+    edge_floats.map(Number),
+    st.integers(),
+    st.sampled_from(Level),
+    st.booleans(),
+    st.none(),
+)
+json_keys = st.one_of(odd_text, odd_text.map(Text), st.integers())
+json_values = st.recursive(
+    st.one_of(scalars, st.just(b"bytes")),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_keys, children, max_size=4),
+        st.builds(Pair, children, children),
+    ),
+    max_leaves=24,
+)
+
+
+def same_outcome(write, reference, *args):
+    """write(*args) returns what reference(*args) returns, or raises the same error."""
+    try:
+        expected = reference(*args)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as caught:
+            write(*args)
+        assert str(caught.value) == str(exc)
+    else:
+        assert write(*args) == expected
+
+
+@given(value=json_values, indent=st.integers(0, 3))
+@example(
+    value={
+        "text": ['"\\|\t\r\n\x00\udc80é😀', Text("sub\n")],
+        Text("key\""): Pair(-0.0, [1e16, 5e-324, 1.7976931348623157e308, Number(2.0)]),
+        7: (Level.HIGH, True, None, 0, [], {}, ()),
+    },
+    indent=1,
+)
+@example(value=[1.5, {"a": [math.inf]}, math.nan], indent=0)
+@example(value={"a": [object()]}, indent=0)
+def test_json_writer_matches_the_recursive_writer(value, indent):
+    same_outcome(to_json_text, reference_json, value, indent)
+
+
+cells = st.one_of(odd_text, scalars, st.lists(odd_text, max_size=3).map(tuple))
+
+
+@given(rows=st.lists(st.lists(cells, max_size=5), max_size=4))
+@example(rows=[["x\\y", "a|b", "t\tu", "c\rd", "\x85", "é😀", ""], [Text("s|"), Level.LOW]])
+@example(rows=[[-0.0, 1e16, 5e-324, math.nan, -math.inf, Number(0.1), 3, None, ("a,b", "c|d")]])
+def test_table_writers_match_the_per_cell_writers(rows):
+    header = ("a", "b")
+    same_outcome(tsv_text, reference_tsv, header, rows)
+    same_outcome(markdown_table, reference_markdown_table, header, rows)
