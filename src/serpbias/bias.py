@@ -21,10 +21,9 @@ from .model import SIDES, EngineRun, RankedList, StanceLabel
 
 @dataclass(frozen=True)
 class BiasRecord:
-    """Slant of one list under one measure."""
+    """Slant of one list; the BiasSummary holding it names the measure."""
 
     query_id: str
-    measure_kind: str
     beta: float
 
 
@@ -58,13 +57,10 @@ def bias(r: RankedList, cfg: MeasureConfig) -> float:
 
 
 def per_query_bias(run: EngineRun, cfg: MeasureConfig) -> list[BiasRecord]:
-    """Slant of every list in the run, sorted by query_id for reproducibility."""
+    """Slant of every list in the run, in the run's query-id order."""
     if not run.lists:
         raise InputError(f"engine {run.engine_id!r} has an empty query set")
-    return [
-        BiasRecord(query_id, cfg.measure_kind, bias(run.lists[query_id], cfg))
-        for query_id in run.query_ids()
-    ]
+    return [BiasRecord(query_id, bias(ranked, cfg)) for query_id, ranked in run.lists.items()]
 
 
 def mean_bias(run: EngineRun, cfg: MeasureConfig) -> float:

@@ -125,8 +125,7 @@ def _baselines(args) -> BaselineReport:
     # cli.transform_list, until the library records its own stage timings.
     scores = []
     for run in ds.runs:
-        for query_id in run.query_ids():
-            ranked = run.lists[query_id]
+        for query_id, ranked in run.lists.items():
             if args.mode == "ideology":
                 ranked = transform_list(ranked)
             try:

@@ -27,16 +27,20 @@ from .model import CODE, Document, EngineRun, LeaningLabel, RankedList, StanceLa
 class Dataset:
     """All engine runs plus the shared query table (query_id -> text, leaning).
 
-    Construction checks, engine by engine in sorted order, that engine ids are
-    unique and that every run covers exactly the table's query ids.
+    Runs are kept in engine-id order and the table in query-id order.
+    Construction checks, engine by engine, that engine ids are unique, that
+    every run covers exactly the table's query ids, and that every list has
+    its query's leaning.
     """
 
     runs: tuple[EngineRun, ...]
     query_table: dict[str, tuple[str, LeaningLabel]]
 
     def __post_init__(self):
+        object.__setattr__(self, "runs", tuple(sorted(self.runs, key=lambda run: run.engine_id)))
+        object.__setattr__(self, "query_table", dict(sorted(self.query_table.items())))
         queries, previous = self.query_table.keys(), None
-        for run in sorted(self.runs, key=lambda run: run.engine_id):
+        for run in self.runs:
             engine, covered = run.engine_id, run.lists.keys()
             if engine == previous:
                 raise InputError(f"engine {engine!r} has more than one run")
@@ -47,13 +51,20 @@ class Dataset:
                 raise InputError(
                     f"engine {engine!r} {what}; all engines must cover the identical query set"
                 )
+            for query_id, ranked in run.lists.items():
+                leaning = self.query_table[query_id][1]
+                if ranked.leaning != leaning:
+                    raise InputError(
+                        f"engine {engine!r} gives query {query_id!r} leaning {ranked.leaning}, "
+                        f"but the query table gives {leaning}"
+                    )
             previous = engine
 
     def engine_ids(self) -> list[str]:
         return [run.engine_id for run in self.runs]
 
     def query_ids(self) -> list[str]:
-        return sorted(self.query_table)
+        return list(self.query_table)
 
     def document_count(self) -> int:
         return sum(len(r) for run in self.runs for r in run.lists.values())
@@ -190,9 +201,7 @@ def parse_dataset(stream: Union[IO[str], Iterable[str]]) -> Dataset:
             raise InputError(f"line {line_no}: {exc}") from None
     if not by_engine:
         raise InputError("no records in input")
-    runs = tuple(
-        EngineRun(engine_id=engine, lists=by_engine[engine]) for engine in sorted(by_engine)
-    )
+    runs = tuple(EngineRun(engine_id=engine, lists=lists) for engine, lists in by_engine.items())
     return Dataset(runs=runs, query_table=query_table)
 
 

@@ -177,13 +177,13 @@ class RankedList:
 
 @dataclass(frozen=True)
 class EngineRun:
-    """One engine's lists over the whole query set, keyed by query_id."""
+    """One engine's lists over the whole query set, keyed and ordered by query_id."""
 
     engine_id: str
     lists: dict[str, RankedList]
 
     def __post_init__(self):
-        object.__setattr__(self, "lists", dict(self.lists))
+        object.__setattr__(self, "lists", dict(sorted(self.lists.items())))
         for query_id, ranked in self.lists.items():
             if ranked.engine_id != self.engine_id:
                 raise InputError(
@@ -196,7 +196,7 @@ class EngineRun:
                 )
 
     def query_ids(self) -> list[str]:
-        return sorted(self.lists)
+        return list(self.lists)
 
 
 def _require_stance(label) -> None:

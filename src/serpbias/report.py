@@ -234,10 +234,8 @@ def _test_dict(entry: TestEntry) -> dict:
 def _bias_summary(data: dict) -> BiasSummary:
     _known(data, ("engine", "measure", "mb", "mab", "per_query"))
     measure = _leaf(data, "measure", "text")
-    per_query = tuple(
-        BiasRecord(_leaf(rec, "query_id", "text"), measure, _leaf(rec, "beta", "number"))
-        for rec in map(_known, _leaf(data, "per_query", "rows"), repeat(("query_id", "beta")))
-    )
+    rows = _leaf(data, "per_query", "rows")
+    per_query = tuple(BiasRecord(**_fields(BiasRecord, row)) for row in rows)
     mb, mab = _leaf(data, "mb", "number"), _leaf(data, "mab", "number")
     return BiasSummary(_leaf(data, "engine", "text"), measure, mb, mab, per_query)
 
@@ -397,13 +395,13 @@ def evaluate(
     kinds = tuple(sorted(MEASURE_KINDS if measures is None else set(measures)))
     kind_cfgs = [replace(cfg, measure_kind=kind) for kind in kinds]
 
-    runs = []
-    for run in sorted(ds.runs, key=lambda r: r.engine_id):
-        if mode == "ideology":
-            lists = {qid: transform_list(r) for qid, r in run.lists.items()}
-            run = EngineRun(engine_id=run.engine_id, lists=lists)
-        runs.append(run)
-    engines = tuple(run.engine_id for run in runs)
+    runs = ds.runs
+    if mode == "ideology":
+        runs = [
+            EngineRun(run.engine_id, {qid: transform_list(r) for qid, r in run.lists.items()})
+            for run in runs
+        ]
+    engines = tuple(ds.engine_ids())
     n_queries = len(ds.query_table)
 
     summaries: list[BiasSummary] = []
@@ -589,13 +587,19 @@ def _fields(cls, data: dict, exact: bool = True) -> dict:
     return {name: _leaf(data, name, kind) for name, kind in kinds.items()}
 
 
+def _no_constant(name: str):
+    """Refuses the literals NaN, Infinity and -Infinity, which json.loads
+    accepts and the writer never writes."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def report_from_json(text: str) -> Report:
     """Inverse of the JSON rendering of any report; numeric fields survive to
     full precision. The keys that only one schema has pick the report type.
     Text that is not a report, or holds a field of the wrong type, raises
     InputError."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_no_constant)
         if "bias_summaries" in data:
             return ComparisonReport.from_dict(data)
         if "scores" in data:

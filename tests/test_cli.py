@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,7 +52,7 @@ def test_validate_reports_shape(dataset_path):
 
 
 def test_validate_reads_stdin(dataset_path):
-    text = open(dataset_path, encoding="utf-8").read()
+    text = Path(dataset_path).read_text(encoding="utf-8")
     proc = cli("validate", "--input", "-", stdin=text)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_queries"] == 6

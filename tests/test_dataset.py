@@ -210,3 +210,12 @@ def test_hand_built_dataset_names_what_is_wrong():
         hand_built(["q1", "q2"], [("a", ["q1", "q2", "q3"])])
     with pytest.raises(InputError, match="^engine 'a' has more than one run$"):
         hand_built(["q1"], [("a", ["q1"]), ("b", ["q1"]), ("a", ["q1"])])
+    # The list's own leaning would decide how ideology mode scores it.
+    lists = {"q1": RankedList("a", "q1", LeaningLabel.LIBERAL)}
+    table = {"q1": ("topic q1", LeaningLabel.CONSERVATIVE)}
+    with pytest.raises(
+        InputError,
+        match="^engine 'a' gives query 'q1' leaning liberal, but the query table gives "
+        "conservative$",
+    ):
+        Dataset(runs=(EngineRun("a", lists),), query_table=table)

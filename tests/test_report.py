@@ -15,13 +15,19 @@ from hypothesis import strategies as st
 from conftest import jsonl, record
 from serpbias import cli
 from serpbias import (
+    BaselineConfig,
     BaselineReport,
     BaselineScore,
     ComparisonReport,
     ConfigError,
+    Dataset,
+    DatasetReport,
+    EngineRun,
     InputError,
     MeasureConfig,
     ReportConfig,
+    StanceLabel,
+    baseline_score,
     evaluate,
     load_dataset,
     parse_dataset,
@@ -212,6 +218,10 @@ def edited(name, *path_and_value):
         (edited("baselines-rnd", "config", "extra", 1), "'extra'"),
         (edited("baselines-rnd", "scores", 0, "extra", 1), "'extra'"),
         (edited("evaluate-stance", "bias_summaries", 0, "per_query", 0, []), "list"),
+        # Literals json.loads takes and the writer never writes.
+        (edited("evaluate-stance", "bias_summaries", 0, "mb", math.nan), "NaN"),
+        (edited("baselines-rnd", "scores", 0, "score", math.inf), "Infinity"),
+        (edited("evaluate-stance", "one_sample_tests", 0, "t_stat", -math.inf), "-Infinity"),
     ],
     ids=[
         "list", "empty-object", "no-config", "not-json", "deep-nesting", "extra-key",
@@ -222,7 +232,8 @@ def edited(name, *path_and_value):
         "evaluate-beta-extra-key", "evaluate-one-sample-extra-key",
         "evaluate-one-sample-engine-b", "evaluate-paired-extra-key", "compare-extra-key",
         "baselines-extra-key", "baselines-config-extra-key", "baselines-score-extra-key",
-        "evaluate-beta-not-object",
+        "evaluate-beta-not-object", "evaluate-nan-mb", "baselines-infinite-score",
+        "evaluate-negative-infinite-t",
     ],
 )
 def test_report_from_json_rejects_what_is_not_a_report(text, field):
@@ -253,15 +264,51 @@ def test_rendering_is_deterministic():
         assert render_report(rep, fmt) == render_report(again, fmt)
 
 
+def readme_baselines(ds):
+    """The BaselineReport the README's library loop builds."""
+    g1, cfg = StanceLabel.PRO, BaselineConfig(step=2, kind="rkl")
+    scores = []
+    for run in ds.runs:
+        for qid, ranked in run.lists.items():
+            try:
+                row = (run.engine_id, qid, "ok", baseline_score(ranked, g1, cfg))
+            except InputError as exc:
+                row = (run.engine_id, qid, "undefined", None, str(exc))
+            scores.append(BaselineScore(*row))
+    engines = tuple(ds.engine_ids())
+    return BaselineReport("stance", cfg.kind, cfg.step, str(g1), engines, tuple(scores))
+
+
 def test_engine_input_order_is_irrelevant():
     rng = random.Random(10)
     recs = []
-    for qid in ("q1", "q2", "q3"):
-        for engine in ("engine-a", "engine-b"):
-            recs.append(record(engine, qid, rng.choices(["pro", "against", "neutral"], k=8)))
-    forward = evaluate(dataset_from(recs))
-    backward = evaluate(dataset_from(list(reversed(recs))))
-    assert render_report(forward, "json") == render_report(backward, "json")
+    for qid, leaning in (("q1", "liberal"), ("q2", "conservative"), ("q3", "liberal")):
+        for engine in ("engine-a", "engine-b", "engine-c"):
+            stances = rng.choices(["pro", "against", "neutral"], k=8)
+            recs.append(record(engine, qid, stances, leaning=leaning))
+    forward = dataset_from(recs)
+    # Built by hand, with runs, lists and the query table all in reverse order.
+    backward = Dataset(
+        runs=tuple(
+            EngineRun(run.engine_id, dict(reversed(run.lists.items())))
+            for run in reversed(forward.runs)
+        ),
+        query_table=dict(reversed(forward.query_table.items())),
+    )
+    for ds in (dataset_from(list(reversed(recs))), backward):
+        assert [run.engine_id for run in ds.runs] == ["engine-a", "engine-b", "engine-c"]
+        assert ds.query_ids() == ["q1", "q2", "q3"]
+        for run in ds.runs:
+            assert list(run.lists) == ["q1", "q2", "q3"]
+        builds = (
+            DatasetReport.from_dataset,
+            evaluate,
+            lambda d: evaluate(d, mode="ideology"),
+            readme_baselines,
+        )
+        for build in builds:
+            for fmt in ("json", "tsv", "markdown"):
+                assert render_report(build(ds), fmt) == render_report(build(forward), fmt)
 
 
 def test_json_floats_render_with_17_significant_digits():

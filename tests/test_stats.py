@@ -168,6 +168,18 @@ class TestOneSample:
         assert scaled.t_stat == pytest.approx(base.t_stat, rel=1e-9, abs=1e-9)
         assert scaled.p_value == pytest.approx(base.p_value, rel=1e-9, abs=1e-12)
 
+    def test_finite_observations_whose_sum_overflows(self):
+        # Each value is finite and their float sum is not, so each is checked
+        # on its own; the test then runs on a copy scaled by a power of two.
+        values = [1e308, 1.7e308, 1.2e308, 1.5e308]
+        scaled_values = [math.ldexp(v, -600) for v in values]
+        res, scaled = one_sample_ttest(values), one_sample_ttest(scaled_values)
+        assert (res.t_stat, res.p_value) == (scaled.t_stat, scaled.p_value)
+        assert res.sample_mean == math.ldexp(scaled.sample_mean, 600)
+        ref = scipy.stats.ttest_1samp(scaled_values, 0.0)
+        assert scaled.t_stat == pytest.approx(ref.statistic, rel=1e-10)
+        assert scaled.p_value == pytest.approx(ref.pvalue, abs=1e-12)
+
     def test_matches_scipy_on_random_samples(self):
         rng = random.Random(8)
         for _ in range(50):
