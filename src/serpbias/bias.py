@@ -31,8 +31,8 @@ class BiasRecord:
 class BiasSummary:
     """Per-engine aggregate: signed mean (mb), mean absolute (mab), per-query detail."""
 
-    engine_id: str
-    measure_kind: str
+    engine: str
+    measure: str
     mb: float
     mab: float
     per_query: tuple[BiasRecord, ...]
@@ -79,8 +79,8 @@ def summarize_run(run: EngineRun, cfg: MeasureConfig) -> BiasSummary:
     records = per_query_bias(run, cfg)
     n = len(records)
     return BiasSummary(
-        engine_id=run.engine_id,
-        measure_kind=cfg.measure_kind,
+        engine=run.engine_id,
+        measure=cfg.measure_kind,
         mb=math.fsum(rec.beta for rec in records) / n,
         mab=math.fsum(abs(rec.beta) for rec in records) / n,
         per_query=tuple(records),

@@ -102,7 +102,7 @@ def _comparison(args) -> ComparisonReport:
     rep = _evaluation(args)
     if len(rep.engines) < 2:
         raise InputError("compare needs at least 2 engines in the dataset")
-    return replace(rep, summaries=(), one_sample=())
+    return replace(rep, bias_summaries=(), one_sample_tests=())
 
 
 def _g1(args):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
 from .errors import InputError
-from .model import CODE, Document, EngineRun, LeaningLabel, RankedList, StanceLabel
+from .model import CODE, Document, EngineRun, LeaningLabel, RankedList, StanceLabel, check_id
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,9 @@ class Dataset:
     """All engine runs plus the shared query table (query_id -> text, leaning).
 
     Runs are kept in engine-id order and the table in query-id order.
-    Construction checks, engine by engine, that engine ids are unique, that
-    every run covers exactly the table's query ids, and that every list has
-    its query's leaning.
+    Construction checks that the table's query ids are text and, engine by
+    engine, that engine ids are unique, that every run covers exactly the
+    table's query ids, and that every list has its query's leaning.
     """
 
     runs: tuple[EngineRun, ...]
@@ -38,6 +38,8 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "runs", tuple(sorted(self.runs, key=lambda run: run.engine_id)))
+        for query_id in self.query_table:
+            check_id("query_id", query_id)
         object.__setattr__(self, "query_table", dict(sorted(self.query_table.items())))
         queries, previous = self.query_table.keys(), None
         for run in self.runs:
@@ -62,9 +64,6 @@ class Dataset:
 
     def engine_ids(self) -> list[str]:
         return [run.engine_id for run in self.runs]
-
-    def query_ids(self) -> list[str]:
-        return list(self.query_table)
 
     def document_count(self) -> int:
         return sum(len(r) for run in self.runs for r in run.lists.values())

@@ -86,6 +86,12 @@ _MASKS = {label: bytes(int(c == code) for c in range(256)) for label, code in CO
 _NO_MATCH = bytes(256)
 
 
+def check_id(field: str, value) -> None:
+    """InputError naming field unless value, an engine or query id, is text."""
+    if not isinstance(value, str):
+        raise InputError(f"{field} must be a string, got {type(value).__name__} {value!r}")
+
+
 @dataclass(frozen=True)
 class Document:
     """One retrieved document: 1-based rank, its label, and an opaque id."""
@@ -120,6 +126,8 @@ class RankedList:
     doc_ids: tuple[str, ...]
 
     def __init__(self, engine_id: str, query_id: str, leaning: LeaningLabel, docs=()):
+        check_id("engine_id", engine_id)
+        check_id("query_id", query_id)
         docs = tuple(docs)
         label_type = type(docs[0].stance) if docs else None
         for position, doc in enumerate(docs, start=1):
@@ -183,8 +191,9 @@ class EngineRun:
     lists: dict[str, RankedList]
 
     def __post_init__(self):
-        object.__setattr__(self, "lists", dict(sorted(self.lists.items())))
+        check_id("engine_id", self.engine_id)
         for query_id, ranked in self.lists.items():
+            check_id("query_id", query_id)
             if ranked.engine_id != self.engine_id:
                 raise InputError(
                     f"list for query {query_id!r} belongs to engine "
@@ -194,9 +203,8 @@ class EngineRun:
                 raise InputError(
                     f"list keyed {query_id!r} carries query_id {ranked.query_id!r}"
                 )
-
-    def query_ids(self) -> list[str]:
-        return list(self.lists)
+        # Sorted once every key is known to be text.
+        object.__setattr__(self, "lists", dict(sorted(self.lists.items())))
 
 
 def _require_stance(label) -> None:

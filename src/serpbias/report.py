@@ -15,12 +15,12 @@ import functools
 import json
 import math
 import typing
-from dataclasses import asdict, dataclass, fields, replace
-from itertools import repeat
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import groupby, repeat
 from json.encoder import encode_basestring as _encode_text
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .bias import BiasRecord, BiasSummary, summarize_run
+from .bias import BiasSummary, summarize_run
 from .dataset import Dataset
 from .errors import ConfigError, DegenerateSampleError, InputError, check_choice, check_fraction
 from .measures import MEASURE_KINDS, MeasureConfig
@@ -38,6 +38,12 @@ STATUS_DEGENERATE = "degenerate_certain"
 STATUS_SKIPPED = "skipped"
 
 
+# Field metadata for the two departures from the wire format that a field's
+# type does not show (see "The JSON wire format" below).
+_PAIRED = {"paired": True}  # a list of paired tests, whose entries carry engine_b
+_IN_CONFIG = {"in": "config"}  # written in the report's config object
+
+
 @dataclass(frozen=True)
 class ReportConfig:
     """Echo of the evaluation parameters, embedded in every report."""
@@ -51,11 +57,12 @@ class ReportConfig:
 
 @dataclass(frozen=True)
 class TestEntry:
-    """One t-test slot: a result, or the reason there is none."""
+    """One t-test slot: a result, or the reason there is none. Only a paired
+    test names a second engine."""
 
     engine: str
     engine_b: Optional[str]
-    measure_kind: str
+    measure: str
     status: str
     detail: str = ""
     result: Optional[TTestResult] = None
@@ -74,81 +81,35 @@ class ComparisonReport:
     engines: tuple[str, ...]
     n_queries: int
     warnings: tuple[str, ...]
-    summaries: tuple[BiasSummary, ...]
-    one_sample: tuple[TestEntry, ...]
-    paired: tuple[TestEntry, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "config": {**asdict(self.config), "measures": list(self.config.measures)},
-            "engines": list(self.engines),
-            "n_queries": self.n_queries,
-            "warnings": list(self.warnings),
-            "bias_summaries": [
-                {
-                    "engine": s.engine_id,
-                    "measure": s.measure_kind,
-                    "mb": s.mb,
-                    "mab": s.mab,
-                    "per_query": [
-                        {"query_id": rec.query_id, "beta": rec.beta} for rec in s.per_query
-                    ],
-                }
-                for s in self.summaries
-            ],
-            "one_sample_tests": [_test_dict(e) for e in self.one_sample],
-            "paired_tests": [_test_dict(e) for e in self.paired],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ComparisonReport":
-        _known(
-            data,
-            (
-                "mode", "config", "engines", "n_queries", "warnings", "bias_summaries",
-                "one_sample_tests", "paired_tests",
-            ),
-        )
-        return cls(
-            mode=_leaf(data, "mode", "text"),
-            config=ReportConfig(**_fields(ReportConfig, data["config"])),
-            engines=_leaf(data, "engines", "ids"),
-            n_queries=_leaf(data, "n_queries", "count"),
-            warnings=_leaf(data, "warnings", "ids"),
-            summaries=tuple(map(_bias_summary, _leaf(data, "bias_summaries", "rows"))),
-            one_sample=tuple(
-                _test_entry(row, paired=False) for row in _leaf(data, "one_sample_tests", "rows")
-            ),
-            paired=tuple(
-                _test_entry(row, paired=True) for row in _leaf(data, "paired_tests", "rows")
-            ),
-        )
+    bias_summaries: tuple[BiasSummary, ...]
+    one_sample_tests: tuple[TestEntry, ...]
+    paired_tests: tuple[TestEntry, ...] = field(metadata=_PAIRED)
 
     def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
         return _TSV_HEADER, self._tsv_rows()
 
     def _tsv_rows(self):
-        config = {"mode": self.mode, **asdict(self.config)}
+        config = {"mode": self.mode, **vars(self.config)}
         config.update(engines=self.engines, n_queries=self.n_queries)
         for key, value in config.items():
             yield ("config", "", "", "", "", key, value)
         for i, warning in enumerate(self.warnings, start=1):
             yield ("warning", "", "", "", "", i, warning)
-        for s in self.summaries:
-            yield ("summary", s.engine_id, "", s.measure_kind, "", "mb", s.mb)
-            yield ("summary", s.engine_id, "", s.measure_kind, "", "mab", s.mab)
-        for s in self.summaries:
+        for s in self.bias_summaries:
+            yield ("summary", s.engine, "", s.measure, "", "mb", s.mb)
+            yield ("summary", s.engine, "", s.measure, "", "mab", s.mab)
+        for s in self.bias_summaries:
             for rec in s.per_query:
-                yield ("beta", s.engine_id, "", s.measure_kind, rec.query_id, "beta", rec.beta)
-        for section, entries in (("one_sample", self.one_sample), ("paired", self.paired)):
+                yield ("beta", s.engine, "", s.measure, rec.query_id, "beta", rec.beta)
+        sections = (("one_sample", self.one_sample_tests), ("paired", self.paired_tests))
+        for section, entries in sections:
             for e in entries:
-                base = (section, e.engine, e.engine_b or "", e.measure_kind, "")
+                base = (section, e.engine, e.engine_b or "", e.measure, "")
                 yield (*base, "status", e.status)
                 if e.detail:
                     yield (*base, "detail", e.detail)
                 if e.result is not None:
-                    for name, value in zip(_RESULT_FIELDS, _result_values(e)):
+                    for name, value in vars(e.result).items():
                         yield (*base, name, value)
 
     def markdown(self) -> tuple[str, list[str]]:
@@ -173,14 +134,14 @@ class ComparisonReport:
             (
                 "Engine summaries",
                 ("engine", "measure", "MB", "MAB"),
-                [(s.engine_id, s.measure_kind, s.mb, s.mab) for s in self.summaries],
+                [(s.engine, s.measure, s.mb, s.mab) for s in self.bias_summaries],
             ),
             (
                 "One-sample t-tests (null: mean slant is 0)",
                 ("engine", "measure", "status", "t", "df", "p", "mean", "rejected at"),
                 [
-                    (e.engine, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
-                    for e in self.one_sample
+                    (e.engine, e.measure, e.status, *_result_values(e))
+                    for e in self.one_sample_tests
                 ],
             ),
             (
@@ -190,16 +151,16 @@ class ComparisonReport:
                     "rejected at",
                 ),
                 [
-                    (e.engine, e.engine_b, e.measure_kind, e.status, *_result_values(e, _MD_FIELDS))
-                    for e in self.paired
+                    (e.engine, e.engine_b, e.measure, e.status, *_result_values(e))
+                    for e in self.paired_tests
                 ],
             ),
             (
                 "Per-query slant",
                 ("engine", "measure", "query", "beta"),
                 [
-                    (s.engine_id, s.measure_kind, rec.query_id, rec.beta)
-                    for s in self.summaries
+                    (s.engine, s.measure, rec.query_id, rec.beta)
+                    for s in self.bias_summaries
                     for rec in s.per_query
                 ],
             ),
@@ -210,50 +171,9 @@ class ComparisonReport:
         return "Search bias report", blocks
 
 
-_RESULT_FIELDS = tuple(f.name for f in fields(TTestResult))
-
-# The keys of a test entry; only a paired test names its second engine.
-_ONE_SAMPLE_KEYS = ("engine", "measure", "status", "detail", *_RESULT_FIELDS)
-_PAIRED_KEYS = ("engine_b", *_ONE_SAMPLE_KEYS)
-
-
-def _result_values(entry: TestEntry, names: Sequence[str] = _RESULT_FIELDS) -> list:
-    """The named fields of the entry's t-test result; all None when there is none."""
-    return [getattr(entry.result, name) if entry.result else None for name in names]
-
-
-def _test_dict(entry: TestEntry) -> dict:
-    out: dict = {"engine": entry.engine}
-    if entry.engine_b is not None:
-        out["engine_b"] = entry.engine_b
-    out.update(measure=entry.measure_kind, status=entry.status, detail=entry.detail)
-    out.update(zip(_RESULT_FIELDS, _result_values(entry)))
-    return out
-
-
-def _bias_summary(data: dict) -> BiasSummary:
-    _known(data, ("engine", "measure", "mb", "mab", "per_query"))
-    measure = _leaf(data, "measure", "text")
-    rows = _leaf(data, "per_query", "rows")
-    per_query = tuple(BiasRecord(**_fields(BiasRecord, row)) for row in rows)
-    mb, mab = _leaf(data, "mb", "number"), _leaf(data, "mab", "number")
-    return BiasSummary(_leaf(data, "engine", "text"), measure, mb, mab, per_query)
-
-
-def _test_entry(data: dict, paired: bool) -> TestEntry:
-    _known(data, _PAIRED_KEYS if paired else _ONE_SAMPLE_KEYS)
-    result = None
-    # The writer gives every result field a value, or nulls them all.
-    if any(data[name] is not None for name in _RESULT_FIELDS):
-        result = TTestResult(**_fields(TTestResult, data, exact=False))
-    return TestEntry(
-        engine=_leaf(data, "engine", "text"),
-        engine_b=_leaf(data, "engine_b", "text") if paired else None,
-        measure_kind=_leaf(data, "measure", "text"),
-        status=_leaf(data, "status", "text"),
-        detail=_leaf(data, "detail", "text"),
-        result=result,
-    )
+def _result_values(entry: TestEntry) -> list:
+    """The markdown fields of the entry's t-test result; all None when there is none."""
+    return [getattr(entry.result, name) if entry.result else None for name in _MD_FIELDS]
 
 
 @dataclass(frozen=True)
@@ -270,18 +190,11 @@ class DatasetReport:
         n_records = sum(len(run.lists) for run in ds.runs)
         return cls(tuple(ds.engine_ids()), len(ds.query_table), n_records, ds.document_count())
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DatasetReport":
-        return cls(**_fields(cls, data))
-
     def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
-        return ("field", "value"), asdict(self).items()
+        return ("field", "value"), vars(self).items()
 
     def markdown(self) -> tuple[str, list[str]]:
-        bullets = [(key.removeprefix("n_"), value) for key, value in asdict(self).items()]
+        bullets = [(key.removeprefix("n_"), value) for key, value in vars(self).items()]
         return "Dataset", [markdown_list(bullets)]
 
 
@@ -300,11 +213,14 @@ class BaselineReport:
     """One rND/rKL/rRD score per (engine, query) list: what `serpbias baselines` reports."""
 
     mode: str
-    baseline: str
-    step: int
-    g1: str
+    baseline: str = field(metadata=_IN_CONFIG)
+    step: int = field(metadata=_IN_CONFIG)
+    g1: str = field(metadata=_IN_CONFIG)
     engines: tuple[str, ...]
     scores: tuple[BaselineScore, ...]
+
+    # Written after the fields, and not read: it is recomputed from the scores.
+    _unread = ("summary",)
 
     def summary(self) -> Iterator[dict]:
         """Per engine: the mean of its defined scores (None without any), then
@@ -317,31 +233,6 @@ class BaselineReport:
             mean = math.fsum(defined) / len(defined) if defined else None
             counts = {"defined": len(defined), "undefined": len(scores) - len(defined)}
             yield {"engine": engine, "mean_score": mean, **counts}
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "config": {"baseline": self.baseline, "step": self.step, "g1": self.g1},
-            "engines": list(self.engines),
-            "scores": [row._asdict() for row in self.scores],
-            "summary": list(self.summary()),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BaselineReport":
-        """The summary is not read: it is recomputed from the scores."""
-        _known(data, ("mode", "config", "engines", "scores", "summary"))
-        cfg = _known(data["config"], ("baseline", "step", "g1"))
-        rows = _leaf(data, "scores", "rows")
-        scores = tuple(BaselineScore(**_fields(BaselineScore, row)) for row in rows)
-        return cls(
-            _leaf(data, "mode", "text"),
-            _leaf(cfg, "baseline", "text"),
-            _leaf(cfg, "step", "count"),
-            _leaf(cfg, "g1", "text"),
-            _leaf(data, "engines", "ids"),
-            scores,
-        )
 
     def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
         return BaselineScore._fields, self.scores
@@ -404,13 +295,8 @@ def evaluate(
     engines = tuple(ds.engine_ids())
     n_queries = len(ds.query_table)
 
-    summaries: list[BiasSummary] = []
-    betas: dict[tuple[str, str], list[float]] = {}
-    for run in runs:
-        for kind_cfg in kind_cfgs:
-            summary = summarize_run(run, kind_cfg)
-            summaries.append(summary)
-            betas[(run.engine_id, kind_cfg.measure_kind)] = [rec.beta for rec in summary.per_query]
+    summaries = [summarize_run(run, kind_cfg) for run in runs for kind_cfg in kind_cfgs]
+    betas = {(s.engine, s.measure): [rec.beta for rec in s.per_query] for s in summaries}
 
     stats_possible = n_queries >= 2
 
@@ -446,9 +332,9 @@ def evaluate(
         engines=engines,
         n_queries=n_queries,
         warnings=() if stats_possible else ("fewer than 2 queries: statistical tests skipped",),
-        summaries=tuple(summaries),
-        one_sample=tuple(one_sample),
-        paired=tuple(paired),
+        bias_summaries=tuple(summaries),
+        one_sample_tests=tuple(one_sample),
+        paired_tests=tuple(paired),
     )
 
 
@@ -526,65 +412,136 @@ def to_json_text(value, indent: int = 0) -> str:
     return "".join(chunks)
 
 
-# What the JSON writer puts in a field of each kind: a test and its description.
-_KINDS = {
-    "text": (lambda v: isinstance(v, str), "a string"),
-    "count": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
-    "ids": (
-        lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v),
-        "a list of strings",
-    ),
-    "rows": (lambda v: isinstance(v, list), "a list"),
+# ---------------------------------------------------------------------------
+# The JSON wire format. A report part's fields, in order, are the keys of its
+# JSON object, and each field's type says what the writer puts there. Three
+# rules depart from that:
+# - An optional part, a test's result, is written in line: its fields are keys
+#   of the entry itself, all null when there is none.
+# - An optional text, a test's engine_b, is written and read only in the
+#   entries of a _PAIRED list, and each of those carries it.
+# - Fields marked _IN_CONFIG are written in one object under that key, and the
+#   methods a part names in _unread are written after its fields, not read.
+
+
+_IDS = tuple[str, ...]
+
+# What the JSON writer puts in a field of each leaf type: a test and its
+# description. json.loads makes no subclass of int, float, str or list.
+_LEAVES = {
+    str: (lambda v: type(v) is str, "a string"),
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float), "a number"),
+    Optional[float]: (lambda v: v is None or type(v) in (int, float), "a number or null"),
+    _IDS: (lambda v: type(v) is list and all(type(i) is str for i in v), "a list of strings"),
+    list: (lambda v: type(v) is list, "a list"),
 }
 
-# The kind of JSON value the writer gives a field of each annotated type.
-_ANNOTATED = {
-    str: "text",
-    int: "count",
-    float: "number",
-    Optional[float]: "number?",
-    tuple[str, ...]: "ids",
-}
 
-
-def _leaf(data: dict, key: str, kind: str):
-    """data[key] if it holds what the writer puts there, else TypeError naming
-    the field. kind is a key of _KINDS; a trailing "?" also takes null. Ids
-    come back as a tuple."""
-    value = data[key]
-    nullable = kind.endswith("?")
-    if value is None and nullable:
-        return None
-    check, what = _KINDS[kind.rstrip("?")]
+def _leaf(data: dict, key: str, hint):
+    """data[key], popped, if it holds what the writer puts in a field of type
+    hint, else TypeError naming the field. Ids come back as a tuple."""
+    value = data.pop(key)
+    check, what = _LEAVES[hint]
     if not check(value):
-        raise TypeError(f"field {key!r} must be {what}{' or null' if nullable else ''}")
-    return tuple(value) if kind == "ids" else value
+        raise TypeError(f"field {key!r} must be {what}")
+    return tuple(value) if hint == _IDS else value
+
+
+class _Slot(NamedTuple):
+    """One key of a part's JSON object."""
+
+    key: str
+    kind: str  # "leaf", "part", "parts", "in_line", "group", "absent" or "unread"
+    hint: object = None  # the type of a leaf, or of the part that the slot holds
+    slots: tuple = ()  # the slots of that part, or of a group's fields
+    write: Optional[Callable] = None  # writes that part
 
 
 @functools.cache
-def _field_kinds(cls) -> dict[str, str]:
-    """Each field of cls, and the kind of JSON value the writer gives it."""
-    return {name: _ANNOTATED[hint] for name, hint in typing.get_type_hints(cls).items()}
+def _schema(cls, paired: bool = False) -> tuple[_Slot, ...]:
+    """The slots of cls's JSON object; paired when cls is read as a paired test."""
+    metadata = {f.name: f.metadata for f in fields(cls)} if is_dataclass(cls) else {}
+    hints = typing.get_type_hints(cls)
+
+    def slot(name: str) -> _Slot:
+        hint = hints[name]
+        if hint == Optional[str]:
+            return _Slot(name, "leaf", str) if paired else _Slot(name, "absent")
+        if hint in _LEAVES:
+            return _Slot(name, "leaf", hint)
+        args = typing.get_args(hint)
+        part = args[0] if args else hint
+        inner = _schema(part, metadata.get(name, {}) == _PAIRED)
+        kind = "parts" if typing.get_origin(hint) is tuple else "in_line" if args else "part"
+        return _Slot(name, kind, part, inner, _writer(part, inner))
+
+    slots = []
+    for group, names in groupby(hints, key=lambda name: metadata.get(name, {}).get("in")):
+        inner = tuple(map(slot, names))
+        slots += [_Slot(group, "group", slots=inner)] if group else inner
+    slots += [_Slot(name, "unread") for name in getattr(cls, "_unread", ())]
+    return tuple(slots)
 
 
-def _known(data: dict, keys) -> dict:
-    """data, if it is an object that holds no key outside keys, else TypeError."""
+def _writer(cls, slots: tuple[_Slot, ...]) -> Callable:
+    """What writes a cls as its JSON object. A part whose fields are all
+    leaves is its own instance dict (a NamedTuple's _asdict()): no Python
+    call per field."""
+    if any(s.kind != "leaf" for s in slots):
+        return functools.partial(_write, slots=slots)
+    return cls._asdict if hasattr(cls, "_asdict") else vars
+
+
+def _write(part, slots: tuple[_Slot, ...]) -> dict:
+    """part's JSON object, as _read reads it back."""
+    out = {}
+    for key, kind, _, inner, write in slots:
+        if kind == "group":
+            out[key] = _write(part, inner)
+        elif kind == "unread":
+            out[key] = list(getattr(part, key)())
+        elif kind != "absent":
+            value = getattr(part, key)
+            if kind == "leaf":
+                out[key] = value
+            elif kind == "parts":
+                out[key] = list(map(write, value))
+            elif kind == "part":
+                out[key] = write(value)
+            else:  # in line
+                out.update(dict.fromkeys(s.key for s in inner) if value is None else write(value))
+    return out
+
+
+def _read(data, slots: tuple[_Slot, ...]) -> list:
+    """The field values that a part's JSON object holds, in field order, each
+    checked as its slot says. Each key is popped as it is read, so a key left
+    over is one the writer does not write: TypeError."""
     if not isinstance(data, dict):
         raise TypeError(f"expected an object, not {type(data).__name__}")
-    unknown = [key for key in data if key not in keys]
-    if unknown:
-        raise TypeError(f"unexpected field {unknown[0]!r}")
-    return data
-
-
-def _fields(cls, data: dict, exact: bool = True) -> dict:
-    """cls's fields read from the same keys of data, each checked by _leaf as
-    its annotation says. With exact, data holds no other key."""
-    kinds = _field_kinds(cls)
-    if exact:
-        _known(data, kinds)
-    return {name: _leaf(data, name, kind) for name, kind in kinds.items()}
+    values = []
+    for key, kind, hint, inner, _ in slots:
+        if kind == "group":
+            values += _read(data.pop(key), inner)
+        elif kind == "unread":
+            data.pop(key, None)
+        elif kind == "absent":
+            values.append(None)
+        elif kind == "part":
+            values.append(hint(*_read(data.pop(key), inner)))
+        elif kind == "parts":
+            values.append(tuple(hint(*_read(row, inner)) for row in _leaf(data, key, list)))
+        elif kind == "in_line":
+            # The writer gives every field a value, or nulls them all.
+            own = {s.key: data.pop(s.key) for s in inner}
+            filled = any(value is not None for value in own.values())
+            values.append(hint(*_read(own, inner)) if filled else None)
+        else:
+            values.append(_leaf(data, key, hint))
+    if data:
+        raise TypeError(f"unexpected field {next(iter(data))!r}")
+    return values
 
 
 def _no_constant(name: str):
@@ -601,10 +558,10 @@ def report_from_json(text: str) -> Report:
     try:
         data = json.loads(text, parse_constant=_no_constant)
         if "bias_summaries" in data:
-            return ComparisonReport.from_dict(data)
-        if "scores" in data:
-            return BaselineReport.from_dict(data)
-        return DatasetReport.from_dict(data)
+            cls = ComparisonReport
+        else:
+            cls = BaselineReport if "scores" in data else DatasetReport
+        return cls(*_read(data, _schema(cls)))
     except (LookupError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"not a serpbias report: {type(exc).__name__}: {exc}") from None
 
@@ -695,7 +652,7 @@ def render_report(rep: Report, fmt: str = "json") -> str:
     """Serialize any report; identical reports render to identical bytes."""
     check_choice("output format", fmt, REPORT_FORMATS)
     if fmt == "json":
-        return to_json_text(rep.to_dict()) + "\n"
+        return to_json_text(_write(rep, _schema(type(rep)))) + "\n"
     if fmt == "tsv":
         return tsv_text(*rep.tsv())
     title, blocks = rep.markdown()

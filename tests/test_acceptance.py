@@ -314,9 +314,9 @@ def test_criterion_09_desk_scale_protocol():
     rng = random.Random(20260811)
     planted = planted_dataset(rng)
     rep = evaluate(planted, measures=("precision",))
-    mb = rep.summaries[0].mb
-    entry = rep.one_sample[0]
-    betas = [rec.beta for rec in rep.summaries[0].per_query]
+    mb = rep.bias_summaries[0].mb
+    entry = rep.one_sample_tests[0]
+    betas = [rec.beta for rec in rep.bias_summaries[0].per_query]
     assert len(set(betas)) > 1  # jitter gives nonzero variance
     assert mb == pytest.approx(0.2, abs=0.05)
     assert entry.status == "ok"
@@ -326,7 +326,7 @@ def test_criterion_09_desk_scale_protocol():
     for _ in range(1000):
         control = zero_bias_dataset(rng)
         control_rep = evaluate(control, measures=("precision",))
-        control_entry = control_rep.one_sample[0]
+        control_entry = control_rep.one_sample_tests[0]
         assert control_entry.status == "ok"
         if control_entry.result.p_value < 0.05:
             rejections += 1

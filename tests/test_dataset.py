@@ -27,7 +27,7 @@ def parse(text):
 def test_single_record():
     ds = parse(jsonl([record("engine-a", "q01", ["pro", "against", "neutral"])]))
     assert ds.engine_ids() == ["engine-a"]
-    assert ds.query_ids() == ["q01"]
+    assert list(ds.query_table) == ["q01"]
     run = ds.runs[0]
     assert [d.stance for d in run.lists["q01"].docs] == [
         StanceLabel.PRO,
@@ -45,7 +45,7 @@ def test_empty_input():
 def test_blank_lines_skipped():
     text = "\n" + jsonl([record("e", "q01", ["pro"])]) + "\n\n"
     ds = parse(text)
-    assert ds.query_ids() == ["q01"]
+    assert list(ds.query_table) == ["q01"]
 
 
 def test_malformed_json_names_line():
@@ -134,7 +134,7 @@ def test_two_engines_shared_queries():
     ]
     ds = parse(jsonl(recs))
     assert ds.engine_ids() == ["engine-a", "engine-b"]
-    assert ds.query_ids() == ["q01", "q02"]
+    assert list(ds.query_table) == ["q01", "q02"]
     assert ds.document_count() == 4
 
 
@@ -219,3 +219,14 @@ def test_hand_built_dataset_names_what_is_wrong():
         "conservative$",
     ):
         Dataset(runs=(EngineRun("a", lists),), query_table=table)
+    # Ids are text, so they sort, and render and read back as strings.
+    ranked = {q: RankedList("a", q, LeaningLabel.LIBERAL) for q in ("q1", "q2")}
+    with pytest.raises(InputError, match="^query_id must be a string, got int 1$"):
+        EngineRun("a", {"q1": ranked["q1"], 1: ranked["q2"]})
+    with pytest.raises(InputError, match="^query_id must be a string, got int 1$"):
+        hand_built([1, 2], [("a", [1, 2])])
+    mixed = {"q1": ("topic q1", LeaningLabel.LIBERAL), 1: ("topic 1", LeaningLabel.LIBERAL)}
+    with pytest.raises(InputError, match="^query_id must be a string, got int 1$"):
+        Dataset(runs=(), query_table=mixed)
+    with pytest.raises(InputError, match="^engine_id must be a string, got NoneType None$"):
+        Dataset(runs=(EngineRun(None, {}),), query_table={})

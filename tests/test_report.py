@@ -1,15 +1,18 @@
 """Evaluation protocol assembly and report rendering."""
 
 import enum
+import functools
 import io
 import json
 import math
 import random
+import typing
+from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import jsonl, record
@@ -18,6 +21,8 @@ from serpbias import (
     BaselineConfig,
     BaselineReport,
     BaselineScore,
+    BiasRecord,
+    BiasSummary,
     ComparisonReport,
     ConfigError,
     Dataset,
@@ -27,6 +32,7 @@ from serpbias import (
     MeasureConfig,
     ReportConfig,
     StanceLabel,
+    TTestResult,
     baseline_score,
     evaluate,
     load_dataset,
@@ -34,6 +40,8 @@ from serpbias import (
     render_report,
     report_from_json,
 )
+# Imported under another name, so that pytest does not take it for a test class.
+from serpbias import TestEntry as Entry
 from serpbias.report import (
     _MD_ESCAPES, _cell, _float_text, markdown_table, resolve_measures, to_json_text, tsv_text,
 )
@@ -65,8 +73,8 @@ def test_identical_engines_yield_zero_paired_t():
         recs.append(record("engine-a", qid, stances))
         recs.append(record("engine-b", qid, stances))
     rep = evaluate(dataset_from(recs))
-    assert rep.paired
-    for entry in rep.paired:
+    assert rep.paired_tests
+    for entry in rep.paired_tests:
         assert entry.status == "ok"
         assert entry.result.t_stat == 0.0
         assert entry.result.p_value == 1.0
@@ -79,7 +87,7 @@ def test_all_neutral_dataset_is_flat_zero():
         for qid in ("q1", "q2")
     ]
     rep = evaluate(dataset_from(recs))
-    for summary in rep.summaries:
+    for summary in rep.bias_summaries:
         assert summary.mb == 0.0
         assert summary.mab == 0.0
 
@@ -95,10 +103,10 @@ def test_constant_planted_bias_hits_degenerate_path():
         rng.shuffle(stances)
         recs.append(record("engine-a", f"q{k:02d}", stances))
     rep = evaluate(dataset_from(recs), measures=("precision",))
-    summary = rep.summaries[0]
+    summary = rep.bias_summaries[0]
     assert summary.mb == pytest.approx(0.2, abs=1e-15)
     assert summary.mab == pytest.approx(0.2, abs=1e-15)
-    entry = rep.one_sample[0]
+    entry = rep.one_sample_tests[0]
     assert entry.status == "degenerate_certain"
     assert entry.result is None
     assert "no variance" in entry.detail
@@ -108,7 +116,7 @@ def test_single_query_skips_statistics():
     recs = [record("engine-a", "q1", ["pro"] * 10)]
     rep = evaluate(dataset_from(recs))
     assert rep.warnings == ("fewer than 2 queries: statistical tests skipped",)
-    for entry in rep.one_sample:
+    for entry in rep.one_sample_tests:
         assert entry.status == "skipped"
         assert entry.result is None
 
@@ -122,7 +130,7 @@ def test_ideology_mode_signs():
         record("engine-a", "q3", ["pro"] * 10, leaning="both_or_neither"),
     ]
     rep = evaluate(dataset_from(recs), mode="ideology", measures=("precision",))
-    betas = {rec.query_id: rec.beta for rec in rep.summaries[0].per_query}
+    betas = {rec.query_id: rec.beta for rec in rep.bias_summaries[0].per_query}
     assert betas["q1"] == 1.0
     assert betas["q2"] == -1.0
     assert betas["q3"] == 0.0
@@ -134,7 +142,7 @@ def test_stance_mode_ignores_leaning():
         record("engine-a", "q2", ["pro"] * 10, leaning="both_or_neither"),
     ]
     rep = evaluate(dataset_from(recs), measures=("precision",))
-    assert all(rec.beta == 1.0 for rec in rep.summaries[0].per_query)
+    assert all(rec.beta == 1.0 for rec in rep.bias_summaries[0].per_query)
 
 
 def test_json_round_trip_preserves_everything():
@@ -173,16 +181,30 @@ def test_every_golden_json_reads_back_and_renders_every_golden_format():
 VALIDATE_JSON = (GOLDEN / "validate.json.out").read_text(encoding="utf-8")
 
 
-def edited(name, *path_and_value):
-    """The golden JSON output `name` with the field at path set to value,
-    which adds the field where there is none."""
-    *path, last, value = path_and_value
-    data = json.loads((GOLDEN / f"{name}.json.out").read_text(encoding="utf-8"))
+# Stands in for the value of a field that with_field removes.
+DROP = object()
+
+
+def with_field(data, path, value):
+    """The JSON text of data, a parsed JSON value, with the field at path set
+    to value, which adds the field where there is none, or removed if value
+    is DROP."""
+    *path, last = path
     target = data
     for key in path:
         target = target[key]
-    target[last] = value
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
     return json.dumps(data)
+
+
+def edited(name, *path_and_value):
+    """The golden JSON output `name` with the field at path set to value, as with_field does."""
+    *path, value = path_and_value
+    data = json.loads((GOLDEN / f"{name}.json.out").read_text(encoding="utf-8"))
+    return with_field(data, path, value)
 
 
 @pytest.mark.parametrize(
@@ -222,6 +244,11 @@ def edited(name, *path_and_value):
         (edited("evaluate-stance", "bias_summaries", 0, "mb", math.nan), "NaN"),
         (edited("baselines-rnd", "scores", 0, "score", math.inf), "Infinity"),
         (edited("evaluate-stance", "one_sample_tests", 0, "t_stat", -math.inf), "-Infinity"),
+        # The baselines settings belong in config only, and a paired test names engine_b.
+        (edited("baselines-rnd", "baseline", "rnd"), "'baseline'"),
+        (edited("baselines-rnd", "step", 10), "'step'"),
+        (edited("baselines-rnd", "g1", "pro"), "'g1'"),
+        (edited("evaluate-stance", "paired_tests", 0, "engine_b", DROP), "'engine_b'"),
     ],
     ids=[
         "list", "empty-object", "no-config", "not-json", "deep-nesting", "extra-key",
@@ -234,6 +261,8 @@ def edited(name, *path_and_value):
         "baselines-extra-key", "baselines-config-extra-key", "baselines-score-extra-key",
         "evaluate-beta-not-object", "evaluate-nan-mb", "baselines-infinite-score",
         "evaluate-negative-infinite-t",
+        "baselines-top-level-baseline", "baselines-top-level-step", "baselines-top-level-g1",
+        "evaluate-paired-without-engine-b",
     ],
 )
 def test_report_from_json_rejects_what_is_not_a_report(text, field):
@@ -297,7 +326,7 @@ def test_engine_input_order_is_irrelevant():
     )
     for ds in (dataset_from(list(reversed(recs))), backward):
         assert [run.engine_id for run in ds.runs] == ["engine-a", "engine-b", "engine-c"]
-        assert ds.query_ids() == ["q1", "q2", "q3"]
+        assert list(ds.query_table) == ["q1", "q2", "q3"]
         for run in ds.runs:
             assert list(run.lists) == ["q1", "q2", "q3"]
         builds = (
@@ -324,7 +353,7 @@ def test_report_orderings_are_sorted():
     rep = evaluate(two_engine_dataset())
     assert list(rep.engines) == sorted(rep.engines)
     assert list(rep.config.measures) == sorted(rep.config.measures)
-    for summary in rep.summaries:
+    for summary in rep.bias_summaries:
         qids = [rec.query_id for rec in summary.per_query]
         assert qids == sorted(qids)
 
@@ -336,9 +365,9 @@ def test_empty_report_renders_in_every_format():
         engines=(),
         n_queries=0,
         warnings=(),
-        summaries=(),
-        one_sample=(),
-        paired=(),
+        bias_summaries=(),
+        one_sample_tests=(),
+        paired_tests=(),
     )
     as_json = render_report(empty, "json")
     assert json.loads(as_json)["engines"] == []
@@ -374,11 +403,11 @@ def test_unknown_render_format():
 
 def test_report_references_each_pair_once():
     rep = evaluate(two_engine_dataset())
-    one_sample_keys = [(e.engine, e.measure_kind) for e in rep.one_sample]
+    one_sample_keys = [(e.engine, e.measure) for e in rep.one_sample_tests]
     assert len(one_sample_keys) == len(set(one_sample_keys)) == 6
-    paired_keys = [(e.engine, e.engine_b, e.measure_kind) for e in rep.paired]
+    paired_keys = [(e.engine, e.engine_b, e.measure) for e in rep.paired_tests]
     assert len(paired_keys) == len(set(paired_keys)) == 3
-    summary_keys = [(s.engine_id, s.measure_kind) for s in rep.summaries]
+    summary_keys = [(s.engine, s.measure) for s in rep.bias_summaries]
     assert len(summary_keys) == len(set(summary_keys)) == 6
 
 
@@ -516,3 +545,335 @@ def test_table_writers_match_the_per_cell_writers(rows):
     header = ("a", "b")
     same_outcome(tsv_text, reference_tsv, header, rows)
     same_outcome(markdown_table, reference_markdown_table, header, rows)
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer and reader that the report types derive from their fields,
+# against the hand-written per-type ones they replaced, kept here as references.
+
+REF_RESULT_FIELDS = tuple(f.name for f in fields(TTestResult))
+REF_ONE_SAMPLE_KEYS = ("engine", "measure", "status", "detail", *REF_RESULT_FIELDS)
+REF_PAIRED_KEYS = ("engine_b", *REF_ONE_SAMPLE_KEYS)
+REF_KINDS = {
+    "text": (lambda v: isinstance(v, str), "a string"),
+    "count": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "ids": (
+        lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v),
+        "a list of strings",
+    ),
+    "rows": (lambda v: isinstance(v, list), "a list"),
+}
+REF_ANNOTATED = {
+    str: "text",
+    int: "count",
+    float: "number",
+    Optional[float]: "number?",
+    tuple[str, ...]: "ids",
+}
+
+
+def ref_result_values(entry):
+    return [getattr(entry.result, name) if entry.result else None for name in REF_RESULT_FIELDS]
+
+
+def ref_test_dict(entry):
+    out = {"engine": entry.engine}
+    if entry.engine_b is not None:
+        out["engine_b"] = entry.engine_b
+    out.update(measure=entry.measure, status=entry.status, detail=entry.detail)
+    out.update(zip(REF_RESULT_FIELDS, ref_result_values(entry)))
+    return out
+
+
+def reference_to_dict(rep):
+    """The hand-written to_dict of each report type."""
+    if isinstance(rep, ComparisonReport):
+        return {
+            "mode": rep.mode,
+            "config": {**asdict(rep.config), "measures": list(rep.config.measures)},
+            "engines": list(rep.engines),
+            "n_queries": rep.n_queries,
+            "warnings": list(rep.warnings),
+            "bias_summaries": [
+                {
+                    "engine": s.engine,
+                    "measure": s.measure,
+                    "mb": s.mb,
+                    "mab": s.mab,
+                    "per_query": [
+                        {"query_id": rec.query_id, "beta": rec.beta} for rec in s.per_query
+                    ],
+                }
+                for s in rep.bias_summaries
+            ],
+            "one_sample_tests": [ref_test_dict(e) for e in rep.one_sample_tests],
+            "paired_tests": [ref_test_dict(e) for e in rep.paired_tests],
+        }
+    if isinstance(rep, BaselineReport):
+        return {
+            "mode": rep.mode,
+            "config": {"baseline": rep.baseline, "step": rep.step, "g1": rep.g1},
+            "engines": list(rep.engines),
+            "scores": [row._asdict() for row in rep.scores],
+            "summary": list(rep.summary()),
+        }
+    return asdict(rep)
+
+
+def ref_leaf(data, key, kind):
+    value = data[key]
+    nullable = kind.endswith("?")
+    if value is None and nullable:
+        return None
+    check, what = REF_KINDS[kind.rstrip("?")]
+    if not check(value):
+        raise TypeError(f"field {key!r} must be {what}{' or null' if nullable else ''}")
+    return tuple(value) if kind == "ids" else value
+
+
+def ref_known(data, keys):
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, not {type(data).__name__}")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise TypeError(f"unexpected field {unknown[0]!r}")
+    return data
+
+
+@functools.cache
+def ref_field_kinds(cls):
+    return {name: REF_ANNOTATED[hint] for name, hint in typing.get_type_hints(cls).items()}
+
+
+def ref_fields(cls, data, exact=True):
+    kinds = ref_field_kinds(cls)
+    if exact:
+        ref_known(data, kinds)
+    return {name: ref_leaf(data, name, kind) for name, kind in kinds.items()}
+
+
+def ref_bias_summary(data):
+    ref_known(data, ("engine", "measure", "mb", "mab", "per_query"))
+    measure = ref_leaf(data, "measure", "text")
+    rows = ref_leaf(data, "per_query", "rows")
+    per_query = tuple(BiasRecord(**ref_fields(BiasRecord, row)) for row in rows)
+    mb, mab = ref_leaf(data, "mb", "number"), ref_leaf(data, "mab", "number")
+    return BiasSummary(ref_leaf(data, "engine", "text"), measure, mb, mab, per_query)
+
+
+def ref_test_entry(data, paired):
+    ref_known(data, REF_PAIRED_KEYS if paired else REF_ONE_SAMPLE_KEYS)
+    result = None
+    if any(data[name] is not None for name in REF_RESULT_FIELDS):
+        result = TTestResult(**ref_fields(TTestResult, data, exact=False))
+    return Entry(
+        engine=ref_leaf(data, "engine", "text"),
+        engine_b=ref_leaf(data, "engine_b", "text") if paired else None,
+        measure=ref_leaf(data, "measure", "text"),
+        status=ref_leaf(data, "status", "text"),
+        detail=ref_leaf(data, "detail", "text"),
+        result=result,
+    )
+
+
+def ref_comparison(data):
+    ref_known(
+        data,
+        (
+            "mode", "config", "engines", "n_queries", "warnings", "bias_summaries",
+            "one_sample_tests", "paired_tests",
+        ),
+    )
+    return ComparisonReport(
+        ref_leaf(data, "mode", "text"),
+        ReportConfig(**ref_fields(ReportConfig, data["config"])),
+        ref_leaf(data, "engines", "ids"),
+        ref_leaf(data, "n_queries", "count"),
+        ref_leaf(data, "warnings", "ids"),
+        tuple(map(ref_bias_summary, ref_leaf(data, "bias_summaries", "rows"))),
+        tuple(ref_test_entry(row, False) for row in ref_leaf(data, "one_sample_tests", "rows")),
+        tuple(ref_test_entry(row, True) for row in ref_leaf(data, "paired_tests", "rows")),
+    )
+
+
+def ref_baselines(data):
+    ref_known(data, ("mode", "config", "engines", "scores", "summary"))
+    cfg = ref_known(data["config"], ("baseline", "step", "g1"))
+    rows = ref_leaf(data, "scores", "rows")
+    scores = tuple(BaselineScore(**ref_fields(BaselineScore, row)) for row in rows)
+    return BaselineReport(
+        ref_leaf(data, "mode", "text"),
+        ref_leaf(cfg, "baseline", "text"),
+        ref_leaf(cfg, "step", "count"),
+        ref_leaf(cfg, "g1", "text"),
+        ref_leaf(data, "engines", "ids"),
+        scores,
+    )
+
+
+def ref_no_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def reference_from_json(text):
+    """The hand-written from_dict of each report type, behind the same dispatch."""
+    try:
+        data = json.loads(text, parse_constant=ref_no_constant)
+        if "bias_summaries" in data:
+            return ref_comparison(data)
+        if "scores" in data:
+            return ref_baselines(data)
+        return DatasetReport(**ref_fields(DatasetReport, data))
+    except (LookupError, TypeError, ValueError, RecursionError) as exc:
+        raise InputError(f"not a serpbias report: {type(exc).__name__}: {exc}") from None
+
+
+# Ids holding what the JSON, TSV and markdown writers each escape, and non-ASCII text.
+id_text = st.sampled_from(["q1", "a,b", "t\tu", "p|q", "n\nl", "é€😀", ""]) | odd_text
+finite = st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 5e-324, 1e-7, 0.1])
+counts = st.integers(0, 10**6)
+records = st.builds(BiasRecord, id_text, finite)
+
+
+def few(strategy):
+    return st.lists(strategy, max_size=2).map(tuple)
+
+
+def entries(paired):
+    """ok entries with a result, reject_at null or set; degenerate and skipped ones without."""
+    engine_b = id_text if paired else st.none()
+    results = st.builds(TTestResult, finite, counts, finite, finite, finite, st.none() | finite)
+    done = st.builds(Entry, id_text, engine_b, id_text, st.just("ok"), st.just(""), results)
+    statuses = st.sampled_from(["degenerate_certain", "skipped"])
+    return done | st.builds(Entry, id_text, engine_b, id_text, statuses, id_text)
+
+
+reports = st.one_of(
+    st.builds(
+        ComparisonReport,
+        id_text,
+        st.builds(ReportConfig, counts, finite, finite, finite, few(id_text)),
+        few(id_text),
+        counts,
+        few(id_text),
+        few(st.builds(BiasSummary, id_text, id_text, finite, finite, few(records))),
+        few(entries(paired=False)),
+        few(entries(paired=True)),
+    ),
+    st.builds(DatasetReport, few(id_text), counts, counts, counts),
+    st.builds(
+        BaselineReport,
+        id_text,
+        id_text,
+        counts,
+        id_text,
+        few(id_text),
+        few(st.builds(BaselineScore, id_text, id_text, id_text, st.none() | finite, id_text)),
+    ),
+)
+
+
+def json_paths(value, path=()):
+    """The path to every value inside a parsed JSON value, each before those inside it."""
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield path + (key,), child
+            yield from json_paths(child, path + (key,))
+
+
+WRONG_TYPES = (None, True, 7, 0.5, "x", [], {})
+
+
+def mutations(text):
+    """Each single-key change to a JSON text, as a path and a value for
+    with_field: drop a key; give a value one of another JSON type; or add to
+    an object, at any level, a key it lacks: "unknown", or one that another
+    object holds, with that object's value."""
+    data = json.loads(text)
+    objects = [((), data)] + [(path, v) for path, v in json_paths(data) if isinstance(v, dict)]
+    elsewhere = {"unknown": 1}
+    for _, obj in objects:
+        elsewhere = {**obj, **elsewhere}
+    for path, obj in objects:
+        yield from ((path + (key,), value) for key, value in elsewhere.items() if key not in obj)
+    for path, value in json_paths(data):
+        if isinstance(path[-1], str):
+            yield path, DROP
+        for wrong in WRONG_TYPES:
+            if type(wrong) is not type(value):
+                yield path, wrong
+
+
+def read_outcome(read, text):
+    """read(text), or InputError when it raises one."""
+    try:
+        return read(text)
+    except InputError:
+        return InputError
+
+
+ONE_SAMPLE = (
+    Entry("a,b", None, "rbp", "ok", "", TTestResult(1.5, 3, 0.25, 0.1, 0.05, None)),
+    Entry("é", None, "dcg", "ok", "", TTestResult(-2.0, 9, 0.01, -0.3, 0.1, 0.05)),
+    Entry("a", None, "precision", "degenerate_certain", "no variance"),
+    Entry("t\tu", None, "rbp", "skipped", "fewer than 2 queries"),
+)
+# Reports that hold every wire rule: in-line results and all-null ones,
+# engine_b in paired tests only, the baselines config and summary, empty lists.
+WIRE_CASES = (
+    ComparisonReport(
+        "stance",
+        ReportConfig(10, 0.8, 2.0, 0.05, ("dcg", "rbp")),
+        ("a,b", "p|q"),
+        2,
+        ("n\nl",),
+        (BiasSummary("a,b", "rbp", 0.5, 0.5, (BiasRecord("q1", 0.5), BiasRecord("q|2", -0.0))),),
+        ONE_SAMPLE,
+        tuple(replace(e, engine_b="p|q") for e in ONE_SAMPLE),
+    ),
+    ComparisonReport("ideology", ReportConfig(1, 0.5, 10.0, 0.01, ()), (), 0, (), (), (), ()),
+    BaselineReport(
+        "stance",
+        "rrd",
+        2,
+        "pro",
+        ("a", "b"),
+        (
+            BaselineScore("a", "q1", "ok", 0.25),
+            BaselineScore("b", "q\t1", "undefined", None, "no g1 document"),
+        ),
+    ),
+    BaselineReport("ideology", "rnd", 1, "conservative", (), ()),
+    DatasetReport(("a", "é"), 3, 6, 60),
+    DatasetReport((), 0, 0, 0),
+)
+
+
+def same_json_as_the_reference(rep):
+    """rep renders to the reference's bytes and both readers read it back."""
+    text = render_report(rep, "json")
+    assert text == to_json_text(reference_to_dict(rep)) + "\n"
+    assert report_from_json(text) == reference_from_json(text) == rep
+    return text
+
+
+def same_reading(changed):
+    expected = read_outcome(reference_from_json, changed)
+    assert read_outcome(report_from_json, changed) == expected
+
+
+@pytest.mark.parametrize("rep", WIRE_CASES, ids=lambda rep: type(rep).__name__)
+def test_json_reader_takes_every_mutation_as_the_reference_does(rep):
+    text = same_json_as_the_reference(rep)
+    for path, value in mutations(text):
+        same_reading(with_field(json.loads(text), path, value))
+
+
+@settings(deadline=None)
+@given(rep=reports, data=st.data())
+def test_json_wire_format_matches_the_hand_written_writer_and_reader(rep, data):
+    text = same_json_as_the_reference(rep)
+    changes = data.draw(st.lists(st.sampled_from(list(mutations(text))), max_size=8))
+    for path, value in changes:
+        same_reading(with_field(json.loads(text), path, value))
