@@ -11,12 +11,15 @@ are complementary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import compress
+from math import fsum
+from operator import attrgetter, mul, truediv
 
 from .errors import InputError, check_choice
+# precision_at, rbp and dcg_at stay names here: perfbench/trace.py times them.
 from .measures import MEASURE_KINDS, MeasureConfig, dcg_at, discounts, precision_at, rbp
-from .model import SIDES, EngineRun, RankedList, StanceLabel
+from .model import NEGATIVE_MASK, POSITIVE_MASK, EngineRun, RankedList
 
 
 @dataclass(frozen=True)
@@ -38,29 +41,42 @@ class BiasSummary:
     per_query: tuple[BiasRecord, ...]
 
 
+def _form(kind: str, cfg: MeasureConfig):
+    """(discount parameter, cutoff, scale, factor): utility = scale(discounted hits, factor)."""
+    if kind == "precision":
+        return None, cfg.cutoff, truediv, cfg.cutoff
+    if kind == "rbp":
+        return cfg.persistence, None, mul, 1.0 - cfg.persistence
+    return cfg.log_base, cfg.cutoff, mul, 1.0
+
+
+def _betas(lists, cfg: MeasureConfig) -> list[float]:
+    """The slant of each RankedList in lists, with one discount table per length."""
+    parameter, cutoff, scale, factor = _form(cfg.measure_kind, cfg)
+    cache, betas = {}, []
+    for codes in map(attrgetter("codes"), lists):
+        weights = cache.get(len(codes))
+        if weights is None:
+            weights = cache[len(codes)] = discounts(cfg.measure_kind, parameter, cutoff, len(codes))
+        positive = fsum(compress(weights, codes.translate(POSITIVE_MASK)))
+        negative = fsum(compress(weights, codes.translate(NEGATIVE_MASK)))
+        betas.append(scale(positive, factor) - scale(negative, factor))
+    return betas
+
+
 def bias(r: RankedList, cfg: MeasureConfig) -> float:
     """Positive-side utility minus negative-side utility under cfg.measure_kind.
 
     The sides are pro/against, or conservative/liberal when the documents
-    carry ideology labels (a list holds one label type). Empty lists take
-    the stance pair; their slant is 0 either way. Each side's utility is
-    computed on its own and only then subtracted.
+    carry ideology labels. Each side's utility is computed on its own and
+    only then subtracted; an empty list scores 0.
     """
-    positive, negative = SIDES[r.label_type or StanceLabel]
-    if cfg.measure_kind == "precision":
-        return precision_at(r, positive, cfg.cutoff) - precision_at(r, negative, cfg.cutoff)
-    if cfg.measure_kind == "rbp":
-        return rbp(r, positive, cfg.persistence) - rbp(r, negative, cfg.persistence)
-    return dcg_at(r, positive, cfg.cutoff, cfg.log_base) - dcg_at(
-        r, negative, cfg.cutoff, cfg.log_base
-    )
+    return _betas((r,), cfg)[0]
 
 
 def per_query_bias(run: EngineRun, cfg: MeasureConfig) -> list[BiasRecord]:
     """Slant of every list in the run, in the run's query-id order."""
-    if not run.lists:
-        raise InputError(f"engine {run.engine_id!r} has an empty query set")
-    return [BiasRecord(query_id, bias(ranked, cfg)) for query_id, ranked in run.lists.items()]
+    return list(summarize_run(run, cfg).per_query)
 
 
 def mean_bias(run: EngineRun, cfg: MeasureConfig) -> float:
@@ -76,15 +92,12 @@ def mean_abs_bias(run: EngineRun, cfg: MeasureConfig) -> float:
 
 def summarize_run(run: EngineRun, cfg: MeasureConfig) -> BiasSummary:
     """Per-query slants plus both aggregates for one engine under one measure."""
-    records = per_query_bias(run, cfg)
-    n = len(records)
-    return BiasSummary(
-        engine=run.engine_id,
-        measure=cfg.measure_kind,
-        mb=math.fsum(rec.beta for rec in records) / n,
-        mab=math.fsum(abs(rec.beta) for rec in records) / n,
-        per_query=tuple(records),
-    )
+    if not run.lists:
+        raise InputError(f"engine {run.engine_id!r} has an empty query set")
+    betas = _betas(run.lists.values(), cfg)
+    mb, mab = fsum(betas) / len(betas), fsum(map(abs, betas)) / len(betas)
+    per_query = tuple(map(BiasRecord, run.lists, betas))
+    return BiasSummary(run.engine_id, cfg.measure_kind, mb, mab, per_query)
 
 
 def beta_max(measure_kind: str, cfg: MeasureConfig, list_len: int) -> float:
@@ -99,7 +112,5 @@ def beta_max(measure_kind: str, cfg: MeasureConfig, list_len: int) -> float:
         raise InputError(f"list length must be >= 0, got {list_len}")
     if measure_kind == "precision":
         return 1.0
-    if measure_kind == "rbp":
-        p = cfg.persistence
-        return (1.0 - p) * math.fsum(discounts("rbp", p, None, list_len))
-    return math.fsum(discounts("dcg", cfg.log_base, cfg.cutoff, list_len))
+    parameter, cutoff, scale, factor = _form(measure_kind, cfg)
+    return scale(fsum(discounts(measure_kind, parameter, cutoff, list_len)), factor)

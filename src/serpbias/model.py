@@ -84,6 +84,11 @@ SIDES = {
 # rank carries that label and 0 elsewhere; anything else matches no rank.
 _MASKS = {label: bytes(int(c == code) for c in range(256)) for label, code in CODE.items()}
 _NO_MATCH = bytes(256)
+# The same for each side of SIDES, positive then negative: 1 where a rank carries
+# that side's label in either label space; a list holds one label type.
+POSITIVE_MASK, NEGATIVE_MASK = (
+    bytes(map(side.__contains__, LABELS)).ljust(256, b"\0") for side in zip(*SIDES.values())
+)
 
 
 def check_id(field: str, value) -> None:

@@ -230,7 +230,10 @@ class BaselineReport:
             by_engine.setdefault(row.engine, []).append(row.score)
         for engine, scores in by_engine.items():
             defined = [score for score in scores if score is not None]
-            mean = math.fsum(defined) / len(defined) if defined else None
+            try:
+                mean = math.fsum(defined) / len(defined) if defined else None
+            except OverflowError:  # the sum passes the float range; the mean does not
+                mean = math.fsum(score / len(defined) for score in defined)
             counts = {"defined": len(defined), "undefined": len(scores) - len(defined)}
             yield {"engine": engine, "mean_score": mean, **counts}
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError, ConvergenceError, DegenerateSampleError, InputError
@@ -36,18 +38,14 @@ class TTestResult:
     reject_at: Optional[float] = None
 
 
-def _nonzero(x: float) -> float:
-    # Lentz's clamp: keeps the continued fraction's ratios off zero.
-    return _TINY if abs(x) < _TINY else x
-
-
 def _betacf(a: float, b: float, x: float) -> float:
     # Modified Lentz evaluation of the incomplete beta continued fraction.
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
+    # Lentz's clamp, _TINY in place of a near-zero term, keeps the ratios off zero.
     c = 1.0
-    d = 1.0 / _nonzero(1.0 - qab * x / qap)
+    d = 1.0 / (_TINY if abs(d := 1.0 - qab * x / qap) < _TINY else d)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
@@ -56,8 +54,8 @@ def _betacf(a: float, b: float, x: float) -> float:
             m * (b - m) * x / ((qam + m2) * (a + m2)),
             -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
         ):
-            d = 1.0 / _nonzero(1.0 + coeff * d)
-            c = _nonzero(1.0 + coeff / c)
+            d = 1.0 / (_TINY if abs(d := 1.0 + coeff * d) < _TINY else d)
+            c = _TINY if abs(c := 1.0 + coeff / c) < _TINY else c
             delta = d * c
             h *= delta
         if abs(delta - 1.0) < _CF_EPS:
@@ -139,7 +137,7 @@ def one_sample_ttest(
     # Constancy is checked on the values themselves: the rounded mean of a
     # constant sample need not equal the constant, so a variance test alone
     # would let a zero-spread sample through with an absurd t statistic.
-    if all(v == vals[0] for v in vals):
+    if vals.count(vals[0]) == n:
         if vals[0] == mu0:
             return TTestResult(0.0, df, 1.0, vals[0], 0.0, None)
         raise DegenerateSampleError(
@@ -150,13 +148,13 @@ def one_sample_ttest(
     # 2**480 up is scaled by a power of two first, so its mean and squares stay
     # clear of subnormals and overflow, and unscaled at the end; both steps are
     # exact. Others keep their bits, as pow(x, 2) is not always correctly rounded.
-    _, exponent = math.frexp(max(abs(mu0), *map(abs, vals)))
+    _, exponent = math.frexp(max(abs(mu0), max(vals), -min(vals)))
     if -421 < exponent <= 480:
         exponent = 0
     else:
         vals = [math.ldexp(v, -exponent) for v in vals]
     mean = math.fsum(vals) / n
-    variance = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+    variance = math.fsum(map(pow, map(sub, vals, repeat(mean)), repeat(2))) / (n - 1)
     std_err = math.sqrt(variance / n)
     sample_mean, sample_err = math.ldexp(mean, exponent), math.ldexp(std_err, exponent)
     if sample_err == 0.0:
@@ -178,4 +176,4 @@ def paired_ttest(
     a, b = _finite(a), _finite(b)
     if len(a) != len(b):
         raise InputError(f"paired samples differ in length: {len(a)} vs {len(b)}")
-    return one_sample_ttest([x - y for x, y in zip(a, b)], 0.0, alpha)
+    return one_sample_ttest(list(map(sub, a, b)), 0.0, alpha)

@@ -5,20 +5,29 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import make_list, random_stances, run_of
 from serpbias import (
+    EngineRun,
     InputError,
+    LeaningLabel,
     MeasureConfig,
     StanceLabel,
     beta_max,
     bias,
+    dcg_at,
     mean_abs_bias,
     mean_bias,
     mirror,
+    per_query_bias,
+    precision_at,
+    rbp,
     summarize_run,
     transform_list,
 )
+from serpbias.model import SIDES
 
 P, N, A, X = (
     StanceLabel.PRO,
@@ -201,3 +210,65 @@ def test_summary_records_are_sorted_by_query():
     run = run_of("e", {"q3": [P], "q1": [A], "q2": [N]})
     summary = summarize_run(run, CFG_P)
     assert [rec.query_id for rec in summary.per_query] == ["q1", "q2", "q3"]
+
+
+def reference_bias(r, cfg):
+    """The per-list slant as two calls into the measures, one per side."""
+    positive, negative = SIDES[r.label_type or StanceLabel]
+    if cfg.measure_kind == "precision":
+        return precision_at(r, positive, cfg.cutoff) - precision_at(r, negative, cfg.cutoff)
+    if cfg.measure_kind == "rbp":
+        return rbp(r, positive, cfg.persistence) - rbp(r, negative, cfg.persistence)
+    return dcg_at(r, positive, cfg.cutoff, cfg.log_base) - dcg_at(
+        r, negative, cfg.cutoff, cfg.log_base
+    )
+
+
+# Lists in either label space (ideology ones relabeled through the list's
+# leaning), empty or shorter than the cutoff too.
+list_specs = st.tuples(
+    st.lists(st.sampled_from(StanceLabel), max_size=40),
+    st.sampled_from(LeaningLabel),
+    st.booleans(),
+)
+measure_configs = st.builds(
+    MeasureConfig,
+    cutoff=st.integers(1, 30),
+    persistence=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    log_base=st.floats(1.0, 1e3, exclude_min=True),
+    measure_kind=st.sampled_from(("precision", "rbp", "dcg")),
+)
+
+
+# Under P@10 neither the float sum of these slants nor that of their
+# magnitudes equals its fsum.
+MIXED_SPECS = [
+    ([P], LeaningLabel.CONSERVATIVE, False),
+    ([P, P], LeaningLabel.CONSERVATIVE, False),
+    ([P, P, P], LeaningLabel.CONSERVATIVE, False),
+    ([P, P, P, A, N] * 3, LeaningLabel.CONSERVATIVE, False),
+    ([A, P, X, P, P, P, A], LeaningLabel.LIBERAL, True),
+    ([P, P, A], LeaningLabel.BOTH_OR_NEITHER, True),
+    ([], LeaningLabel.CONSERVATIVE, False),
+    ([A] * 7, LeaningLabel.CONSERVATIVE, False),
+    ([A] * 7, LeaningLabel.LIBERAL, False),
+]
+
+
+@given(st.lists(list_specs, min_size=1, max_size=12), measure_configs)
+@example(MIXED_SPECS, CFG_P)
+@example(MIXED_SPECS, CFG_R)
+@example(MIXED_SPECS, CFG_D)
+def test_slants_and_aggregates_match_the_per_list_reference_bit_for_bit(specs, cfg):
+    lists = {}
+    for i, (stances, leaning, ideology) in enumerate(specs):
+        r = make_list(stances, engine="e", query=f"q{i:02d}", leaning=leaning)
+        lists[r.query_id] = transform_list(r) if ideology else r
+    run = EngineRun("e", lists)
+    expected = [reference_bias(r, cfg) for r in run.lists.values()]
+    summary = summarize_run(run, cfg)
+    assert [rec.beta.hex() for rec in summary.per_query] == [b.hex() for b in expected]
+    assert [bias(r, cfg).hex() for r in run.lists.values()] == [b.hex() for b in expected]
+    assert per_query_bias(run, cfg) == list(summary.per_query)
+    assert summary.mb.hex() == (math.fsum(expected) / len(expected)).hex()
+    assert summary.mab.hex() == (math.fsum(abs(b) for b in expected) / len(expected)).hex()

@@ -286,6 +286,19 @@ def test_baseline_summary_means_the_defined_scores():
     assert report_from_json(render_report(rep)) == rep
 
 
+def test_baseline_summary_means_scores_whose_sum_passes_the_float_range():
+    rows = (BaselineScore("a", "q1", "ok", 1e308), BaselineScore("a", "q2", "ok", 1e308))
+    rep = BaselineReport("stance", "rnd", 10, "pro", ("a",), rows)
+    assert list(rep.summary()) == [
+        {"engine": "a", "mean_score": 1e308, "defined": 2, "undefined": 0},
+    ]
+    assert "1e+308" in render_report(rep, "tsv")
+    assert "| a | 1e+308 | 2 | 0 |" in render_report(rep, "markdown")
+    text = render_report(rep, "json")
+    assert '"mean_score": 1e+308' in text
+    assert report_from_json(text) == rep
+
+
 def test_rendering_is_deterministic():
     rep = evaluate(two_engine_dataset())
     again = evaluate(two_engine_dataset())

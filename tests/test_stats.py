@@ -1,5 +1,6 @@
 """t-test numerics against published critical values and scipy."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -247,3 +248,141 @@ def test_null_rejection_rate_is_calibrated():
     samples = rng.normal(0.0, 1.0, size=(2000, 20))
     rejections = sum(1 for row in samples if one_sample_ttest(row).p_value < 0.05)
     assert rejections / 2000 == pytest.approx(0.05, abs=0.02)
+
+
+# Reference copies of the t-tests as they were written with a Python step
+# per value; the library must agree with them bit for bit.
+
+def reference_betacf(a, b, x):
+    def nonzero(v):
+        return 1e-300 if abs(v) < 1e-300 else v
+
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, 301):
+        m2 = 2 * m
+        for coeff in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 / nonzero(1.0 + coeff * d)
+            c = nonzero(1.0 + coeff / c)
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise ConvergenceError("incomplete beta continued fraction did not converge")
+
+
+def reference_one_sample(values, mu0=0.0, alpha=None):
+    vals = serpbias.stats._finite(values)
+    [mu0] = serpbias.stats._finite([mu0], "null mean")
+    n = len(vals)
+    if n < 2:
+        raise InputError(f"t-test needs at least 2 observations, got {n}")
+    df = n - 1
+    if all(v == vals[0] for v in vals):
+        if vals[0] == mu0:
+            return serpbias.stats.TTestResult(0.0, df, 1.0, vals[0], 0.0, None)
+        raise DegenerateSampleError(
+            f"all {n} observations equal {vals[0]!r} while the null mean is {mu0!r}; "
+            "the sample has no variance and the outcome is certain"
+        )
+    _, exponent = math.frexp(max(abs(mu0), *map(abs, vals)))
+    if -421 < exponent <= 480:
+        exponent = 0
+    else:
+        vals = [math.ldexp(v, -exponent) for v in vals]
+    mean = math.fsum(vals) / n
+    variance = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+    std_err = math.sqrt(variance / n)
+    sample_mean, sample_err = math.ldexp(mean, exponent), math.ldexp(std_err, exponent)
+    if sample_err == 0.0:
+        raise DegenerateSampleError(
+            f"sample spread is below floating-point resolution around {sample_mean!r}; "
+            "the sample has no variance and the outcome is certain"
+        )
+    t_stat = (mean - math.ldexp(mu0, -exponent)) / std_err
+    p_value = student_t_sf(t_stat, df)
+    reject_at = alpha if alpha is not None and p_value < alpha else None
+    return serpbias.stats.TTestResult(t_stat, df, p_value, sample_mean, sample_err, reject_at)
+
+
+def reference_paired(a, b, alpha=None):
+    a, b = serpbias.stats._finite(a), serpbias.stats._finite(b)
+    if len(a) != len(b):
+        raise InputError(f"paired samples differ in length: {len(a)} vs {len(b)}")
+    return reference_one_sample([x - y for x, y in zip(a, b)], 0.0, alpha)
+
+
+def outcome(test, *args):
+    """Every field of test(*args) (floats by float.hex), or the exception's type and text."""
+    try:
+        result = test(*args)
+    except Exception as exc:  # the reference and the library must fail alike
+        return type(exc), str(exc)
+    fields = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+    return [v.hex() if isinstance(v, float) else v for v in fields]
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+# One regime per sample: ordinary values, a few repeated values (ties and
+# constant runs), signed zeros, magnitudes below 2**-421 (subnormals too),
+# and magnitudes from 2**480 up, whose sums can overflow.
+REGIMES = (
+    st.floats(-10.0, 10.0),
+    st.sampled_from((0.25, -0.5, 0.1, 3.0)),
+    st.sampled_from((0.0, -0.0)),
+    _signed(st.floats(0.0, 2.0**-421, exclude_max=True)),
+    _signed(st.floats(2.0**480, 1.7976931348623157e308)),
+)
+
+
+@st.composite
+def t_samples(draw, size=None):
+    regime = draw(st.sampled_from(REGIMES))
+    n = size if size is not None else draw(st.integers(2, 300))
+    if draw(st.booleans()):
+        return [draw(regime)] * n  # a constant sample
+    return draw(st.lists(regime, min_size=n, max_size=n))
+
+
+@st.composite
+def one_sample_args(draw):
+    values = draw(t_samples())
+    mu0 = draw(st.one_of(st.sampled_from((0.0, -0.0, values[0], values[-1])), *REGIMES))
+    return values, mu0, draw(st.sampled_from((None, 0.05)))
+
+
+@st.composite
+def paired_args(draw):
+    a = draw(t_samples())
+    b = list(a) if draw(st.booleans()) else draw(t_samples(len(a)))
+    return a, b, draw(st.sampled_from((None, 0.05)))
+
+
+# The largest magnitude is the least value, of a sample that must be scaled.
+@given(one_sample_args())
+@example(([-1e308, -1.7e308, -1.2e308, -1.5e308], 0.0, None))
+@example(([-(2.0**-500), -(2.0**-510), -(2.0**-505)], 0.0, 0.05))
+def test_one_sample_matches_the_per_value_reference_bit_for_bit(args):
+    assert outcome(one_sample_ttest, *args) == outcome(reference_one_sample, *args)
+
+
+@given(paired_args())
+def test_paired_matches_the_per_value_reference_bit_for_bit(args):
+    assert outcome(paired_ttest, *args) == outcome(reference_paired, *args)
+
+
+@given(
+    st.floats(0.5, 500.0),
+    st.sampled_from((0.5, 1.0, 3.5)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_betacf_matches_the_reference_bit_for_bit(a, b, x):
+    assert outcome(serpbias.stats._betacf, a, b, x) == outcome(reference_betacf, a, b, x)
