@@ -6,16 +6,7 @@ per-engine means, tests significance with Student t-tests, and ships the
 rND/rKL/rRD prefix-fairness scores as comparison baselines.
 """
 
-from .bias import (
-    BiasRecord,
-    BiasSummary,
-    beta_max,
-    bias,
-    mean_abs_bias,
-    mean_bias,
-    per_query_bias,
-    summarize_run,
-)
+from .bias import BiasRecord, BiasSummary, bias, summarize_run
 from .dataset import Dataset, load_dataset, parse_dataset
 from .errors import (
     ConfigError,
@@ -107,7 +98,6 @@ __all__ = [
     "TTestResult",
     "TestEntry",
     "baseline_score",
-    "beta_max",
     "bias",
     "dcg_at",
     "distance_rkl",
@@ -115,14 +105,11 @@ __all__ = [
     "distance_rrd",
     "evaluate",
     "load_dataset",
-    "mean_abs_bias",
-    "mean_bias",
     "mirror",
     "normalizer_z",
     "one_sample_ttest",
     "paired_ttest",
     "parse_dataset",
-    "per_query_bias",
     "precision_at",
     "rbp",
     "regularized_incomplete_beta",

@@ -185,6 +185,9 @@ def normalizer_z(kind: str, list_len: int, g1_count: int, step: int = DEFAULT_ST
     group size.
     """
     BaselineConfig(step=step, kind=kind)  # raises ConfigError on a bad kind or step
+    for what, count in (("list length", list_len), ("g1 count", g1_count)):
+        if type(count) is not int:
+            raise InputError(f"{what} must be an integer, got {count!r}")
     if not 0 <= g1_count <= list_len:
         raise InputError(
             f"g1 count {g1_count} outside [0, {list_len}] for list length {list_len}"

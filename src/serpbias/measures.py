@@ -9,7 +9,8 @@ contribute nothing.
 All three share one form: a per-rank discount table w_1..w_k (1 for
 precision, p**(i-1) for RBP, 1/log_b(i+1) for DCG), summed over the ranks
 that hold the label and then scaled (divided by n for precision, times 1 - p
-for RBP, unscaled for DCG).
+for RBP, unscaled for DCG). `discounts` and `scale` state that form once, and
+the slant in bias.py reads them too.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError, check_choice, check_fraction, check_positive_int
@@ -60,31 +62,38 @@ def _check_log_base(base):
 
 
 @functools.lru_cache(maxsize=1024)
-def discounts(kind: str, parameter, cutoff, length: int) -> tuple[float, ...]:
-    """Per-rank discounts w_1..w_k for a list of `length` documents.
+def discounts(cfg: MeasureConfig, length: int) -> tuple[float, ...]:
+    """Per-rank discounts w_1..w_k of cfg's measure for a list of `length` documents.
 
-    Precision and DCG stop at the cutoff, k = min(cutoff, length); RBP has no
-    cutoff (pass None) and reads the whole list. parameter is the persistence
-    p for RBP, the log base b for DCG, and unused for precision. Tables are
-    memoized, so every list of one length shares one.
+    Precision and DCG stop at the cutoff, k = min(cutoff, length); RBP reads
+    the whole list. Tables are memoized, so every list of one length shares one.
     """
-    if kind == "rbp":
-        return tuple(parameter ** i for i in range(length))
-    depth = min(cutoff, length)
-    if kind == "precision":
+    if cfg.measure_kind == "rbp":
+        return tuple(cfg.persistence ** i for i in range(length))
+    depth = min(cfg.cutoff, length)
+    if cfg.measure_kind == "precision":
         return (1.0,) * depth
-    return tuple(1.0 / math.log(i + 1, parameter) for i in range(1, depth + 1))
+    return tuple(1.0 / math.log(i + 1, cfg.log_base) for i in range(1, depth + 1))
 
 
-def _discounted_hits(r: RankedList, label: Label, weights: tuple[float, ...]) -> float:
-    """Sum of the discounts of the ranks, among the first len(weights), labeled `label`."""
-    return math.fsum(itertools.compress(weights, r.mask(label)))
+def scale(cfg: MeasureConfig):
+    """(operator, factor): a side's utility is operator(sum of its discounts, factor)."""
+    if cfg.measure_kind == "precision":
+        return operator.truediv, cfg.cutoff
+    if cfg.measure_kind == "rbp":
+        return operator.mul, 1.0 - cfg.persistence
+    return operator.mul, 1.0
+
+
+def _utility(r: RankedList, label: Label, cfg: MeasureConfig) -> float:
+    """Utility of r for readers of `label` under cfg's measure."""
+    op, factor = scale(cfg)
+    return op(math.fsum(itertools.compress(discounts(cfg, len(r)), r.mask(label))), factor)
 
 
 def precision_at(r: RankedList, label: Label, n: int) -> float:
     """Fraction of the top n ranks occupied by documents labeled `label`."""
-    check_positive_int("cutoff", n)
-    return _discounted_hits(r, label, discounts("precision", None, n, len(r))) / n
+    return _utility(r, label, MeasureConfig(cutoff=n))
 
 
 def rbp(r: RankedList, label: Label, p: float) -> float:
@@ -93,12 +102,9 @@ def rbp(r: RankedList, label: Label, p: float) -> float:
     The sum runs over retrieved documents only; no residual is imputed for
     ranks beyond the list, so the value is bounded by 1 - p**len(r).
     """
-    check_fraction("persistence", p)
-    return (1.0 - p) * _discounted_hits(r, label, discounts("rbp", p, None, len(r)))
+    return _utility(r, label, MeasureConfig(persistence=p, measure_kind="rbp"))
 
 
 def dcg_at(r: RankedList, label: Label, n: int, base: float = DEFAULT_LOG_BASE) -> float:
     """Discounted cumulative gain at cutoff n: a match at rank i gains 1/log_base(i+1)."""
-    check_positive_int("cutoff", n)
-    _check_log_base(base)
-    return _discounted_hits(r, label, discounts("dcg", base, n, len(r)))
+    return _utility(r, label, MeasureConfig(cutoff=n, log_base=base, measure_kind="dcg"))

@@ -175,11 +175,6 @@ class RankedList:
         labeled = enumerate(zip(self.codes, self.doc_ids), start=1)
         return tuple(Document(rank, LABELS[code], doc_id) for rank, (code, doc_id) in labeled)
 
-    @property
-    def label_type(self):
-        """StanceLabel or IdeologyLabel, whichever the documents carry; None if empty."""
-        return type(LABELS[self.codes[0]]) if self.codes else None
-
     def mask(self, label) -> bytes:
         """One byte per rank: 1 where the document is labeled `label`, else 0."""
         return self.codes.translate(_MASKS.get(label, _NO_MATCH))

@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import sub
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConfigError, ConvergenceError, DegenerateSampleError, InputError
+from .errors import ConfigError, ConvergenceError, DegenerateSampleError, InputError, check_fraction
 
 _MAX_ITER = 300
 _CF_EPS = 1e-15
@@ -126,8 +126,11 @@ def one_sample_ttest(
     A zero-variance sample sitting exactly on mu0 yields the degenerate
     result t = 0, p = 1; a zero-variance sample anywhere else makes the
     outcome certain and raises DegenerateSampleError instead of faking p = 0.
-    An observation or mu0 that is not a finite number raises InputError.
+    An observation or mu0 that is not a finite number raises InputError, and
+    an alpha that is neither None nor a number in (0, 1) raises ConfigError.
     """
+    if alpha is not None:
+        check_fraction("alpha", alpha)
     vals = _finite(values)
     [mu0] = _finite([mu0], "null mean")
     n = len(vals)
@@ -172,7 +175,10 @@ def paired_ttest(
     a: Sequence[float], b: Sequence[float], alpha: Optional[float] = None
 ) -> TTestResult:
     """Two-tailed paired t-test: one-sample test on the per-position differences.
-    Observations and their differences must be finite numbers, else InputError."""
+    Observations and their differences must be finite numbers, else InputError;
+    alpha is checked as in one_sample_ttest."""
+    if alpha is not None:
+        check_fraction("alpha", alpha)
     a, b = _finite(a), _finite(b)
     if len(a) != len(b):
         raise InputError(f"paired samples differ in length: {len(a)} vs {len(b)}")

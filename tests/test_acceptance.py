@@ -29,8 +29,6 @@ from serpbias import (
     bias,
     distance_rnd,
     evaluate,
-    mean_abs_bias,
-    mean_bias,
     mirror,
     normalizer_z,
     one_sample_ttest,
@@ -239,10 +237,9 @@ def test_criterion_03_aggregate_laws():
         },
     )
     for cfg in ALL_DEFAULT_CFGS:
-        assert mean_bias(pair, cfg) == 0.0
-        assert mean_abs_bias(pair, cfg) == pytest.approx(
-            abs(bias(pair.lists["q1"], cfg)), abs=1e-12
-        )
+        summary = summarize_run(pair, cfg)
+        assert summary.mb == 0.0
+        assert summary.mab == pytest.approx(abs(bias(pair.lists["q1"], cfg)), abs=1e-12)
     report_pass(3, f"200 runs: MAB >= |MB|; {same_sign_checked} same-sign equalities; mirrored pair MB = 0")
 
 

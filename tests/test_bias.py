@@ -15,19 +15,15 @@ from serpbias import (
     LeaningLabel,
     MeasureConfig,
     StanceLabel,
-    beta_max,
     bias,
     dcg_at,
-    mean_abs_bias,
-    mean_bias,
     mirror,
-    per_query_bias,
     precision_at,
     rbp,
     summarize_run,
     transform_list,
 )
-from serpbias.model import SIDES
+from serpbias.model import LABELS, SIDES
 
 P, N, A, X = (
     StanceLabel.PRO,
@@ -114,7 +110,7 @@ def test_antisymmetry_neutrality_boundedness():
         for cfg in ALL_CFGS:
             value = bias(r, cfg)
             assert bias(mirror(r), cfg) == pytest.approx(-value, abs=1e-12)
-            assert abs(value) <= beta_max(cfg.measure_kind, cfg, len(r)) + 1e-12
+            assert abs(value) <= bias(make_list([P] * len(r)), cfg) + 1e-12
     quiet = make_list([N, X, N])
     for cfg in ALL_CFGS:
         assert bias(quiet, cfg) == 0.0
@@ -124,37 +120,40 @@ class TestAggregates:
     def test_opposite_slants_cancel_in_mb(self):
         r = make_list([P, P, A, N] * 2, query="q1")
         run = run_of("e", {"q1": [P, P, A, N] * 2, "q2": [A, A, P, N] * 2})
+        summary = summarize_run(run, CFG_P)
         assert bias(r, CFG_P) != 0.0
-        assert mean_bias(run, CFG_P) == 0.0
-        assert mean_abs_bias(run, CFG_P) == pytest.approx(abs(bias(r, CFG_P)), abs=1e-12)
+        assert summary.mb == 0.0
+        assert summary.mab == pytest.approx(abs(bias(r, CFG_P)), abs=1e-12)
 
     def test_all_neutral_run_is_zero(self):
         run = run_of("e", {"q1": [N] * 5, "q2": [N] * 3})
-        assert mean_bias(run, CFG_P) == 0.0
-        assert mean_abs_bias(run, CFG_P) == 0.0
+        summary = summarize_run(run, CFG_P)
+        assert summary.mb == summary.mab == 0.0
 
     def test_arithmetic_means(self):
         # betas 0.2 and 0.4 under P@10
         run = run_of("e", {"q1": [P, P] + [N] * 8, "q2": [P, P, P, P] + [N] * 6})
-        assert mean_bias(run, CFG_P) == pytest.approx(0.3, abs=1e-12)
-        assert mean_abs_bias(run, CFG_P) == pytest.approx(0.3, abs=1e-12)
+        summary = summarize_run(run, CFG_P)
+        assert summary.mb == pytest.approx(0.3, abs=1e-12)
+        assert summary.mab == pytest.approx(0.3, abs=1e-12)
 
     def test_mab_splits_from_mb_on_mixed_signs(self):
         # betas 0.2 and -0.4
         run = run_of("e", {"q1": [P, P] + [N] * 8, "q2": [A, A, A, A] + [N] * 6})
-        assert mean_bias(run, CFG_P) == pytest.approx(-0.1, abs=1e-12)
-        assert mean_abs_bias(run, CFG_P) == pytest.approx(0.3, abs=1e-12)
+        summary = summarize_run(run, CFG_P)
+        assert summary.mb == pytest.approx(-0.1, abs=1e-12)
+        assert summary.mab == pytest.approx(0.3, abs=1e-12)
 
     def test_empty_query_set_rejected(self):
         from serpbias import EngineRun
 
         run = EngineRun(engine_id="e", lists={})
         with pytest.raises(InputError, match="empty query set"):
-            mean_bias(run, CFG_P)
+            summarize_run(run, CFG_P)
 
     def test_empty_serp_contributes_zero(self):
         run = run_of("e", {"q1": [], "q2": [P] * 10})
-        assert mean_bias(run, CFG_P) == pytest.approx(0.5, abs=1e-12)
+        assert summarize_run(run, CFG_P).mb == pytest.approx(0.5, abs=1e-12)
 
     def test_mab_dominates_mb_on_random_runs(self):
         rng = random.Random(4)
@@ -178,32 +177,48 @@ class TestAggregates:
         }
         run = run_of("e", queries)
         for cfg in ALL_CFGS:
-            assert mean_abs_bias(run, cfg) == pytest.approx(abs(mean_bias(run, cfg)), abs=1e-12)
+            summary = summarize_run(run, cfg)
+            assert summary.mab == pytest.approx(abs(summary.mb), abs=1e-12)
 
 
 class TestBetaMax:
+    """The largest slant of a list of a given length: that of a one-sided list."""
+
     def test_precision_bound(self):
-        assert beta_max("precision", CFG_P, 7) == 1.0
+        # A one-sided list shorter than the cutoff fills only its own ranks.
+        assert bias(make_list([P] * 7), CFG_P) == pytest.approx(0.7, abs=1e-12)
+        assert bias(make_list([P] * 12), CFG_P) == 1.0
 
     def test_rbp_bound(self):
-        assert beta_max("rbp", CFG_R, 10) == pytest.approx(1.0 - 0.8**10, abs=1e-12)
-        assert beta_max("rbp", CFG_R, 10) == pytest.approx(0.8926258, abs=1e-7)
+        value = bias(make_list([P] * 10), CFG_R)
+        assert value == pytest.approx(1.0 - 0.8**10, abs=1e-12)
+        assert value == pytest.approx(0.8926258, abs=1e-7)
 
     def test_dcg_bound(self):
         cfg = MeasureConfig(cutoff=2, measure_kind="dcg")
-        assert beta_max("dcg", cfg, 5) == pytest.approx(1.0 + 1.0 / math.log2(3), abs=1e-12)
+        value = bias(make_list([P] * 5), cfg)
+        assert value == pytest.approx(1.0 + 1.0 / math.log2(3), abs=1e-12)
 
     def test_bounds_are_attained_by_one_sided_lists(self):
-        # rbp and dcg bounds are length-aware and attained at every length;
-        # the precision bound of 1 needs the list to reach the cutoff.
+        # The closed forms: min(len, n)/n for precision, 1 - p**len for RBP and
+        # the sum of 1/log2(i+1) over the first min(len, n) ranks for DCG. The
+        # mirrored list attains the negative bound, and no list of the length
+        # goes beyond either.
+        rng = random.Random(5)
         for cfg in ALL_CFGS:
             for length in (0, 1, 5, 10, 15):
-                r = make_list([P] * length)
-                value = bias(r, cfg)
-                bound = beta_max(cfg.measure_kind, cfg, length)
-                assert value <= bound + 1e-12
-                if cfg.measure_kind != "precision" or length >= cfg.cutoff:
-                    assert value == pytest.approx(bound, abs=1e-12)
+                depth = min(length, cfg.cutoff)
+                expected = {
+                    "precision": depth / cfg.cutoff,
+                    "rbp": 1.0 - cfg.persistence**length,
+                    "dcg": sum(1.0 / math.log2(i + 1) for i in range(1, depth + 1)),
+                }[cfg.measure_kind]
+                bound = bias(make_list([P] * length), cfg)
+                assert bound == pytest.approx(expected, abs=1e-12)
+                assert bias(make_list([A] * length), cfg) == -bound
+                for _ in range(20):
+                    value = bias(make_list(random_stances(rng, length)), cfg)
+                    assert abs(value) <= bound + 1e-12
 
 
 def test_summary_records_are_sorted_by_query():
@@ -212,14 +227,47 @@ def test_summary_records_are_sorted_by_query():
     assert [rec.query_id for rec in summary.per_query] == ["q1", "q2", "q3"]
 
 
+# The measures as they were written with one branch per measure: a discount
+# table per (kind, parameter, cutoff, length), then one scaling per measure.
+# The library must agree with them bit for bit.
+
+def reference_discounts(kind, parameter, cutoff, length):
+    if kind == "rbp":
+        return tuple(parameter**i for i in range(length))
+    depth = min(cutoff, length)
+    if kind == "precision":
+        return (1.0,) * depth
+    return tuple(1.0 / math.log(i + 1, parameter) for i in range(1, depth + 1))
+
+
+def reference_hits(r, label, weights):
+    return math.fsum(itertools.compress(weights, (LABELS[code] is label for code in r.codes)))
+
+
+def reference_precision(r, label, n):
+    return reference_hits(r, label, reference_discounts("precision", None, n, len(r))) / n
+
+
+def reference_rbp(r, label, p):
+    return (1.0 - p) * reference_hits(r, label, reference_discounts("rbp", p, None, len(r)))
+
+
+def reference_dcg(r, label, n, base):
+    return reference_hits(r, label, reference_discounts("dcg", base, n, len(r)))
+
+
 def reference_bias(r, cfg):
-    """The per-list slant as two calls into the measures, one per side."""
-    positive, negative = SIDES[r.label_type or StanceLabel]
+    """The per-list slant as two calls into the reference measures, one per side."""
+    positive, negative = SIDES[type(LABELS[r.codes[0]]) if r.codes else StanceLabel]
     if cfg.measure_kind == "precision":
-        return precision_at(r, positive, cfg.cutoff) - precision_at(r, negative, cfg.cutoff)
+        return reference_precision(r, positive, cfg.cutoff) - reference_precision(
+            r, negative, cfg.cutoff
+        )
     if cfg.measure_kind == "rbp":
-        return rbp(r, positive, cfg.persistence) - rbp(r, negative, cfg.persistence)
-    return dcg_at(r, positive, cfg.cutoff, cfg.log_base) - dcg_at(
+        return reference_rbp(r, positive, cfg.persistence) - reference_rbp(
+            r, negative, cfg.persistence
+        )
+    return reference_dcg(r, positive, cfg.cutoff, cfg.log_base) - reference_dcg(
         r, negative, cfg.cutoff, cfg.log_base
     )
 
@@ -269,6 +317,19 @@ def test_slants_and_aggregates_match_the_per_list_reference_bit_for_bit(specs, c
     summary = summarize_run(run, cfg)
     assert [rec.beta.hex() for rec in summary.per_query] == [b.hex() for b in expected]
     assert [bias(r, cfg).hex() for r in run.lists.values()] == [b.hex() for b in expected]
-    assert per_query_bias(run, cfg) == list(summary.per_query)
     assert summary.mb.hex() == (math.fsum(expected) / len(expected)).hex()
     assert summary.mab.hex() == (math.fsum(abs(b) for b in expected) / len(expected)).hex()
+
+
+@given(list_specs, measure_configs)
+@example(([P, A, N, X] * 5, LeaningLabel.LIBERAL, True), CFG_D)
+@example(([], LeaningLabel.CONSERVATIVE, False), CFG_R)
+def test_measures_match_the_reference_bit_for_bit(spec, cfg):
+    stances, leaning, ideology = spec
+    r = make_list(stances, leaning=leaning)
+    r = transform_list(r) if ideology else r
+    n, p, base = cfg.cutoff, cfg.persistence, cfg.log_base
+    for label in LABELS:
+        assert precision_at(r, label, n).hex() == reference_precision(r, label, n).hex()
+        assert rbp(r, label, p).hex() == reference_rbp(r, label, p).hex()
+        assert dcg_at(r, label, n, base).hex() == reference_dcg(r, label, n, base).hex()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given
@@ -245,6 +246,21 @@ class TestNormalizer:
             normalizer_z("rnd", 10, 5, 0)
         with pytest.raises(InputError):
             normalizer_z("rnd", 10, 11, 10)
+
+    @pytest.mark.parametrize(
+        "list_len, g1_count, text",
+        [
+            (5.0, 1, "list length must be an integer, got 5.0"),
+            ("5", 1, "list length must be an integer, got '5'"),
+            (True, 0, "list length must be an integer, got True"),
+            (5, 1.0, "g1 count must be an integer, got 1.0"),
+            (5, "1", "g1 count must be an integer, got '1'"),
+            (5, False, "g1 count must be an integer, got False"),
+        ],
+    )
+    def test_counts_must_be_integers(self, list_len, g1_count, text):
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+            normalizer_z("rnd", list_len, g1_count, 1)
 
 
 class TestDocumentedBlindSpots:

@@ -207,11 +207,8 @@ def test_columns_mirror_the_documents():
     columns = ["engine_id", "query_id", "leaning", "codes", "doc_ids"]
     assert [f.name for f in dataclasses.fields(r)] == columns
     assert r.doc_ids == ("q01-d1", "q01-d2", "q01-d3")
-    assert r.label_type is StanceLabel
     assert r.mask(StanceLabel.PRO) == bytes([1, 0, 1])
     assert r.mask(IdeologyLabel.NOT_RELEVANT) == bytes(3)
-    assert transform_list(r).label_type is IdeologyLabel
-    assert make_list([]).label_type is None
     # Built from columns, docs are made once and then shared.
     m = mirror(r)
     assert m.docs is m.docs

@@ -242,6 +242,27 @@ def test_observations_must_be_finite_numbers(call):
         call()
 
 
+@pytest.mark.parametrize("alpha", ["0.05", True, 0.0, 1.0, 2.0, math.nan])
+@pytest.mark.parametrize(
+    "test",
+    [
+        lambda alpha: one_sample_ttest([0.1, 0.2, 0.4], alpha=alpha),
+        lambda alpha: paired_ttest([0.1, 0.2, 0.4], [0.0, 0.0, 0.0], alpha=alpha),
+    ],
+    ids=["one-sample", "paired"],
+)
+def test_alpha_must_lie_strictly_between_0_and_1(test, alpha):
+    with pytest.raises(ConfigError, match="^alpha must lie strictly between 0 and 1, got "):
+        test(alpha)
+
+
+def test_alpha_is_checked_before_the_observations():
+    with pytest.raises(ConfigError, match="^alpha"):
+        one_sample_ttest([math.nan], mu0=math.nan, alpha=2.0)
+    with pytest.raises(ConfigError, match="^alpha"):
+        paired_ttest([1.0], [None, 2.0], alpha="0.05")
+
+
 def test_null_rejection_rate_is_calibrated():
     # Smaller sibling of the acceptance check: 2000 null samples at alpha=0.05.
     rng = np.random.default_rng(1234)
