@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import fsum
-from operator import attrgetter
 
 from .errors import InputError
 # precision_at, rbp and dcg_at stay names here: perfbench/trace.py times them.
 from .measures import MeasureConfig, dcg_at, discounts, precision_at, rbp, scale
-from .model import NEGATIVE_MASK, POSITIVE_MASK, EngineRun, RankedList
+from .model import EngineRun, RankedList, side_masks
 
 
 @dataclass(frozen=True)
@@ -41,17 +40,16 @@ class BiasSummary:
     per_query: tuple[BiasRecord, ...]
 
 
-def _betas(lists, cfg: MeasureConfig) -> list[float]:
-    """The slant of each RankedList in lists, with one discount table per length."""
+def _betas(masks, cfg: MeasureConfig) -> list[float]:
+    """The slant of each list from its (positive, negative) masks, one discount table per length."""
     op, factor = scale(cfg)
     cache, betas = {}, []
-    for codes in map(attrgetter("codes"), lists):
-        weights = cache.get(len(codes))
+    for positive, negative in masks:
+        weights = cache.get(len(positive))
         if weights is None:
-            weights = cache[len(codes)] = discounts(cfg, len(codes))
-        positive = fsum(compress(weights, codes.translate(POSITIVE_MASK)))
-        negative = fsum(compress(weights, codes.translate(NEGATIVE_MASK)))
-        betas.append(op(positive, factor) - op(negative, factor))
+            weights = cache[len(positive)] = discounts(cfg, len(positive))
+        utility = op(fsum(compress(weights, positive)), factor)
+        betas.append(utility - op(fsum(compress(weights, negative)), factor))
     return betas
 
 
@@ -62,14 +60,21 @@ def bias(r: RankedList, cfg: MeasureConfig) -> float:
     carry ideology labels. Each side's utility is computed on its own and
     only then subtracted; an empty list scores 0.
     """
-    return _betas((r,), cfg)[0]
+    return _betas(side_masks((r,)), cfg)[0]
 
 
-def summarize_run(run: EngineRun, cfg: MeasureConfig) -> BiasSummary:
-    """Per-query slants plus both aggregates for one engine under one measure."""
+def summarize_run(run: EngineRun, cfg: MeasureConfig, masks=None) -> BiasSummary:
+    """Per-query slants plus both aggregates for one engine under one measure.
+
+    `masks` may give the lists' side masks in query order (model.side_masks), so
+    measures can share them; by default each list is read as labeled."""
     if not run.lists:
         raise InputError(f"engine {run.engine_id!r} has an empty query set")
-    betas = _betas(run.lists.values(), cfg)
+    if masks is None:
+        masks = side_masks(run.lists.values())
+    elif len(masks) != len(run.lists):
+        raise InputError(f"masks need one pair per list, got {len(masks)} for {len(run.lists)}")
+    betas = _betas(masks, cfg)
     mb, mab = fsum(betas) / len(betas), fsum(map(abs, betas)) / len(betas)
     per_query = tuple(map(BiasRecord, run.lists, betas))
     return BiasSummary(run.engine_id, cfg.measure_kind, mb, mab, per_query)

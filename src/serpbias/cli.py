@@ -18,7 +18,7 @@ from .dataset import load_dataset
 from .errors import ConfigError, InputError
 from .fairness import BASELINE_KINDS, DEFAULT_STEP, BaselineConfig, baseline_score
 from .measures import DEFAULT_CUTOFF, DEFAULT_LOG_BASE, DEFAULT_PERSISTENCE, MeasureConfig
-from .model import SIDES, transform_list
+from .model import SIDES, IdeologyLabel, transform_list
 from .report import (
     DEFAULT_ALPHA,
     MODES,
@@ -106,14 +106,21 @@ def _comparison(args) -> ComparisonReport:
 
 
 def _g1(args):
-    """--g1 in the mode's label space, or by default that space's positive side."""
+    """--g1 in the mode's label space, or by default that space's positive side.
+    No list carries `excluded` (see transform_list), so it is no group."""
     labels = MODES[args.mode]
     if args.g1 is None:
         return SIDES[labels][0]
     try:
-        return labels.from_str(args.g1)
+        g1 = labels.from_str(args.g1)
     except InputError as exc:
         raise ConfigError(f"invalid --g1: {exc}") from None
+    if g1 is IdeologyLabel.EXCLUDED:
+        raise ConfigError(
+            "invalid --g1: excluded documents are scored as not-relevant, "
+            "so no list carries the excluded label"
+        )
+    return g1
 
 
 def _baselines(args) -> BaselineReport:

@@ -147,6 +147,8 @@ def _raw_score(member: Sequence[int], kind: str, step: int) -> float:
 
 
 def _shares_at(r: RankedList, g1, i: int, group_of: Optional[GroupOf]) -> tuple[float, float]:
+    if type(i) is not int:  # a bool or a float is not a rank
+        raise InputError(f"rank must be an integer, got {i!r}")
     member = _membership(r, g1, group_of)
     if not 1 <= i <= len(member):
         raise InputError(f"rank {i} outside list of length {len(member)}")

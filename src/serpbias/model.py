@@ -274,6 +274,38 @@ def transform_list(r: RankedList) -> RankedList:
     return _relabel(r, _LIST_IDEOLOGY[r.leaning])
 
 
+# The two side tables, positive then negative, of each label space and leaning.
+# A stance-space list is read as labeled, in either space. An ideology-space
+# table relabels a stance code through the leaning, as transform_list does,
+# and then marks the side, so its masks are those of the relabeled list.
+SIDE_TABLES = {
+    StanceLabel: dict.fromkeys(LeaningLabel, (POSITIVE_MASK, NEGATIVE_MASK)),
+    IdeologyLabel: {
+        leaning: (table.translate(POSITIVE_MASK), table.translate(NEGATIVE_MASK))
+        for leaning, table in _LIST_IDEOLOGY.items()
+    },
+}
+_STANCE_CODES = range(len(StanceLabel))
+
+
+def side_masks(lists, labels=StanceLabel) -> list[tuple[bytes, bytes]]:
+    """Each RankedList's (positive, negative) masks in the label space `labels`.
+
+    A mask holds one byte per rank: 1 where the document carries that side's
+    label, else 0. In the ideology space a list that already carries ideology
+    labels raises transform_list's InputError.
+    """
+    tables, masks = SIDE_TABLES[labels], []
+    stance_only = labels is IdeologyLabel
+    for r in lists:
+        codes = r.codes
+        if stance_only and codes and codes[0] not in _STANCE_CODES:
+            _require_stance(LABELS[codes[0]])
+        positive, negative = tables[r.leaning]
+        masks.append((codes.translate(positive), codes.translate(negative)))
+    return masks
+
+
 _MIRROR = _translation({a: b for pair in SIDES.values() for a, b in (pair, pair[::-1])})
 
 

@@ -24,7 +24,8 @@ from .bias import BiasSummary, summarize_run
 from .dataset import Dataset
 from .errors import ConfigError, DegenerateSampleError, InputError, check_choice, check_fraction
 from .measures import MEASURE_KINDS, MeasureConfig
-from .model import EngineRun, IdeologyLabel, StanceLabel, transform_list
+# transform_list stays a name here: perfbench/trace.py times it.
+from .model import IdeologyLabel, StanceLabel, side_masks, transform_list
 from .stats import TTestResult, one_sample_ttest, paired_ttest
 
 # Each mode names the label space its lists are measured in.
@@ -279,8 +280,8 @@ def evaluate(
 
     cfg supplies the measure parameters (its measure_kind is ignored);
     `measures` picks which utility measures to compute, defaulting to all
-    three. In ideology mode every list is relabeled through its query's
-    leaning before anything is measured. With fewer than two queries the
+    three. In ideology mode every list is measured as transform_list
+    relabels it, through its query's leaning. With fewer than two queries the
     statistical tests are skipped and flagged in the report warnings.
     """
     cfg = cfg if cfg is not None else MeasureConfig()
@@ -289,16 +290,16 @@ def evaluate(
     kinds = tuple(sorted(MEASURE_KINDS if measures is None else set(measures)))
     kind_cfgs = [replace(cfg, measure_kind=kind) for kind in kinds]
 
-    runs = ds.runs
-    if mode == "ideology":
-        runs = [
-            EngineRun(run.engine_id, {qid: transform_list(r) for qid, r in run.lists.items()})
-            for run in runs
-        ]
+    # Each list's side masks, taken once for every measure (see model.side_masks).
+    masks = [side_masks(run.lists.values(), MODES[mode]) for run in ds.runs]
     engines = tuple(ds.engine_ids())
     n_queries = len(ds.query_table)
 
-    summaries = [summarize_run(run, kind_cfg) for run in runs for kind_cfg in kind_cfgs]
+    summaries = [
+        summarize_run(run, kind_cfg, masks=run_masks)
+        for run, run_masks in zip(ds.runs, masks)
+        for kind_cfg in kind_cfgs
+    ]
     betas = {(s.engine, s.measure): [rec.beta for rec in s.per_query] for s in summaries}
 
     stats_possible = n_queries >= 2

@@ -64,11 +64,14 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+    """I_x(a, b) for a, b > 0 and x in [0, 1]; other arguments raise ValueError."""
+    try:
+        if not (a > 0.0 and b > 0.0):  # NaN included
+            raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"x must lie in [0, 1], got {x}")
+    except TypeError:  # text or another non-number
+        raise ValueError(f"a, b and x must be numbers, got a={a!r}, b={b!r}, x={x!r}") from None
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -89,10 +92,22 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def student_t_sf(t: float, df: int) -> float:
-    """Two-tailed tail probability P(|T_df| >= |t|)."""
-    if not isinstance(df, int) or df < 1:
+    """Two-tailed tail probability P(|T_df| >= |t|).
+
+    df must be an int of at least 1, and a bool is not one, else ConfigError;
+    t must be a number other than NaN, and text is not one, else InputError.
+    """
+    if isinstance(df, bool) or not isinstance(df, int) or df < 1:
         raise ConfigError(f"degrees of freedom must be an integer >= 1, got {df!r}")
-    x = df / (df + t * t)
+    try:
+        number = math.nan if isinstance(t, (str, bytes, bytearray)) else float(t)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    except (TypeError, ValueError):
+        number = math.nan
+    if math.isnan(number):
+        raise InputError(f"t statistic must be a number other than NaN, got {t!r}")
+    x = df / (df + number * number)
     return regularized_incomplete_beta(0.5 * df, 0.5, x)
 
 
@@ -133,6 +148,11 @@ def one_sample_ttest(
         check_fraction("alpha", alpha)
     vals = _finite(values)
     [mu0] = _finite([mu0], "null mean")
+    return _ttest(vals, mu0, alpha)
+
+
+def _ttest(vals: list[float], mu0: float, alpha: Optional[float]) -> TTestResult:
+    """one_sample_ttest on checked values: finite floats, as is mu0."""
     n = len(vals)
     if n < 2:
         raise InputError(f"t-test needs at least 2 observations, got {n}")
@@ -182,4 +202,7 @@ def paired_ttest(
     a, b = _finite(a), _finite(b)
     if len(a) != len(b):
         raise InputError(f"paired samples differ in length: {len(a)} vs {len(b)}")
-    return one_sample_ttest(list(map(sub, a, b)), 0.0, alpha)
+    diffs = list(map(sub, a, b))
+    # Differences of finite observations are finite unless one overflows, so
+    # each is checked only when their sum is not finite.
+    return _ttest(diffs if math.isfinite(sum(diffs)) else _finite(diffs), 0.0, alpha)

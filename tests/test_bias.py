@@ -10,19 +10,24 @@ from hypothesis import strategies as st
 
 from conftest import make_list, random_stances, run_of
 from serpbias import (
+    Dataset,
     EngineRun,
+    IdeologyLabel,
     InputError,
     LeaningLabel,
     MeasureConfig,
     StanceLabel,
     bias,
     dcg_at,
+    evaluate,
     mirror,
     precision_at,
     rbp,
     summarize_run,
     transform_list,
 )
+from dataclasses import replace
+
 from serpbias.model import LABELS, SIDES
 
 P, N, A, X = (
@@ -333,3 +338,68 @@ def test_measures_match_the_reference_bit_for_bit(spec, cfg):
         assert precision_at(r, label, n).hex() == reference_precision(r, label, n).hex()
         assert rbp(r, label, p).hex() == reference_rbp(r, label, p).hex()
         assert dcg_at(r, label, n, base).hex() == reference_dcg(r, label, n, base).hex()
+
+
+
+# Hand-built datasets for evaluate, with the mode to evaluate them in: per
+# query a leaning, per engine and query a stance list (empty ones too). In
+# stance mode some lists are relabeled to ideology first, and that mode reads
+# them as labeled; ideology mode relabels stance lists only.
+@st.composite
+def mode_datasets(draw):
+    mode = draw(st.sampled_from(("stance", "ideology")))
+    leanings = draw(st.lists(st.sampled_from(LeaningLabel), min_size=1, max_size=6))
+    table = {f"q{k}": (f"topic {k}", leaning) for k, leaning in enumerate(leanings)}
+    runs = []
+    for engine in ("e0", "e1", "e2")[: draw(st.integers(1, 3))]:
+        lists = {}
+        for query_id, (_, leaning) in table.items():
+            stances = draw(st.lists(st.sampled_from(StanceLabel), max_size=25))
+            r = make_list(stances, engine=engine, query=query_id, leaning=leaning)
+            relabel = mode == "stance" and draw(st.booleans())
+            lists[query_id] = transform_list(r) if relabel else r
+        runs.append(EngineRun(engine, lists))
+    return mode, Dataset(tuple(runs), table)
+
+
+@given(mode_datasets(), measure_configs)
+def test_evaluate_scores_match_the_per_list_bias_bit_for_bit(mode_ds, cfg):
+    mode, ds = mode_ds
+    rep = evaluate(ds, cfg, mode=mode)
+    runs = {run.engine_id: run for run in ds.runs}
+    assert len(rep.bias_summaries) == 3 * len(runs)
+    for summary in rep.bias_summaries:
+        kind_cfg = replace(cfg, measure_kind=summary.measure)
+        lists = runs[summary.engine].lists.values()
+        expected = [bias(transform_list(r) if mode == "ideology" else r, kind_cfg) for r in lists]
+        assert [rec.beta.hex() for rec in summary.per_query] == [b.hex() for b in expected]
+        assert summary.mb.hex() == (math.fsum(expected) / len(expected)).hex()
+        assert summary.mab.hex() == (math.fsum(map(abs, expected)) / len(expected)).hex()
+
+
+def test_evaluate_in_ideology_mode_rejects_ideology_labeled_lists():
+    stance = make_list([P, A], engine="e", query="q1", leaning=LeaningLabel.LIBERAL)
+    labeled = transform_list(stance)
+    ds = Dataset((EngineRun("e", {"q1": labeled}),), {"q1": ("topic", LeaningLabel.LIBERAL)})
+    with pytest.raises(InputError) as relabel:
+        transform_list(labeled)
+    assert str(relabel.value).startswith("only stance labels map to ideology, got ")
+    with pytest.raises(InputError) as info:
+        evaluate(ds, mode="ideology")
+    assert str(info.value) == str(relabel.value)
+    # Stance mode reads the list as labeled: liberal at rank 1, conservative at 2.
+    summaries = {s.measure: s for s in evaluate(ds, mode="stance").bias_summaries}
+    assert summaries["dcg"].mb < 0.0
+
+
+@pytest.mark.parametrize("mode", ["stance", "ideology"])
+def test_evaluate_rejects_an_empty_query_set(mode):
+    ds = Dataset((EngineRun("e", {}),), {})
+    with pytest.raises(InputError, match="^engine 'e' has an empty query set$"):
+        evaluate(ds, mode=mode)
+
+
+def test_masks_must_match_the_lists():
+    run = run_of("e", {"q1": [P], "q2": [A, P]})
+    with pytest.raises(InputError, match="^masks need one pair per list, got 1 for 2$"):
+        summarize_run(run, CFG_P, masks=[(b"\x01", b"\x00")])

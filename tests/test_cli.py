@@ -183,6 +183,16 @@ def test_bad_g1_mentions_configuration(dataset_path):
     assert "configuration error" in proc.stderr
 
 
+def test_excluded_g1_is_configuration_error():
+    # Excluded documents are stored as not-relevant, so no list carries the
+    # label and every score would be undefined.
+    golden = str(Path(__file__).parent / "golden" / "serps.jsonl")
+    proc = cli("baselines", "--input", golden, "--mode", "ideology", "--g1", "excluded")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("configuration error: invalid --g1: excluded documents")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_unencodable_stdout_is_configuration_error(tmp_path):
     path = tmp_path / "u.jsonl"
     path.write_text(jsonl([record("\u00fc", "q1", ["pro"])]), encoding="utf-8")

@@ -139,6 +139,13 @@ class TestDistances:
         with pytest.raises(MeasureUndefinedError, match="entirely of g1"):
             distance_rrd(r, P, 1)
 
+    @pytest.mark.parametrize("i", [1.0, 2.0, True, "2", None])
+    @pytest.mark.parametrize("distance", [distance_rnd, distance_rkl, distance_rrd])
+    def test_rank_must_be_an_int(self, distance, i):
+        r = make_list([A, P, A, A])
+        with pytest.raises(InputError, match="rank must be an integer"):
+            distance(r, P, i)
+
     def test_rrd_value(self):
         r = make_list([A, A, P, A, A, A, A, A])  # q = 1/8
         expected = abs((1 / 3) / (2 / 3) - (1 / 8) / (7 / 8))

@@ -60,6 +60,20 @@ class TestSurvivalFunction:
         with pytest.raises(ConfigError):
             student_t_sf(1.0, 0)
 
+    @pytest.mark.parametrize("df", [True, False, 2.0, "3"])
+    def test_df_must_be_an_int_and_not_a_bool(self, df):
+        with pytest.raises(ConfigError, match="degrees of freedom"):
+            student_t_sf(1.0, df)
+
+    @pytest.mark.parametrize("t", ["1", b"1", None, math.nan, 1j])
+    def test_t_must_be_a_number_other_than_nan(self, t):
+        with pytest.raises(InputError, match="t statistic must be a number"):
+            student_t_sf(t, 3)
+
+    def test_infinite_t_has_no_tail(self):
+        assert student_t_sf(math.inf, 3) == student_t_sf(-math.inf, 3) == 0.0
+        assert student_t_sf(10**400, 3) == 0.0
+
 
 class TestIncompleteBeta:
     def test_endpoints(self):
@@ -87,6 +101,14 @@ class TestIncompleteBeta:
             regularized_incomplete_beta(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.0, 1.0, 1.5)
+        for a, b in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="must be positive"):
+                regularized_incomplete_beta(a, b, 0.5)
+
+    @pytest.mark.parametrize("args", [("1", 1.0, 0.5), (1.0, None, 0.5), (1.0, 1.0, "0.5")])
+    def test_non_numbers_are_value_errors(self, args):
+        with pytest.raises(ValueError, match="must be numbers"):
+            regularized_incomplete_beta(*args)
 
 
 def exact_t_squared(values):
