@@ -63,6 +63,20 @@ def bias(r: RankedList, cfg: MeasureConfig) -> float:
     return _betas(side_masks((r,)), cfg)[0]
 
 
+def _checked(masks, lists) -> list:
+    """masks, if it is a list or tuple of one pair of bytes per list, each as long as it."""
+    if isinstance(masks, (list, tuple)) and len(masks) == len(lists):
+        try:
+            for (pos, neg), r in zip(masks, lists):
+                if not (type(pos) is type(neg) is bytes and len(pos) == len(neg) == len(r)):
+                    break
+            else:
+                return masks
+        except (TypeError, ValueError):  # an entry that is not a pair
+            pass
+    raise InputError(f"masks need {len(lists)} pairs of bytes, one per list and as long as it")
+
+
 def summarize_run(run: EngineRun, cfg: MeasureConfig, masks=None) -> BiasSummary:
     """Per-query slants plus both aggregates for one engine under one measure.
 
@@ -70,11 +84,8 @@ def summarize_run(run: EngineRun, cfg: MeasureConfig, masks=None) -> BiasSummary
     measures can share them; by default each list is read as labeled."""
     if not run.lists:
         raise InputError(f"engine {run.engine_id!r} has an empty query set")
-    if masks is None:
-        masks = side_masks(run.lists.values())
-    elif len(masks) != len(run.lists):
-        raise InputError(f"masks need one pair per list, got {len(masks)} for {len(run.lists)}")
-    betas = _betas(masks, cfg)
+    lists = run.lists.values()
+    betas = _betas(side_masks(lists) if masks is None else _checked(masks, lists), cfg)
     mb, mab = fsum(betas) / len(betas), fsum(map(abs, betas)) / len(betas)
     per_query = tuple(map(BiasRecord, run.lists, betas))
     return BiasSummary(run.engine_id, cfg.measure_kind, mb, mab, per_query)

@@ -166,9 +166,13 @@ class RankedList:
         r._fill(engine_id, query_id, leaning, codes, doc_ids)
         return r
 
-    def _fill(self, *values):
-        # Frozen: fields are set through the instance dict, in declaration order.
-        self.__dict__.update(zip(self.__dataclass_fields__, values))
+    def _fill(self, engine_id, query_id, leaning, codes, doc_ids):
+        # Frozen: fields are set through the instance dict, one item each, which
+        # is faster than dict.update on a new instance's dict; parsing builds
+        # one list per record, and transform_list one per list.
+        fields = self.__dict__
+        fields["engine_id"], fields["query_id"], fields["leaning"] = engine_id, query_id, leaning
+        fields["codes"], fields["doc_ids"] = codes, doc_ids
 
     @cached_property
     def docs(self) -> tuple[Document, ...]:
@@ -244,9 +248,9 @@ def _translation(mapping: dict) -> bytes:
 
 def _relabel(r: RankedList, table: bytes) -> RankedList:
     """r with its codes translated through table."""
-    return RankedList._from_columns(
-        r.engine_id, r.query_id, r.leaning, r.codes.translate(table), r.doc_ids
-    )
+    out = object.__new__(RankedList)
+    out._fill(r.engine_id, r.query_id, r.leaning, r.codes.translate(table), r.doc_ids)
+    return out
 
 
 _LIST_IDEOLOGY = {
@@ -274,36 +278,13 @@ def transform_list(r: RankedList) -> RankedList:
     return _relabel(r, _LIST_IDEOLOGY[r.leaning])
 
 
-# The two side tables, positive then negative, of each label space and leaning.
-# A stance-space list is read as labeled, in either space. An ideology-space
-# table relabels a stance code through the leaning, as transform_list does,
-# and then marks the side, so its masks are those of the relabeled list.
-SIDE_TABLES = {
-    StanceLabel: dict.fromkeys(LeaningLabel, (POSITIVE_MASK, NEGATIVE_MASK)),
-    IdeologyLabel: {
-        leaning: (table.translate(POSITIVE_MASK), table.translate(NEGATIVE_MASK))
-        for leaning, table in _LIST_IDEOLOGY.items()
-    },
-}
-_STANCE_CODES = range(len(StanceLabel))
-
-
-def side_masks(lists, labels=StanceLabel) -> list[tuple[bytes, bytes]]:
-    """Each RankedList's (positive, negative) masks in the label space `labels`.
+def side_masks(lists) -> list[tuple[bytes, bytes]]:
+    """Each RankedList's (positive, negative) masks, read as labeled (see SIDES).
 
     A mask holds one byte per rank: 1 where the document carries that side's
-    label, else 0. In the ideology space a list that already carries ideology
-    labels raises transform_list's InputError.
+    label, else 0.
     """
-    tables, masks = SIDE_TABLES[labels], []
-    stance_only = labels is IdeologyLabel
-    for r in lists:
-        codes = r.codes
-        if stance_only and codes and codes[0] not in _STANCE_CODES:
-            _require_stance(LABELS[codes[0]])
-        positive, negative = tables[r.leaning]
-        masks.append((codes.translate(positive), codes.translate(negative)))
-    return masks
+    return [(r.codes.translate(POSITIVE_MASK), r.codes.translate(NEGATIVE_MASK)) for r in lists]
 
 
 _MIRROR = _translation({a: b for pair in SIDES.values() for a, b in (pair, pair[::-1])})

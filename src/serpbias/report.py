@@ -24,7 +24,6 @@ from .bias import BiasSummary, summarize_run
 from .dataset import Dataset
 from .errors import ConfigError, DegenerateSampleError, InputError, check_choice, check_fraction
 from .measures import MEASURE_KINDS, MeasureConfig
-# transform_list stays a name here: perfbench/trace.py times it.
 from .model import IdeologyLabel, StanceLabel, side_masks, transform_list
 from .stats import TTestResult, one_sample_ttest, paired_ttest
 
@@ -280,8 +279,8 @@ def evaluate(
 
     cfg supplies the measure parameters (its measure_kind is ignored);
     `measures` picks which utility measures to compute, defaulting to all
-    three. In ideology mode every list is measured as transform_list
-    relabels it, through its query's leaning. With fewer than two queries the
+    three. In ideology mode every list is relabeled through its query's
+    leaning before anything is measured. With fewer than two queries the
     statistical tests are skipped and flagged in the report warnings.
     """
     cfg = cfg if cfg is not None else MeasureConfig()
@@ -290,15 +289,17 @@ def evaluate(
     kinds = tuple(sorted(MEASURE_KINDS if measures is None else set(measures)))
     kind_cfgs = [replace(cfg, measure_kind=kind) for kind in kinds]
 
-    # Each list's side masks, taken once for every measure (see model.side_masks).
-    masks = [side_masks(run.lists.values(), MODES[mode]) for run in ds.runs]
+    # Each list's side masks, taken once for every measure (see model.side_masks);
+    # a relabeled list lives only until its masks are taken.
+    lists = [run.lists.values() for run in ds.runs]
+    if mode == "ideology":
+        lists = [map(transform_list, values) for values in lists]
+    masks = list(map(side_masks, lists))
     engines = tuple(ds.engine_ids())
     n_queries = len(ds.query_table)
 
     summaries = [
-        summarize_run(run, kind_cfg, masks=run_masks)
-        for run, run_masks in zip(ds.runs, masks)
-        for kind_cfg in kind_cfgs
+        summarize_run(run, c, masks=m) for run, m in zip(ds.runs, masks) for c in kind_cfgs
     ]
     betas = {(s.engine, s.measure): [rec.beta for rec in s.per_query] for s in summaries}
 

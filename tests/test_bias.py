@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -12,7 +13,6 @@ from conftest import make_list, random_stances, run_of
 from serpbias import (
     Dataset,
     EngineRun,
-    IdeologyLabel,
     InputError,
     LeaningLabel,
     MeasureConfig,
@@ -26,9 +26,7 @@ from serpbias import (
     summarize_run,
     transform_list,
 )
-from dataclasses import replace
-
-from serpbias.model import LABELS, SIDES
+from serpbias.model import LABELS, SIDES, side_masks
 
 P, N, A, X = (
     StanceLabel.PRO,
@@ -340,7 +338,6 @@ def test_measures_match_the_reference_bit_for_bit(spec, cfg):
         assert dcg_at(r, label, n, base).hex() == reference_dcg(r, label, n, base).hex()
 
 
-
 # Hand-built datasets for evaluate, with the mode to evaluate them in: per
 # query a leaning, per engine and query a stance list (empty ones too). In
 # stance mode some lists are relabeled to ideology first, and that mode reads
@@ -399,7 +396,38 @@ def test_evaluate_rejects_an_empty_query_set(mode):
         evaluate(ds, mode=mode)
 
 
-def test_masks_must_match_the_lists():
+def test_given_masks_score_as_the_lists_do():
+    run = run_of("e", {"q1": [P, X], "q2": [A, P, N], "q3": []})
+    masks = side_masks(run.lists.values())
+    for cfg in (CFG_P, MeasureConfig(measure_kind="rbp"), MeasureConfig(measure_kind="dcg")):
+        assert summarize_run(run, cfg, masks=masks) == summarize_run(run, cfg)
+
+
+@pytest.mark.parametrize(
+    "q1",
+    [
+        (b"\x01\x01\x01", b"\x00\x00\x00"),
+        (b"", b""),
+        (b"\x01", b"\x00\x00"),
+        (b"\x01",),
+        (b"\x01", b"\x00", b"\x00"),
+        b"\x01\x00",
+        ("\x01", "\x00"),
+        (bytearray(b"\x01"), b"\x00"),
+        None,
+    ],
+    ids=["longer", "shorter", "uneven", "one", "three", "bytes", "text", "bytearray", "none"],
+)
+def test_each_list_needs_a_pair_of_bytes_as_long_as_it(q1):
     run = run_of("e", {"q1": [P], "q2": [A, P]})
-    with pytest.raises(InputError, match="^masks need one pair per list, got 1 for 2$"):
-        summarize_run(run, CFG_P, masks=[(b"\x01", b"\x00")])
+    with pytest.raises(InputError, match="^masks need 2 pairs of bytes, one per list and as long as it$"):
+        summarize_run(run, CFG_P, masks=[q1, (b"\x00\x01", b"\x01\x00")])
+
+
+def test_masks_must_be_a_list_or_tuple_of_one_pair_per_list():
+    run = run_of("e", {"q1": [P], "q2": [A, P]})
+    masks = side_masks(run.lists.values())
+    for bad in (masks[:1], masks * 2, iter(masks), dict(enumerate(masks)), 2):
+        with pytest.raises(InputError, match="^masks need 2 pairs of bytes, one per list"):
+            summarize_run(run, CFG_P, masks=bad)
+    assert summarize_run(run, CFG_P, masks=tuple(masks)) == summarize_run(run, CFG_P)
