@@ -17,8 +17,8 @@ class MeasureUndefinedError(InputError):
     """The requested measure has no defined value for this data.
 
     Raised for degenerate group sizes that leave nothing to normalize
-    against, for infinite divergences, and for ratio measures applied
-    outside their minority-group preconditions.
+    against, and for ratio measures applied outside their minority-group
+    preconditions.
     """
 
 

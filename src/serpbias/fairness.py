@@ -6,9 +6,9 @@ distances are discounted by 1/log2(i), summed over evaluation points spaced
 `step` ranks apart, and normalized by the largest value attainable at the
 same list length and group size, so defined scores land in [0, 1].
 
-Each list is scored in one pass over its prefix shares. The result is
-bit-identical to the per-prefix sum of the distances that `distance_rnd`,
-`distance_rkl` and `distance_rrd` define.
+Each distance is written once, over all of one list's prefix shares: a
+list's score sums it over the evaluation points, and `distance_rnd`,
+`distance_rkl` and `distance_rrd` apply it to the one prefix asked for.
 
 By construction they collapse direction (a list over-representing g1 and its
 mirror image can score the same), ignore every label other than the group
@@ -25,16 +25,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import truediv
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Sequence
 
 from .errors import InputError, MeasureUndefinedError, check_choice, check_positive_int
-from .model import Document, RankedList
+from .model import RankedList
 
 BASELINE_KINDS = ("rnd", "rkl", "rrd")
 
 DEFAULT_STEP = 10
-
-GroupOf = Callable[[Document], Hashable]
 
 
 @dataclass(frozen=True)
@@ -54,17 +52,6 @@ class BaselineConfig:
         check_choice("baseline kind", self.kind, BASELINE_KINDS)
 
 
-def _membership(r: RankedList, g1, group_of: Optional[GroupOf]) -> Sequence[int]:
-    """1 (or True) at each rank whose document is in g1, else 0 (False)."""
-    if group_of is None:
-        return r.mask(g1)
-    return [group_of(doc) == g1 for doc in r.docs]
-
-
-def _share(member: Sequence[int], i: int) -> float:
-    return sum(member[:i]) / i
-
-
 def _eval_points(length: int, step: int) -> range:
     # The 1/log2(i) discount is undefined at i = 1, so step 1 starts at top-2.
     return range(step if step > 1 else 2, length + 1, step)
@@ -77,101 +64,80 @@ def _eval_table(length: int, step: int) -> tuple[range, tuple[float, ...]]:
     return points, tuple(map(math.log2, points))
 
 
-def _d_rnd(p: float, q: float) -> float:
-    return abs(p - q)
+# Each distance d(P@i, P@end) takes the g1 shares P@i of one list's prefixes,
+# in rank order, and that list's whole-list share q = P@end.
 
 
-def _d_rkl(p: float, q: float) -> float:
-    # Binary KL divergence in bits, with 0*log(0/x) taken as 0. Positive
-    # mass against a zero reference diverges, which has no usable value.
-    total = 0.0
-    for a, b in ((p, q), (1.0 - p, 1.0 - q)):
-        if a == 0.0:
-            continue
-        if b == 0.0:
-            raise MeasureUndefinedError(
-                f"KL distance diverges: prefix share {p:.6g} against whole-list share {q:.6g}"
-            )
-        total += a * math.log2(a / b)
-    # True divergence is >= 0; tiny negatives are rounding residue.
-    return max(total, 0.0)
+def _rnd(ps: Sequence[float], q: float) -> list[float]:
+    return [abs(p - q) for p in ps]
 
 
-def _d_rrd(p: float, q: float) -> float:
+def _rkl(ps: Sequence[float], q: float) -> list[float]:
+    # Binary KL divergence in bits; a term whose mass p or s = 1 - p is 0
+    # counts as 0. The shares come from one list, so q == 0 forces every
+    # p == 0 and q == 1 every p == 1: no term divides by zero.
+    log2, r = math.log2, 1.0 - q
+    # True divergence is >= 0; a negative d is rounding residue.
+    return [
+        0.0 if (d := (p and p * log2(p / q)) + ((s := 1.0 - p) and s * log2(s / r))) < 0.0 else d
+        for p in ps
+    ]
+
+
+def _rrd(ps: Sequence[float], q: float) -> list[float]:
     if q >= 0.5:
         raise MeasureUndefinedError(
             f"rRD needs g1 to be a strict minority of the list; its share is {q:.6g}"
         )
-    if p == 1.0:
+    # An all-g1 prefix can only lead the list, so ps[0] is 1.0 if any share is.
+    if ps[0] == 1.0:
         raise MeasureUndefinedError(
             "rRD is undefined for a prefix consisting entirely of g1 documents"
         )
-    return abs(p / (1.0 - p) - q / (1.0 - q))
+    qr = q / (1.0 - q)
+    return [abs(p / (1.0 - p) - qr) for p in ps]
+
+
+_DISTANCES = {"rnd": _rnd, "rkl": _rkl, "rrd": _rrd}
 
 
 def _raw_score(member: Sequence[int], kind: str, step: int) -> float:
-    """Un-normalized score: sum of d(P@i, P@end) / log2(i) over evaluation points.
-
-    One pass over the prefix shares P@i writes out the expressions of the
-    per-prefix distances `_d_*`, so every float operation and the result
-    are the ones their per-prefix sum would give.
-    """
+    """Un-normalized score: sum of d(P@i, P@end) / log2(i) over evaluation points."""
     points, logs = _eval_table(len(member), step)
     if not points:
         return 0.0
     q = sum(member) / len(member)
     counts = itertools.islice(itertools.accumulate(member), points[0] - 1, None, step)
     ps = list(map(truediv, counts, points))
-    if kind == "rnd":
-        dists = [abs(p - q) for p in ps]
-    elif kind == "rkl":
-        if q == 0.0 or q == 1.0:
-            return 0.0  # every prefix holds one group alone, at distance exactly 0.0
-        # Prefixes holding one group alone (p is 0 or 1) lead the list; their
-        # 0*log(0) terms go through _d_rkl, the rest have both terms finite.
-        lead = next((j for j, p in enumerate(ps) if 0.0 < p < 1.0), len(ps))
-        dists = [_d_rkl(p, q) for p in ps[:lead]]
-        log2, r = math.log2, 1.0 - q
-        # `0.0 if d < 0.0 else d` is _d_rkl's max(d, 0.0) without a call per point.
-        dists += [
-            0.0 if (d := p * log2(p / q) + (1.0 - p) * log2((1.0 - p) / r)) < 0.0 else d
-            for p in ps[lead:]
-        ]
-    else:
-        # An all-g1 prefix can only lead the list, so the first point raises
-        # whatever error any point would, in _d_rrd's order.
-        dists = [_d_rrd(ps[0], q)]
-        qr = q / (1.0 - q)
-        dists += [abs(p / (1.0 - p) - qr) for p in ps[1:]]
-    return math.fsum(map(truediv, dists, logs))
+    return math.fsum(map(truediv, _DISTANCES[kind](ps, q), logs))
 
 
-def _shares_at(r: RankedList, g1, i: int, group_of: Optional[GroupOf]) -> tuple[float, float]:
+def _distance(kind: str, r: RankedList, g1, i: int) -> float:
     if type(i) is not int:  # a bool or a float is not a rank
         raise InputError(f"rank must be an integer, got {i!r}")
-    member = _membership(r, g1, group_of)
+    member = r.mask(g1)
     if not 1 <= i <= len(member):
         raise InputError(f"rank {i} outside list of length {len(member)}")
-    return _share(member, i), _share(member, len(member))
+    return _DISTANCES[kind]([sum(member[:i]) / i], sum(member) / len(member))[0]
 
 
-def distance_rnd(r: RankedList, g1, i: int, group_of: Optional[GroupOf] = None) -> float:
+def distance_rnd(r: RankedList, g1, i: int) -> float:
     """Absolute gap between g1's share of the top-i prefix and of the whole list.
 
     The absolute value makes the first prefix of a 50:50 list score 0.5 no
     matter which group is ranked first.
     """
-    return _d_rnd(*_shares_at(r, g1, i, group_of))
+    return _distance("rnd", r, g1, i)
 
 
-def distance_rkl(r: RankedList, g1, i: int, group_of: Optional[GroupOf] = None) -> float:
+def distance_rkl(r: RankedList, g1, i: int) -> float:
     """KL divergence (bits) between the top-i group split and the whole-list split."""
-    return _d_rkl(*_shares_at(r, g1, i, group_of))
+    return _distance("rkl", r, g1, i)
 
 
-def distance_rrd(r: RankedList, g1, i: int, group_of: Optional[GroupOf] = None) -> float:
+def distance_rrd(r: RankedList, g1, i: int) -> float:
     """Absolute gap between the g1:g2 share ratios of the top-i prefix and the whole list."""
-    return _d_rrd(*_shares_at(r, g1, i, group_of))
+    return _distance("rrd", r, g1, i)
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -206,16 +172,14 @@ def normalizer_z(kind: str, list_len: int, g1_count: int, step: int = DEFAULT_ST
     return best
 
 
-def baseline_score(
-    r: RankedList, g1, cfg: BaselineConfig, group_of: Optional[GroupOf] = None
-) -> float:
+def baseline_score(r: RankedList, g1, cfg: BaselineConfig) -> float:
     """Normalized prefix-representation score of one list for group g1.
 
     Raises InputError when the list is shorter than the step (no evaluation
     points) and MeasureUndefinedError when no arrangement of this length and
     group size scores above zero, leaving nothing to normalize against.
     """
-    member = _membership(r, g1, group_of)
+    member = r.mask(g1)
     if len(member) < cfg.step:
         raise InputError(
             f"list of {len(member)} documents has no evaluation points at step {cfg.step}"

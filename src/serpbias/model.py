@@ -181,7 +181,11 @@ class RankedList:
 
     def mask(self, label) -> bytes:
         """One byte per rank: 1 where the document is labeled `label`, else 0."""
-        return self.codes.translate(_MASKS.get(label, _NO_MATCH))
+        try:
+            table = _MASKS.get(label, _NO_MATCH)
+        except TypeError:  # an unhashable label is no label either
+            table = _NO_MATCH
+        return self.codes.translate(table)
 
     def __len__(self) -> int:
         return len(self.codes)
