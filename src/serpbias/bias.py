@@ -11,7 +11,6 @@ are complementary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import fsum
 
@@ -19,18 +18,21 @@ from .errors import InputError
 # precision_at, rbp and dcg_at stay names here: perfbench/trace.py times them.
 from .measures import MeasureConfig, dcg_at, discounts, precision_at, rbp, scale
 from .model import EngineRun, RankedList, side_masks
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BiasRecord:
+class BiasRecord(Record):
     """Slant of one list; the BiasSummary holding it names the measure."""
 
     query_id: str
     beta: float
 
+    def __init__(self, query_id: str, beta: float):
+        fields = self.__dict__
+        fields["query_id"], fields["beta"] = query_id, beta
 
-@dataclass(frozen=True)
-class BiasSummary:
+
+class BiasSummary(Record):
     """Per-engine aggregate: signed mean (mb), mean absolute (mab), per-query detail."""
 
     engine: str
@@ -38,6 +40,11 @@ class BiasSummary:
     mb: float
     mab: float
     per_query: tuple[BiasRecord, ...]
+
+    def __init__(self, engine: str, measure: str, mb: float, mab: float, per_query: tuple):
+        fields = self.__dict__
+        fields["engine"], fields["measure"], fields["mb"], fields["mab"] = engine, measure, mb, mab
+        fields["per_query"] = per_query
 
 
 def _betas(masks, cfg: MeasureConfig) -> list[float]:

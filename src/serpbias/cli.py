@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .dataset import load_dataset
 from .errors import ConfigError, InputError
@@ -102,7 +101,9 @@ def _comparison(args) -> ComparisonReport:
     rep = _evaluation(args)
     if len(rep.engines) < 2:
         raise InputError("compare needs at least 2 engines in the dataset")
-    return replace(rep, bias_summaries=(), one_sample_tests=())
+    return ComparisonReport(
+        rep.mode, rep.config, rep.engines, rep.n_queries, rep.warnings, (), (), rep.paired_tests
+    )
 
 
 def _g1(args):

@@ -16,15 +16,14 @@ are ingested whole; cutoffs are applied by the measures, never here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from collections.abc import Iterable
 
 from .errors import InputError
 from .model import CODE, Document, EngineRun, LeaningLabel, RankedList, StanceLabel, check_id
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """All engine runs plus the shared query table (query_id -> text, leaning).
 
     Runs are kept in engine-id order and the table in query-id order.
@@ -36,13 +35,13 @@ class Dataset:
     runs: tuple[EngineRun, ...]
     query_table: dict[str, tuple[str, LeaningLabel]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(sorted(self.runs, key=lambda run: run.engine_id)))
-        for query_id in self.query_table:
+    def __init__(self, runs: tuple, query_table: dict):
+        runs = tuple(sorted(runs, key=lambda run: run.engine_id))
+        for query_id in query_table:
             check_id("query_id", query_id)
-        object.__setattr__(self, "query_table", dict(sorted(self.query_table.items())))
-        queries, previous = self.query_table.keys(), None
-        for run in self.runs:
+        query_table = dict(sorted(query_table.items()))
+        queries, previous = query_table.keys(), None
+        for run in runs:
             engine, covered = run.engine_id, run.lists.keys()
             if engine == previous:
                 raise InputError(f"engine {engine!r} has more than one run")
@@ -54,13 +53,15 @@ class Dataset:
                     f"engine {engine!r} {what}; all engines must cover the identical query set"
                 )
             for query_id, ranked in run.lists.items():
-                leaning = self.query_table[query_id][1]
+                leaning = query_table[query_id][1]
                 if ranked.leaning != leaning:
                     raise InputError(
                         f"engine {engine!r} gives query {query_id!r} leaning {ranked.leaning}, "
                         f"but the query table gives {leaning}"
                     )
             previous = engine
+        fields = self.__dict__
+        fields["runs"], fields["query_table"] = runs, query_table
 
     def engine_ids(self) -> list[str]:
         return [run.engine_id for run in self.runs]
@@ -163,7 +164,7 @@ def _parse_record(obj):
     return engine, query_id, query_text, leaning, ranked
 
 
-def parse_dataset(stream: Union[IO[str], Iterable[str]]) -> Dataset:
+def parse_dataset(stream: Iterable[str]) -> Dataset:
     """Parse and validate a JSON Lines dataset.
 
     Blank lines are skipped. Raises InputError, with the offending line
@@ -200,7 +201,8 @@ def parse_dataset(stream: Union[IO[str], Iterable[str]]) -> Dataset:
             raise InputError(f"line {line_no}: {exc}") from None
     if not by_engine:
         raise InputError("no records in input")
-    runs = tuple(EngineRun(engine_id=engine, lists=lists) for engine, lists in by_engine.items())
+    # Each record's ids were checked as it was read; Dataset checks the rest.
+    runs = tuple(EngineRun._from_checked(engine, lists) for engine, lists in by_engine.items())
     return Dataset(runs=runs, query_table=query_table)
 
 

@@ -23,20 +23,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import truediv
-from typing import Sequence
 
 from .errors import InputError, MeasureUndefinedError, check_choice, check_positive_int
 from .model import RankedList
+from .record import Record
 
 BASELINE_KINDS = ("rnd", "rkl", "rrd")
 
 DEFAULT_STEP = 10
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
+class BaselineConfig(Record):
     """Evaluation-point spacing and which of the three scores to compute.
 
     The default step of 10 evaluates top-10, top-20, ...; step 1 is allowed
@@ -44,12 +43,14 @@ class BaselineConfig:
     undefined).
     """
 
-    step: int = DEFAULT_STEP
-    kind: str = "rnd"
+    step: int
+    kind: str = "rnd"  # also a class attribute: the CLI's --baseline default reads it
 
-    def __post_init__(self):
-        check_positive_int("step", self.step)
-        check_choice("baseline kind", self.kind, BASELINE_KINDS)
+    def __init__(self, step: int = DEFAULT_STEP, kind: str = kind):
+        check_positive_int("step", step)
+        check_choice("baseline kind", kind, BASELINE_KINDS)
+        fields = self.__dict__
+        fields["step"], fields["kind"] = step, kind
 
 
 def _eval_points(length: int, step: int) -> range:

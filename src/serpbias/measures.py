@@ -19,10 +19,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import ConfigError, check_choice, check_fraction, check_positive_int
 from .model import Label, RankedList
+from .record import Record
 
 MEASURE_KINDS = ("precision", "rbp", "dcg")
 
@@ -31,8 +31,7 @@ DEFAULT_PERSISTENCE = 0.8
 DEFAULT_LOG_BASE = 2.0
 
 
-@dataclass(frozen=True)
-class MeasureConfig:
+class MeasureConfig(Record):
     """Parameters shared by the utility measures.
 
     cutoff bounds precision and DCG, persistence drives RBP's geometric
@@ -40,16 +39,22 @@ class MeasureConfig:
     the three is computed by the slant functions.
     """
 
-    cutoff: int = DEFAULT_CUTOFF
-    persistence: float = DEFAULT_PERSISTENCE
-    log_base: float = DEFAULT_LOG_BASE
-    measure_kind: str = "precision"
+    cutoff: int
+    persistence: float
+    log_base: float
+    measure_kind: str
 
-    def __post_init__(self):
-        check_positive_int("cutoff", self.cutoff)
-        check_fraction("persistence", self.persistence)
-        _check_log_base(self.log_base)
-        check_choice("measure kind", self.measure_kind, MEASURE_KINDS)
+    def __init__(
+        self, cutoff: int = DEFAULT_CUTOFF, persistence: float = DEFAULT_PERSISTENCE,
+        log_base: float = DEFAULT_LOG_BASE, measure_kind: str = "precision",
+    ):
+        check_positive_int("cutoff", cutoff)
+        check_fraction("persistence", persistence)
+        _check_log_base(log_base)
+        check_choice("measure kind", measure_kind, MEASURE_KINDS)
+        fields = self.__dict__
+        fields["cutoff"], fields["persistence"] = cutoff, persistence
+        fields["log_base"], fields["measure_kind"] = log_base, measure_kind
 
 
 def _check_log_base(base):

@@ -12,11 +12,10 @@ All types are immutable after construction and every function here is pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 from .errors import InputError
+from .record import Record
 
 
 class _Label(enum.Enum):
@@ -66,7 +65,7 @@ class IdeologyLabel(_Label):
     EXCLUDED = "excluded"
 
 
-Label = Union[StanceLabel, IdeologyLabel]
+Label = StanceLabel | IdeologyLabel
 
 # One code space for both label vocabularies: a list stores its labels as one
 # byte per rank, LABELS[code], so the codes also say which vocabulary it uses.
@@ -97,21 +96,21 @@ def check_id(field: str, value) -> None:
         raise InputError(f"{field} must be a string, got {type(value).__name__} {value!r}")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     """One retrieved document: 1-based rank, its label, and an opaque id."""
 
     rank: int
     stance: Label
     doc_id: str
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise InputError(f"document rank must be >= 1, got {self.rank}")
+    def __init__(self, rank: int, stance: Label, doc_id: str):
+        if rank < 1:
+            raise InputError(f"document rank must be >= 1, got {rank}")
+        fields = self.__dict__
+        fields["rank"], fields["stance"], fields["doc_id"] = rank, stance, doc_id
 
 
-@dataclass(frozen=True, init=False)
-class RankedList:
+class RankedList(Record):
     """The ranked documents one engine returned for one query.
 
     Ranks must be contiguous 1..len(docs) in ascending order, doc_ids must
@@ -191,28 +190,38 @@ class RankedList:
         return len(self.codes)
 
 
-@dataclass(frozen=True)
-class EngineRun:
+class EngineRun(Record):
     """One engine's lists over the whole query set, keyed and ordered by query_id."""
 
     engine_id: str
     lists: dict[str, RankedList]
 
-    def __post_init__(self):
-        check_id("engine_id", self.engine_id)
-        for query_id, ranked in self.lists.items():
+    def __init__(self, engine_id: str, lists: dict[str, RankedList]):
+        check_id("engine_id", engine_id)
+        for query_id, ranked in lists.items():
             check_id("query_id", query_id)
-            if ranked.engine_id != self.engine_id:
+            if ranked.engine_id != engine_id:
                 raise InputError(
                     f"list for query {query_id!r} belongs to engine "
-                    f"{ranked.engine_id!r}, not {self.engine_id!r}"
+                    f"{ranked.engine_id!r}, not {engine_id!r}"
                 )
             if ranked.query_id != query_id:
                 raise InputError(
                     f"list keyed {query_id!r} carries query_id {ranked.query_id!r}"
                 )
         # Sorted once every key is known to be text.
-        object.__setattr__(self, "lists", dict(sorted(self.lists.items())))
+        self._fill(engine_id, lists)
+
+    @classmethod
+    def _from_checked(cls, engine_id: str, lists: dict[str, RankedList]) -> "EngineRun":
+        """A run of lists whose ids the caller has already checked, as __init__ does."""
+        run = object.__new__(cls)
+        run._fill(engine_id, lists)
+        return run
+
+    def _fill(self, engine_id, lists):
+        fields = self.__dict__
+        fields["engine_id"], fields["lists"] = engine_id, dict(sorted(lists.items()))
 
 
 def _require_stance(label) -> None:

@@ -14,17 +14,17 @@ from __future__ import annotations
 import functools
 import json
 import math
-import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import groupby, repeat
 from json.encoder import encode_basestring as _encode_text
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .bias import BiasSummary, summarize_run
+from .bias import BiasRecord, BiasSummary, summarize_run
 from .dataset import Dataset
 from .errors import ConfigError, DegenerateSampleError, InputError, check_choice, check_fraction
 from .measures import MEASURE_KINDS, MeasureConfig
 from .model import IdeologyLabel, StanceLabel, side_masks, transform_list
+from .record import Record
 from .stats import TTestResult, one_sample_ttest, paired_ttest
 
 # Each mode names the label space its lists are measured in.
@@ -38,14 +38,7 @@ STATUS_DEGENERATE = "degenerate_certain"
 STATUS_SKIPPED = "skipped"
 
 
-# Field metadata for the two departures from the wire format that a field's
-# type does not show (see "The JSON wire format" below).
-_PAIRED = {"paired": True}  # a list of paired tests, whose entries carry engine_b
-_IN_CONFIG = {"in": "config"}  # written in the report's config object
-
-
-@dataclass(frozen=True)
-class ReportConfig:
+class ReportConfig(Record):
     """Echo of the evaluation parameters, embedded in every report."""
 
     cutoff: int
@@ -54,18 +47,32 @@ class ReportConfig:
     alpha: float
     measures: tuple[str, ...]
 
+    def __init__(
+        self, cutoff: int, persistence: float, log_base: float, alpha: float, measures: tuple
+    ):
+        fields = self.__dict__
+        fields["cutoff"], fields["persistence"], fields["log_base"] = cutoff, persistence, log_base
+        fields["alpha"], fields["measures"] = alpha, measures
 
-@dataclass(frozen=True)
-class TestEntry:
+
+class TestEntry(Record):
     """One t-test slot: a result, or the reason there is none. Only a paired
     test names a second engine."""
 
     engine: str
-    engine_b: Optional[str]
+    engine_b: str | None
     measure: str
     status: str
-    detail: str = ""
-    result: Optional[TTestResult] = None
+    detail: str
+    result: TTestResult | None
+
+    def __init__(
+        self, engine: str, engine_b: str | None, measure: str, status: str, detail: str = "",
+        result: TTestResult | None = None,
+    ):
+        fields = self.__dict__
+        fields["engine"], fields["engine_b"], fields["measure"] = engine, engine_b, measure
+        fields["status"], fields["detail"], fields["result"] = status, detail, result
 
 
 _TSV_HEADER = ("section", "engine", "engine_b", "measure", "query_id", "field", "value")
@@ -74,8 +81,7 @@ _TSV_HEADER = ("section", "engine", "engine_b", "measure", "query_id", "field", 
 _MD_FIELDS = ("t_stat", "df", "p_value", "sample_mean", "reject_at")
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     mode: str
     config: ReportConfig
     engines: tuple[str, ...]
@@ -83,7 +89,20 @@ class ComparisonReport:
     warnings: tuple[str, ...]
     bias_summaries: tuple[BiasSummary, ...]
     one_sample_tests: tuple[TestEntry, ...]
-    paired_tests: tuple[TestEntry, ...] = field(metadata=_PAIRED)
+    paired_tests: tuple[TestEntry, ...]
+
+    # Its entries are paired tests, so each carries engine_b (see the wire format).
+    _paired = ("paired_tests",)
+
+    def __init__(
+        self, mode: str, config: ReportConfig, engines: tuple, n_queries: int, warnings: tuple,
+        bias_summaries: tuple, one_sample_tests: tuple, paired_tests: tuple,
+    ):
+        fields = self.__dict__
+        fields["mode"], fields["config"], fields["engines"] = mode, config, engines
+        fields["n_queries"], fields["warnings"] = n_queries, warnings
+        fields["bias_summaries"], fields["one_sample_tests"] = bias_summaries, one_sample_tests
+        fields["paired_tests"] = paired_tests
 
     def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
         return _TSV_HEADER, self._tsv_rows()
@@ -176,14 +195,18 @@ def _result_values(entry: TestEntry) -> list:
     return [getattr(entry.result, name) if entry.result else None for name in _MD_FIELDS]
 
 
-@dataclass(frozen=True)
-class DatasetReport:
+class DatasetReport(Record):
     """A dataset's shape: what `serpbias validate` reports."""
 
     engines: tuple[str, ...]
     n_queries: int
     n_records: int
     n_documents: int
+
+    def __init__(self, engines: tuple, n_queries: int, n_records: int, n_documents: int):
+        fields = self.__dict__
+        fields["engines"], fields["n_queries"] = engines, n_queries
+        fields["n_records"], fields["n_documents"] = n_records, n_documents
 
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "DatasetReport":
@@ -198,29 +221,41 @@ class DatasetReport:
         return "Dataset", [markdown_list(bullets)]
 
 
-class BaselineScore(NamedTuple):
+class BaselineScore(
+    namedtuple("BaselineScore", "engine query_id status score detail", defaults=("",))
+):
     """One list's baseline score; status "undefined" carries no score and says why."""
+
+    __slots__ = ()
 
     engine: str
     query_id: str
     status: str
-    score: Optional[float]
-    detail: str = ""
+    score: float | None
+    detail: str
 
 
-@dataclass(frozen=True)
-class BaselineReport:
+class BaselineReport(Record):
     """One rND/rKL/rRD score per (engine, query) list: what `serpbias baselines` reports."""
 
     mode: str
-    baseline: str = field(metadata=_IN_CONFIG)
-    step: int = field(metadata=_IN_CONFIG)
-    g1: str = field(metadata=_IN_CONFIG)
+    baseline: str
+    step: int
+    g1: str
     engines: tuple[str, ...]
     scores: tuple[BaselineScore, ...]
 
+    # Written in one config object.
+    _in_config = ("baseline", "step", "g1")
     # Written after the fields, and not read: it is recomputed from the scores.
     _unread = ("summary",)
+
+    def __init__(
+        self, mode: str, baseline: str, step: int, g1: str, engines: tuple, scores: tuple
+    ):
+        fields = self.__dict__
+        fields["mode"], fields["baseline"], fields["step"], fields["g1"] = mode, baseline, step, g1
+        fields["engines"], fields["scores"] = engines, scores
 
     def summary(self) -> Iterator[dict]:
         """Per engine: the mean of its defined scores (None without any), then
@@ -270,9 +305,9 @@ def resolve_measures(names: Sequence[str]) -> tuple[str, ...]:
 
 def evaluate(
     ds: Dataset,
-    cfg: Optional[MeasureConfig] = None,
+    cfg: MeasureConfig | None = None,
     mode: str = "stance",
-    measures: Optional[Sequence[str]] = None,
+    measures: Sequence[str] | None = None,
     alpha: float = DEFAULT_ALPHA,
 ) -> ComparisonReport:
     """Run the full bias-evaluation protocol over a dataset.
@@ -287,7 +322,7 @@ def evaluate(
     check_choice("mode", mode, MODES)
     check_fraction("alpha", alpha)
     kinds = tuple(sorted(MEASURE_KINDS if measures is None else set(measures)))
-    kind_cfgs = [replace(cfg, measure_kind=kind) for kind in kinds]
+    kind_cfgs = [MeasureConfig(cfg.cutoff, cfg.persistence, cfg.log_base, kind) for kind in kinds]
 
     # Each list's side masks, taken once for every measure (see model.side_masks);
     # a relabeled list lives only until its masks are taken.
@@ -305,7 +340,7 @@ def evaluate(
 
     stats_possible = n_queries >= 2
 
-    def test(engine: str, engine_b: Optional[str], kind: str) -> TestEntry:
+    def test(engine: str, engine_b: str | None, kind: str) -> TestEntry:
         if not stats_possible:
             return TestEntry(engine, engine_b, kind, STATUS_SKIPPED, "fewer than 2 queries")
         try:
@@ -365,7 +400,7 @@ def to_json_text(value, indent: int = 0) -> str:
 
     The layout is that of json.dumps(value, ensure_ascii=False, indent=2),
     nested indent levels deep. Text, and each key as str(key), goes through
-    the encoder json.dumps uses; a NamedTuple renders as an array, and any
+    the encoder json.dumps uses; a named tuple renders as an array, and any
     other subclass of a JSON type as json.dumps renders it. Scalars are
     written in line, so only a container costs a Python call.
     """
@@ -419,33 +454,40 @@ def to_json_text(value, indent: int = 0) -> str:
 
 # ---------------------------------------------------------------------------
 # The JSON wire format. A report part's fields, in order, are the keys of its
-# JSON object, and each field's type says what the writer puts there. Three
-# rules depart from that:
+# JSON object, and each field's annotation says what the writer puts there.
+# The annotations are read as their text (`from __future__ import annotations`
+# leaves them unevaluated). Three rules depart from that:
 # - An optional part, a test's result, is written in line: its fields are keys
 #   of the entry itself, all null when there is none.
 # - An optional text, a test's engine_b, is written and read only in the
-#   entries of a _PAIRED list, and each of those carries it.
-# - Fields marked _IN_CONFIG are written in one object under that key, and the
-#   methods a part names in _unread are written after its fields, not read.
+#   entries of a list that a part names in _paired, and each of those carries it.
+# - Fields a part names in _in_config are written in one object under that key,
+#   and the methods it names in _unread are written after its fields, not read.
 
 
-_IDS = tuple[str, ...]
+_IDS = "tuple[str, ...]"
 
-# What the JSON writer puts in a field of each leaf type: a test and its
+# The types of the parts that a report holds, by the names their annotations use.
+_PARTS = {
+    cls.__name__: cls
+    for cls in (ReportConfig, BiasSummary, BiasRecord, TestEntry, TTestResult, BaselineScore)
+}
+
+# What the JSON writer puts in a field of each leaf annotation: a test and its
 # description. json.loads makes no subclass of int, float, str or list.
 _LEAVES = {
-    str: (lambda v: type(v) is str, "a string"),
-    int: (lambda v: type(v) is int, "an integer"),
-    float: (lambda v: type(v) in (int, float), "a number"),
-    Optional[float]: (lambda v: v is None or type(v) in (int, float), "a number or null"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "float | None": (lambda v: v is None or type(v) in (int, float), "a number or null"),
     _IDS: (lambda v: type(v) is list and all(type(i) is str for i in v), "a list of strings"),
-    list: (lambda v: type(v) is list, "a list"),
+    "list": (lambda v: type(v) is list, "a list"),
 }
 
 
-def _leaf(data: dict, key: str, hint):
-    """data[key], popped, if it holds what the writer puts in a field of type
-    hint, else TypeError naming the field. Ids come back as a tuple."""
+def _leaf(data: dict, key: str, hint: str):
+    """data[key], popped, if it holds what the writer puts in a field
+    annotated hint, else TypeError naming the field. Ids come back as a tuple."""
     value = data.pop(key)
     check, what = _LEAVES[hint]
     if not check(value):
@@ -453,45 +495,42 @@ def _leaf(data: dict, key: str, hint):
     return tuple(value) if hint == _IDS else value
 
 
-class _Slot(NamedTuple):
-    """One key of a part's JSON object."""
-
-    key: str
-    kind: str  # "leaf", "part", "parts", "in_line", "group", "absent" or "unread"
-    hint: object = None  # the type of a leaf, or of the part that the slot holds
-    slots: tuple = ()  # the slots of that part, or of a group's fields
-    write: Optional[Callable] = None  # writes that part
+# One key of a part's JSON object: its kind is "leaf", "part", "parts",
+# "in_line", "group", "absent" or "unread"; hint is a leaf's annotation, or
+# the type of the part that the slot holds; slots are that part's slots, or a
+# group's; write writes that part.
+_Slot = namedtuple("_Slot", "key kind hint slots write", defaults=(None, (), None))
 
 
 @functools.cache
 def _schema(cls, paired: bool = False) -> tuple[_Slot, ...]:
     """The slots of cls's JSON object; paired when cls is read as a paired test."""
-    metadata = {f.name: f.metadata for f in fields(cls)} if is_dataclass(cls) else {}
-    hints = typing.get_type_hints(cls)
+    hints = cls.__annotations__
+    in_config = getattr(cls, "_in_config", ())
 
     def slot(name: str) -> _Slot:
         hint = hints[name]
-        if hint == Optional[str]:
-            return _Slot(name, "leaf", str) if paired else _Slot(name, "absent")
+        if hint == "str | None":
+            return _Slot(name, "leaf", "str") if paired else _Slot(name, "absent")
         if hint in _LEAVES:
             return _Slot(name, "leaf", hint)
-        args = typing.get_args(hint)
-        part = args[0] if args else hint
-        inner = _schema(part, metadata.get(name, {}) == _PAIRED)
-        kind = "parts" if typing.get_origin(hint) is tuple else "in_line" if args else "part"
+        # A part is annotated by its type's name: `X`, `tuple[X, ...]` or `X | None`.
+        kind = "parts" if hint.startswith("tuple[") else "in_line" if "|" in hint else "part"
+        part = _PARTS[hint.removeprefix("tuple[").removesuffix(", ...]").removesuffix(" | None")]
+        inner = _schema(part, name in getattr(cls, "_paired", ()))
         return _Slot(name, kind, part, inner, _writer(part, inner))
 
     slots = []
-    for group, names in groupby(hints, key=lambda name: metadata.get(name, {}).get("in")):
+    for in_group, names in groupby(cls._fields, key=in_config.__contains__):
         inner = tuple(map(slot, names))
-        slots += [_Slot(group, "group", slots=inner)] if group else inner
+        slots += [_Slot("config", "group", slots=inner)] if in_group else inner
     slots += [_Slot(name, "unread") for name in getattr(cls, "_unread", ())]
     return tuple(slots)
 
 
 def _writer(cls, slots: tuple[_Slot, ...]) -> Callable:
     """What writes a cls as its JSON object. A part whose fields are all
-    leaves is its own instance dict (a NamedTuple's _asdict()): no Python
+    leaves is its own instance dict (a named tuple's _asdict()): no Python
     call per field."""
     if any(s.kind != "leaf" for s in slots):
         return functools.partial(_write, slots=slots)
@@ -536,7 +575,7 @@ def _read(data, slots: tuple[_Slot, ...]) -> list:
         elif kind == "part":
             values.append(hint(*_read(data.pop(key), inner)))
         elif kind == "parts":
-            values.append(tuple(hint(*_read(row, inner)) for row in _leaf(data, key, list)))
+            values.append(tuple(hint(*_read(row, inner)) for row in _leaf(data, key, "list")))
         elif kind == "in_line":
             # The writer gives every field a value, or nulls them all.
             own = {s.key: data.pop(s.key) for s in inner}

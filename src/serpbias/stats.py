@@ -10,20 +10,19 @@ of freedom this package encounters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import sub
-from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError, ConvergenceError, DegenerateSampleError, InputError, check_fraction
+from .record import Record
 
 _MAX_ITER = 300
 _CF_EPS = 1e-15
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(Record):
     """Outcome of a two-tailed t-test.
 
     reject_at holds the significance level at which the null hypothesis was
@@ -35,7 +34,16 @@ class TTestResult:
     p_value: float
     sample_mean: float
     std_err: float
-    reject_at: Optional[float] = None
+    reject_at: float | None
+
+    def __init__(
+        self, t_stat: float, df: int, p_value: float, sample_mean: float, std_err: float,
+        reject_at: float | None = None,
+    ):
+        fields = self.__dict__
+        fields["t_stat"], fields["df"] = t_stat, df
+        fields["p_value"], fields["sample_mean"] = p_value, sample_mean
+        fields["std_err"], fields["reject_at"] = std_err, reject_at
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -134,7 +142,7 @@ def _finite(values: Iterable, what: str = "observation") -> list[float]:
 
 
 def one_sample_ttest(
-    values: Sequence[float], mu0: float = 0.0, alpha: Optional[float] = None
+    values: Sequence[float], mu0: float = 0.0, alpha: float | None = None
 ) -> TTestResult:
     """Two-tailed t-test of the null hypothesis that the true mean equals mu0.
 
@@ -151,7 +159,7 @@ def one_sample_ttest(
     return _ttest(vals, mu0, alpha)
 
 
-def _ttest(vals: list[float], mu0: float, alpha: Optional[float]) -> TTestResult:
+def _ttest(vals: list[float], mu0: float, alpha: float | None) -> TTestResult:
     """one_sample_ttest on checked values: finite floats, as is mu0."""
     n = len(vals)
     if n < 2:
@@ -192,7 +200,7 @@ def _ttest(vals: list[float], mu0: float, alpha: Optional[float]) -> TTestResult
 
 
 def paired_ttest(
-    a: Sequence[float], b: Sequence[float], alpha: Optional[float] = None
+    a: Sequence[float], b: Sequence[float], alpha: float | None = None
 ) -> TTestResult:
     """Two-tailed paired t-test: one-sample test on the per-position differences.
     Observations and their differences must be finite numbers, else InputError;

@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -366,7 +365,7 @@ def test_evaluate_scores_match_the_per_list_bias_bit_for_bit(mode_ds, cfg):
     runs = {run.engine_id: run for run in ds.runs}
     assert len(rep.bias_summaries) == 3 * len(runs)
     for summary in rep.bias_summaries:
-        kind_cfg = replace(cfg, measure_kind=summary.measure)
+        kind_cfg = MeasureConfig(cfg.cutoff, cfg.persistence, cfg.log_base, summary.measure)
         lists = runs[summary.engine].lists.values()
         expected = [bias(transform_list(r) if mode == "ideology" else r, kind_cfg) for r in lists]
         assert [rec.beta.hex() for rec in summary.per_query] == [b.hex() for b in expected]

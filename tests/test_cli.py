@@ -418,3 +418,38 @@ def test_any_input_exits_cleanly_with_one_line(fuzz_path, data, mode, flags):
                 code = cli_module.main(argv)
             assert code in (0, 1, 2)
             assert len(err.getvalue().splitlines()) <= 1
+
+
+# ---------------------------------------------------------------------------
+# Start-up: the CLI imports nothing it does not use. Run without `site`, as a
+# site .pth file may import typing on its own, with the package's source on
+# the path.
+
+SRC = str(Path(cli_module.__file__).resolve().parents[1])
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def bare_python(*args):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, env=env)
+
+
+def test_cli_imports_none_of_the_heavy_standard_modules():
+    proc = bare_python("-c", "import serpbias.cli, sys; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    heavy = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
+    assert heavy.isdisjoint(proc.stdout.decode().split())
+
+
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("validate.json", ["validate"]),
+        ("evaluate-stance.json", ["evaluate"]),
+        ("baselines-rkl.json", ["baselines", "--baseline", "rkl"]),
+    ],
+)
+def test_bare_interpreter_prints_the_golden_bytes(golden, args):
+    proc = bare_python("-m", "serpbias", *args, "--input", str(GOLDEN / "serps.jsonl"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{golden}.out").read_bytes()

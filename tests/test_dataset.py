@@ -138,6 +138,17 @@ def test_two_engines_shared_queries():
     assert ds.document_count() == 4
 
 
+@given(st.permutations([(e, q) for e in ("b", "a", "é") for q in ("q3", "q1", "q10", "q2")]))
+def test_parsed_runs_equal_runs_built_through_the_checking_constructor(pairs):
+    # The parser builds each run without re-checking the ids it has read.
+    stances = ["pro", "against", "neutral"]
+    ds = parse(jsonl([record(e, q, stances[: len(e + q) % 4]) for e, q in pairs]))
+    for run in ds.runs:
+        rebuilt = EngineRun(run.engine_id, dict(reversed(run.lists.items())))
+        assert run == rebuilt
+        assert list(run.lists) == list(rebuilt.lists) == sorted(run.lists)
+
+
 def test_record_must_be_object():
     with pytest.raises(InputError, match="must be a JSON object"):
         parse("[1, 2, 3]\n")

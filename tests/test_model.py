@@ -1,7 +1,6 @@
 """Label vocabularies, list invariants, and the stance-to-ideology transform."""
 
 import copy
-import dataclasses
 import pickle
 import random
 
@@ -205,7 +204,7 @@ def test_labels_outside_both_vocabularies_rejected():
 def test_columns_mirror_the_documents():
     r = make_list([StanceLabel.PRO, StanceLabel.NOT_RELEVANT, StanceLabel.PRO])
     columns = ["engine_id", "query_id", "leaning", "codes", "doc_ids"]
-    assert [f.name for f in dataclasses.fields(r)] == columns
+    assert list(r._fields) == columns
     assert r.doc_ids == ("q01-d1", "q01-d2", "q01-d3")
     assert r.mask(StanceLabel.PRO) == bytes([1, 0, 1])
     assert r.mask(IdeologyLabel.NOT_RELEVANT) == bytes(3)
@@ -217,9 +216,9 @@ def test_columns_mirror_the_documents():
 
 def test_ranked_list_is_frozen_and_copyable():
     r = mirror(make_list([StanceLabel.PRO, StanceLabel.AGAINST]))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         r.codes = b""
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del r.leaning
     for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert twin == r and hash(twin) == hash(r) and twin.docs == r.docs

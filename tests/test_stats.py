@@ -1,6 +1,5 @@
 """t-test numerics against published critical values and scipy."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -18,6 +17,7 @@ from serpbias import (
     ConvergenceError,
     DegenerateSampleError,
     InputError,
+    TTestResult,
     one_sample_ttest,
     paired_ttest,
     regularized_incomplete_beta,
@@ -366,7 +366,10 @@ def outcome(test, *args):
         result = test(*args)
     except Exception as exc:  # the reference and the library must fail alike
         return type(exc), str(exc)
-    fields = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+    if isinstance(result, TTestResult):
+        fields = [getattr(result, name) for name in result._fields]
+    else:
+        fields = [result]
     return [v.hex() if isinstance(v, float) else v for v in fields]
 
 
