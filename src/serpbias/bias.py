@@ -75,7 +75,7 @@ def _checked(masks, lists) -> list:
     if isinstance(masks, (list, tuple)) and len(masks) == len(lists):
         try:
             for (pos, neg), r in zip(masks, lists):
-                if not (type(pos) is type(neg) is bytes and len(pos) == len(neg) == len(r)):
+                if not (type(pos) is type(neg) is bytes and len(pos) == len(neg) == len(r.codes)):
                     break
             else:
                 return masks

@@ -177,7 +177,8 @@ def parse_dataset(stream: Iterable[str]) -> Dataset:
     by_engine: dict[str, dict[str, RankedList]] = {}
     query_table: dict[str, tuple[str, LeaningLabel]] = {}
     for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
+        # isspace and strip share one notion of whitespace; isspace copies nothing.
+        if not line or line.isspace():
             continue
         try:
             engine, query_id, query_text, leaning, ranked = _parse_record(_decode(line))

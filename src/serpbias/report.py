@@ -25,7 +25,7 @@ from .errors import ConfigError, DegenerateSampleError, InputError, check_choice
 from .measures import MEASURE_KINDS, MeasureConfig
 from .model import IdeologyLabel, StanceLabel, side_masks, transform_list
 from .record import Record
-from .stats import TTestResult, one_sample_ttest, paired_ttest
+from .stats import Sample, TTestResult, one_sample_ttest, paired_ttest
 
 # Each mode names the label space its lists are measured in.
 MODES = {"stance": StanceLabel, "ideology": IdeologyLabel}
@@ -104,32 +104,31 @@ class ComparisonReport(Record):
         fields["bias_summaries"], fields["one_sample_tests"] = bias_summaries, one_sample_tests
         fields["paired_tests"] = paired_tests
 
-    def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
-        return _TSV_HEADER, self._tsv_rows()
+    def tsv(self) -> tuple[Sequence[str], Iterable[tuple]]:
+        return _TSV_HEADER, self._tsv_blocks()
 
-    def _tsv_rows(self):
+    def _tsv_blocks(self):
         config = {"mode": self.mode, **vars(self.config)}
         config.update(engines=self.engines, n_queries=self.n_queries)
-        for key, value in config.items():
-            yield ("config", "", "", "", "", key, value)
-        for i, warning in enumerate(self.warnings, start=1):
-            yield ("warning", "", "", "", "", i, warning)
+        yield ("config", "", "", "", ""), (tuple(config), tuple(config.values()))
+        warnings = self.warnings
+        yield ("warning", "", "", "", ""), (range(1, len(warnings) + 1), warnings)
         for s in self.bias_summaries:
-            yield ("summary", s.engine, "", s.measure, "", "mb", s.mb)
-            yield ("summary", s.engine, "", s.measure, "", "mab", s.mab)
+            yield ("summary", s.engine, "", s.measure, ""), (("mb", "mab"), (s.mb, s.mab))
         for s in self.bias_summaries:
-            for rec in s.per_query:
-                yield ("beta", s.engine, "", s.measure, rec.query_id, "beta", rec.beta)
+            ids = [rec.query_id for rec in s.per_query]
+            betas = [rec.beta for rec in s.per_query]
+            yield ("beta", s.engine, "", s.measure), (ids, ("beta",) * len(ids), betas)
         sections = (("one_sample", self.one_sample_tests), ("paired", self.paired_tests))
         for section, entries in sections:
             for e in entries:
-                base = (section, e.engine, e.engine_b or "", e.measure, "")
-                yield (*base, "status", e.status)
+                fields = {"status": e.status}
                 if e.detail:
-                    yield (*base, "detail", e.detail)
+                    fields["detail"] = e.detail
                 if e.result is not None:
-                    for name, value in vars(e.result).items():
-                        yield (*base, name, value)
+                    fields.update(vars(e.result))
+                lead = (section, e.engine, e.engine_b or "", e.measure, "")
+                yield lead, (tuple(fields), tuple(fields.values()))
 
     def markdown(self) -> tuple[str, list[str]]:
         c = self.config
@@ -213,8 +212,8 @@ class DatasetReport(Record):
         n_records = sum(len(run.lists) for run in ds.runs)
         return cls(tuple(ds.engine_ids()), len(ds.query_table), n_records, ds.document_count())
 
-    def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
-        return ("field", "value"), vars(self).items()
+    def tsv(self) -> tuple[Sequence[str], Iterable[tuple]]:
+        return ("field", "value"), [((), (tuple(vars(self)), tuple(vars(self).values())))]
 
     def markdown(self) -> tuple[str, list[str]]:
         bullets = [(key.removeprefix("n_"), value) for key, value in vars(self).items()]
@@ -272,8 +271,8 @@ class BaselineReport(Record):
             counts = {"defined": len(defined), "undefined": len(scores) - len(defined)}
             yield {"engine": engine, "mean_score": mean, **counts}
 
-    def tsv(self) -> tuple[Sequence[str], Iterable[Sequence]]:
-        return BaselineScore._fields, self.scores
+    def tsv(self) -> tuple[Sequence[str], Iterable[tuple]]:
+        return BaselineScore._fields, [((), tuple(zip(*self.scores)))]
 
     def markdown(self) -> tuple[str, list[str]]:
         rows = [row[:4] for row in self.scores]
@@ -336,7 +335,8 @@ def evaluate(
     summaries = [
         summarize_run(run, c, masks=m) for run, m in zip(ds.runs, masks) for c in kind_cfgs
     ]
-    betas = {(s.engine, s.measure): [rec.beta for rec in s.per_query] for s in summaries}
+    # Each column of betas is checked once, here, and every t-test takes it as it is.
+    betas = {(s.engine, s.measure): Sample([rec.beta for rec in s.per_query]) for s in summaries}
 
     stats_possible = n_queries >= 2
 
@@ -641,29 +641,35 @@ def _joined(ids: tuple, escapes: dict, sep: str) -> str:
     return sep.join(_cell(i, "", escapes).replace(",", "\\,") for i in ids)
 
 
-def tsv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
-    """Tab-separated table: the header line, then one line of cells per row.
-    A float or a text with nothing to escape is written in line; every other
-    cell goes through _cell."""
+def _tsv_column(column: Sequence) -> Iterable[str]:
+    """The TSV cells of a column. A column of floats, or of texts with
+    nothing to escape, is written in one pass; any other goes through _cell."""
+    types = set(map(type, column))
+    if types == {float}:
+        return map(float.__repr__, column)
+    if types == {str}:
+        text = "".join(column)
+        if "\\" not in text and text.isprintable():
+            return column
+    return map(_cell, column)
+
+
+def tsv_text(header: Sequence[str], blocks: Iterable[tuple]) -> str:
+    """Tab-separated table: the header line, then the rows of each block.
+    A block is (lead, columns): lead holds the cells that all its rows begin
+    with, and columns the rest of its rows, one sequence per column and each
+    as long as the block has rows, else ValueError."""
     lines = ["\t".join(header)]
-    lines += [
-        "\t".join(
-            [
-                v if type(v) is str and "\\" not in v and v.isprintable()
-                else repr(v) if type(v) is float
-                else _cell(v)
-                for v in row
-            ]
-        )
-        for row in rows
-    ]
+    for lead, columns in blocks:
+        prefix = "".join([_cell(v) + "\t" for v in lead])
+        lines += map(prefix.__add__, map("\t".join, zip(*map(_tsv_column, columns), strict=True)))
     return "\n".join(lines) + "\n"
 
 
 def markdown_table(header: Sequence[str], rows: Iterable[Iterable]) -> str:
-    """Markdown table of cells, floats at 6 significant digits. As in
-    tsv_text, only a cell that is neither a float nor a text with nothing to
-    escape goes through _cell."""
+    """Markdown table of cells, floats at 6 significant digits. Only a cell
+    that is neither a float nor a text with nothing to escape goes through
+    _cell."""
     lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
     lines += [
         "| "

@@ -119,9 +119,11 @@ def student_t_sf(t: float, df: int) -> float:
     return regularized_incomplete_beta(0.5 * df, 0.5, x)
 
 
-def _finite(values: Iterable, what: str = "observation") -> list[float]:
+def _finite(values: Iterable, what: str = "observation") -> Sequence[float]:
     """values as floats; InputError naming the first one that is not a finite
-    number (text is not one)."""
+    number (text is not one). A Sample is returned as it is."""
+    if type(values) is Sample:
+        return values
     values = list(values)
     try:
         # Text makes sum raise, and a NaN or an infinity makes it non-finite.
@@ -139,6 +141,17 @@ def _finite(values: Iterable, what: str = "observation") -> list[float]:
             raise InputError(f"t-test {what} must be a finite number, got {value!r}")
         floats.append(x)
     return floats
+
+
+class Sample(tuple):
+    """t-test observations checked once, as a tuple of floats; values that a
+    t-test would refuse raise its InputError here. The t-tests take a Sample
+    as it is, so a column that enters many tests is checked only once."""
+
+    __slots__ = ()
+
+    def __new__(cls, values: Iterable):
+        return tuple.__new__(cls, _finite(values))
 
 
 def one_sample_ttest(
@@ -159,7 +172,7 @@ def one_sample_ttest(
     return _ttest(vals, mu0, alpha)
 
 
-def _ttest(vals: list[float], mu0: float, alpha: float | None) -> TTestResult:
+def _ttest(vals: Sequence[float], mu0: float, alpha: float | None) -> TTestResult:
     """one_sample_ttest on checked values: finite floats, as is mu0."""
     n = len(vals)
     if n < 2:
@@ -185,7 +198,9 @@ def _ttest(vals: list[float], mu0: float, alpha: float | None) -> TTestResult:
     else:
         vals = [math.ldexp(v, -exponent) for v in vals]
     mean = math.fsum(vals) / n
-    variance = math.fsum(map(pow, map(sub, vals, repeat(mean)), repeat(2))) / (n - 1)
+    # A float exponent spares pow converting the int 2 to this same double for
+    # every square; x*x would change the bits of some squares.
+    variance = math.fsum(map(pow, map(sub, vals, repeat(mean)), repeat(2.0))) / (n - 1)
     std_err = math.sqrt(variance / n)
     sample_mean, sample_err = math.ldexp(mean, exponent), math.ldexp(std_err, exponent)
     if sample_err == 0.0:

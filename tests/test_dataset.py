@@ -48,6 +48,35 @@ def test_blank_lines_skipped():
     assert list(ds.query_table) == ["q01"]
 
 
+# Every code point that str.isspace accepts: the characters str.strip removes.
+WHITESPACE = "".join(filter(str.isspace, map(chr, range(0x110000))))
+ONE_RECORD = jsonl([record("e", "q01", ["pro"])])
+
+
+def test_lines_of_any_whitespace_are_skipped():
+    assert {"\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"} <= set(WHITESPACE)
+    blank = "".join(f"{c}\n" for c in WHITESPACE) + WHITESPACE + "\r\n"
+    assert list(parse(blank + ONE_RECORD + blank).query_table) == ["q01"]
+    # A line given without its newline, or empty, is skipped as well.
+    assert list(parse_dataset(["", "\u3000", ONE_RECORD]).query_table) == ["q01"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\x00\n" + ONE_RECORD, "line 1: malformed JSON: Expecting value"),
+        ("\n" + ONE_RECORD + "\x00\n", "line 3: malformed JSON: Expecting value"),
+        (ONE_RECORD.replace("\n", "\x0c\n"), "line 1: malformed JSON: Extra data"),
+        (" \x0c" + ONE_RECORD, "line 1: malformed JSON: Expecting value"),
+    ],
+    ids=["nul", "nul-after-a-record", "json-then-form-feed", "form-feed-then-json"],
+)
+def test_a_line_with_more_than_whitespace_is_read(text, message):
+    with pytest.raises(InputError) as caught:
+        parse(text)
+    assert str(caught.value) == message
+
+
 def test_malformed_json_names_line():
     text = jsonl([record("e", "q01", ["pro"])]) + "{not json\n"
     with pytest.raises(InputError, match="line 2: malformed JSON"):

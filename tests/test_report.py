@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import jsonl, record
-from serpbias import cli
+from serpbias import cli, report, stats
 from serpbias import (
     BaselineConfig,
     BaselineReport,
@@ -423,6 +423,43 @@ def test_report_references_each_pair_once():
     assert len(summary_keys) == len(set(summary_keys)) == 6
 
 
+@pytest.mark.parametrize("mode", ["stance", "ideology"])
+def test_evaluate_checks_each_beta_column_once(monkeypatch, mode):
+    rng = random.Random(11)
+    ds = dataset_from(
+        record(engine, f"q{k}", rng.choices(["pro", "against", "neutral"], k=8), leaning)
+        for engine in ("engine-a", "engine-b", "engine-c")
+        for k, leaning in enumerate(["liberal", "conservative", "liberal"])
+    )
+    checked, tested = [], []
+    finite, one_sample, paired = stats._finite, report.one_sample_ttest, report.paired_ttest
+
+    def check(values, what="observation"):
+        if type(values) is not stats.Sample:
+            checked.append((what, list(values)))
+        return finite(values, what)
+
+    def one_sample_test(values, *rest):
+        tested.append(values)
+        return one_sample(values, *rest)
+
+    def paired_test(a, b, *rest):
+        tested.extend((a, b))
+        return paired(a, b, *rest)
+
+    monkeypatch.setattr(stats, "_finite", check)
+    monkeypatch.setattr(report, "one_sample_ttest", one_sample_test)
+    monkeypatch.setattr(report, "paired_ttest", paired_test)
+    rep = evaluate(ds, mode=mode)
+    # 9 one-sample tests and 9 paired ones, every one on Samples.
+    assert len(tested) == 27 and all(type(v) is stats.Sample for v in tested)
+    # Each column of betas was checked once, in report order; apart from the
+    # columns, only each one-sample test's null mean was.
+    columns = [[rec.beta for rec in s.per_query] for s in rep.bias_summaries]
+    assert [values for what, values in checked if what == "observation"] == columns
+    assert [what for what, _ in checked].count("null mean") == len(checked) - len(columns) == 9
+
+
 # ---------------------------------------------------------------------------
 # The writers against the per-value versions they replaced, kept here as references.
 
@@ -550,13 +587,83 @@ def test_json_writer_matches_the_recursive_writer(value, indent):
 cells = st.one_of(odd_text, scalars, st.lists(odd_text, max_size=3).map(tuple))
 
 
-@given(rows=st.lists(st.lists(cells, max_size=5), max_size=4))
-@example(rows=[["x\\y", "a|b", "t\tu", "c\rd", "\x85", "é😀", ""], [Text("s|"), Level.LOW]])
-@example(rows=[[-0.0, 1e16, 5e-324, math.nan, -math.inf, Number(0.1), 3, None, ("a,b", "c|d")]])
-def test_table_writers_match_the_per_cell_writers(rows):
+def reference_tsv_blocks(header, blocks):
+    """reference_tsv over each block's rows: its lead, then one cell of each
+    column. The columns are taken to be of one length."""
+    rows = [[*lead, *row] for lead, columns in blocks for row in zip(*columns)]
+    return reference_tsv(header, rows)
+
+
+def one_row_blocks(rows):
+    """Each row as a block of its own: no lead, and one cell in each column."""
+    return [((), [[cell] for cell in row]) for row in rows]
+
+
+# A column holds cells of any kind, or only floats or only texts, which the
+# writer renders in one pass each.
+column_kinds = st.sampled_from([cells, st.floats(), edge_floats, odd_text, st.sampled_from("ab|")])
+
+
+@st.composite
+def tsv_blocks(draw):
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 4))
+        kinds = draw(st.lists(column_kinds, max_size=4))
+        columns = [draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]
+        blocks.append((draw(st.lists(cells, max_size=3)), columns))
+    return blocks
+
+
+TEXT_ROWS = [["x\\y", "a|b", "t\tu", "c\rd", "\x85", "é😀", ""], [Text("s|"), Level.LOW]]
+NUMBER_ROWS = [[-0.0, 1e16, 5e-324, math.nan, -math.inf, Number(0.1), 3, None, ("a,b", "c|d")]]
+
+
+# TSV is written a block of columns at a time, so its tables are drawn as
+# blocks; markdown is written a row at a time, from rows of any length.
+@given(rows=st.lists(st.lists(cells, max_size=5), max_size=4), blocks=tsv_blocks())
+@example(rows=TEXT_ROWS, blocks=one_row_blocks(TEXT_ROWS))
+@example(rows=NUMBER_ROWS, blocks=one_row_blocks(NUMBER_ROWS))
+@example(rows=[], blocks=[(["x\\y", 1.5], [["a", "b"], [None, 2.0]]), (("lead",), [])])
+def test_table_writers_match_the_per_cell_writers(rows, blocks):
     header = ("a", "b")
-    same_outcome(tsv_text, reference_tsv, header, rows)
+    same_outcome(tsv_text, reference_tsv_blocks, header, blocks)
     same_outcome(markdown_table, reference_markdown_table, header, rows)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [-0.0, 5e-324, 1e16, 0.1, math.nan, math.inf, -math.inf],
+        [Number(-0.0), Number(1e16), Number(math.nan)],
+        ["x\\y", "a"],
+        ["a", "t\tu"],
+        ["\x85", "b"],
+        ["a|b", "c"],
+        ["", "plain"],
+        [None, 3, ("a,b", "c|d")],
+        [1.5, "text", Level.HIGH, Text("s\n"), True],
+    ],
+    ids=[
+        "floats", "float-subclass", "backslash", "tab", "nel", "pipe", "plain-text", "mixed",
+        "floats-and-more",
+    ],
+)
+def test_each_tsv_column_kind_renders_as_its_cells(column):
+    lead = ("section", "", "x|\\")
+    blocks = [(lead, [column, ["field"] * len(column)]), ((), [column])]
+    assert tsv_text(("h",), blocks) == reference_tsv_blocks(("h",), blocks)
+
+
+def test_tsv_columns_of_unequal_length_raise():
+    with pytest.raises(ValueError):
+        tsv_text(("h",), [((), [[1.0, 2.0], [1.0]])])
+    with pytest.raises(ValueError):
+        tsv_text(("h",), [(("lead",), [["a"], ["b", "c"]])])
+
+
+def test_a_block_without_rows_writes_nothing():
+    assert tsv_text(("a", "b"), [(("lead",), [[], []]), (("lead",), []), ((), [])]) == "a\tb\n"
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from serpbias import (
     regularized_incomplete_beta,
     student_t_sf,
 )
+from serpbias.stats import Sample
 
 
 class TestSurvivalFunction:
@@ -432,3 +433,78 @@ def test_paired_matches_the_per_value_reference_bit_for_bit(args):
 )
 def test_betacf_matches_the_reference_bit_for_bit(a, b, x):
     assert outcome(serpbias.stats._betacf, a, b, x) == outcome(reference_betacf, a, b, x)
+
+
+# A Sample is a column checked once; every t-test must read it as it reads the
+# values it was built from, and building it must fail as the t-test would.
+observations = st.one_of(
+    st.integers(-(10**400), 10**400),
+    st.floats(-1e300, 1e300),
+    st.fractions(max_denominator=1000),
+    st.sampled_from([0.25, -0.5, 3, Fraction(1, 3)]),
+)
+faults = st.sampled_from([math.nan, math.inf, -math.inf, "1.5", "a", b"1", None, 10**400])
+
+
+@st.composite
+def observation_lists(draw, size=None):
+    n = size if size is not None else draw(st.integers(0, 12))
+    values = draw(st.lists(observations, min_size=n, max_size=n))
+    if values and draw(st.integers(0, 3)) == 0:
+        values[draw(st.integers(0, n - 1))] = draw(faults)
+    return values
+
+
+@given(
+    values=observation_lists(),
+    mu0=st.sampled_from([0.0, -0.0, 0.25]),
+    alpha=st.sampled_from([None, 0.05]),
+)
+@example(values=[1, Fraction(1, 2), 0.25], mu0=0.0, alpha=0.05)
+@example(values=[2, 2, 2], mu0=2.0, alpha=None)
+@example(values=[1.0, math.nan, "x"], mu0=0.0, alpha=None)
+@example(values=[10**400, -(10**400)], mu0=0.0, alpha=None)
+def test_one_sample_reads_a_sample_as_its_values(values, mu0, alpha):
+    def on_sample(values, mu0, alpha):
+        return one_sample_ttest(Sample(values), mu0, alpha)
+
+    assert outcome(on_sample, values, mu0, alpha) == outcome(one_sample_ttest, values, mu0, alpha)
+
+
+@st.composite
+def observation_pairs(draw):
+    a = draw(observation_lists())
+    return a, draw(st.one_of(observation_lists(len(a)), observation_lists()))
+
+
+@given(pair=observation_pairs(), sample_a=st.booleans(), sample_b=st.booleans())
+@example(pair=([1e308, 0.0, 2], [-1e308, 1, Fraction(1, 4)]), sample_a=True, sample_b=True)
+@example(pair=([1.0, 2.0], [0.5, "x"]), sample_a=True, sample_b=True)
+def test_paired_reads_samples_as_their_values(pair, sample_a, sample_b):
+    columns = []
+    for values, as_sample in zip(pair, (sample_a, sample_b)):
+        if as_sample:
+            try:
+                values = Sample(values)
+            except InputError as exc:
+                # Building it fails as a t-test of the column does.
+                assert (InputError, str(exc)) == outcome(paired_ttest, values, values)
+                return
+        columns.append(values)
+    assert outcome(paired_ttest, *columns, 0.05) == outcome(paired_ttest, *pair, 0.05)
+
+
+def test_a_sample_holds_floats_and_is_checked_once(monkeypatch):
+    sample = Sample([1, Fraction(1, 2), 0.25])
+    assert sample == (1.0, 0.5, 0.25) and all(type(v) is float for v in sample)
+    assert serpbias.stats._finite(sample) is sample
+    with pytest.raises(InputError, match=r"^t-test observation must be a finite number, got 'a'$"):
+        Sample([1.0, "a"])
+    seen = []
+    finite = serpbias.stats._finite
+    monkeypatch.setattr(serpbias.stats, "_finite", lambda *args: seen.append(args) or finite(*args))
+    one_sample_ttest(sample)
+    paired_ttest(sample, sample[::-1])
+    # _finite returns the sample as it is; only the null mean, a list, and the
+    # reversed copy, a plain tuple, take its list path.
+    assert [type(args[0]) for args in seen] == [Sample, list, Sample, tuple]
