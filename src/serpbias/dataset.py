@@ -11,11 +11,19 @@ one of pro / neutral / against / not-relevant. Ranks must run contiguously
 from 1 in the order given. Every engine must cover exactly the same set of
 query ids, and a query's text and leaning must agree across engines. Lists
 are ingested whole; cutoffs are applied by the measures, never here.
+
+A line in exactly the layout above, as `json.dumps` writes it (keys in that
+order, separators ", " and ": ", ASCII text without escapes, up to 1,024
+documents), is read by one regular-expression pass without decoding JSON.
+Any other line, and any line that pass has a doubt about, is decoded as JSON
+and checked field by field; both readers give the same dataset, and only the
+second names errors.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable
 
 from .errors import InputError
@@ -125,6 +133,49 @@ def _document(raw) -> Document:
     return Document(rank=rank, stance=stance, doc_id=doc_id)
 
 
+# A JSON string token that holds no escape and no control character, so its
+# text is its value. With isascii, no byte that was not UTF-8 can hide in it.
+_TEXT = r'"([^"\\\x00-\x1f]*)"'
+_HEAD = re.compile(
+    rf'\{{"engine": {_TEXT}, "query_id": {_TEXT}, "query": {_TEXT}, "leaning": {_TEXT}, "docs": \['
+)
+# A docs entry from its doc_id on: what _DOC.split leaves before entry k is its
+# opening through its rank, _OPENINGS[k - 1], so one list comparison checks
+# both the separators and the ranks of lists of up to _MAX_PLAIN documents.
+_DOC = re.compile(rf'"doc_id": {_TEXT}, "stance": {_TEXT}\}}')
+_MAX_PLAIN = 1024
+_OPENINGS = ['{"rank": 1, '] + [f', {{"rank": {k}, ' for k in range(2, _MAX_PLAIN + 1)]
+_TAILS = ("]}\n", "]}")
+_LEANING = {label.value: label for label in LeaningLabel}
+
+
+def _plain_record(line: str):
+    """The record on a line in the documented json.dumps layout, or None.
+
+    The line is read by one anchored match of its head and one split of its
+    docs array, and its columns are checked whole. None means the line is in
+    another layout or breaks a rule; it raises nothing, so the JSON path
+    alone names errors.
+    """
+    head = _HEAD.match(line) if line.isascii() else None
+    if head is None:
+        return None
+    # Per document: its opening, its id and its stance; then the tail.
+    parts = _DOC.split(line[head.end() :])
+    n = len(parts) // 3
+    ids = parts[1::3]
+    if parts[:-1:3] != _OPENINGS[:n] or parts[-1] not in _TAILS or len(set(ids)) != n:
+        return None
+    engine, query_id, query_text, leaning = head.groups()
+    try:
+        leaning = _LEANING[leaning]
+        codes = bytes(map(_STANCE_CODE.__getitem__, parts[2::3]))
+    except KeyError:  # an unknown label
+        return None
+    ranked = RankedList._from_columns(engine, query_id, leaning, codes, tuple(ids))
+    return engine, query_id, query_text, leaning, ranked
+
+
 def _ranked_list(engine: str, query_id: str, leaning: LeaningLabel, raw_docs: list) -> RankedList:
     """The list raw_docs describes, filled column by column in one pass.
 
@@ -164,12 +215,22 @@ def _parse_record(obj):
     return engine, query_id, query_text, leaning, ranked
 
 
+def _json_record(line: str):
+    """The record on a line in any JSON layout, checked field by field."""
+    engine, query_id, query_text, leaning, ranked = record = _parse_record(_decode(line))
+    # Only an escape puts a lone surrogate in a line that is UTF-8, and
+    # a one-character test costs a small part of a two-character one.
+    if "\\" in line:
+        _check_unicode(engine, query_id, query_text, ranked.doc_ids)
+    return record
+
+
 def parse_dataset(stream: Iterable[str]) -> Dataset:
     """Parse and validate a JSON Lines dataset.
 
     Blank lines are skipped. Raises InputError, with the offending line
-    number where one exists, on text that is not UTF-8, malformed JSON, an
-    id or query text that escapes a lone surrogate,
+    number where one exists, on a line that is not a str, text that is not
+    UTF-8, malformed JSON, an id or query text that escapes a lone surrogate,
     missing or mistyped fields, unknown labels, rank gaps, duplicate doc ids,
     duplicate (engine, query) pairs, inconsistent query metadata, or query
     sets that differ across engines.
@@ -177,15 +238,16 @@ def parse_dataset(stream: Iterable[str]) -> Dataset:
     by_engine: dict[str, dict[str, RankedList]] = {}
     query_table: dict[str, tuple[str, LeaningLabel]] = {}
     for line_no, line in enumerate(stream, start=1):
+        if not isinstance(line, str):
+            kind = type(line).__name__
+            raise InputError(f"line {line_no}: a line must be text (str), not {kind}")
         # isspace and strip share one notion of whitespace; isspace copies nothing.
         if not line or line.isspace():
             continue
         try:
-            engine, query_id, query_text, leaning, ranked = _parse_record(_decode(line))
-            # Only an escape puts a lone surrogate in a line that is UTF-8, and
-            # a one-character test costs a small part of a two-character one.
-            if "\\" in line:
-                _check_unicode(engine, query_id, query_text, ranked.doc_ids)
+            engine, query_id, query_text, leaning, ranked = (
+                _plain_record(line) or _json_record(line)
+            )
             lists = by_engine.setdefault(engine, {})
             if query_id in lists:
                 raise InputError(f"duplicate record for engine {engine!r}, query {query_id!r}")

@@ -1,12 +1,15 @@
 """Dataset ingestion and validation errors."""
 
 import io
+import json
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import jsonl, record
+from serpbias import dataset
 from serpbias import (
     Dataset,
     EngineRun,
@@ -59,6 +62,20 @@ def test_lines_of_any_whitespace_are_skipped():
     assert list(parse(blank + ONE_RECORD + blank).query_table) == ["q01"]
     # A line given without its newline, or empty, is skipped as well.
     assert list(parse_dataset(["", "\u3000", ONE_RECORD]).query_table) == ["q01"]
+
+
+@pytest.mark.parametrize("item", [ONE_RECORD.encode(), 5, None], ids=["bytes", "int", "None"])
+def test_a_line_that_is_not_text_is_named(item):
+    with pytest.raises(InputError) as caught:
+        parse_dataset([ONE_RECORD, item])
+    assert str(caught.value) == f"line 2: a line must be text (str), not {type(item).__name__}"
+
+
+def test_a_line_of_a_str_subclass_is_text():
+    class Text(str):
+        pass
+
+    assert parse_dataset([Text(ONE_RECORD)]) == parse_dataset([ONE_RECORD])
 
 
 @pytest.mark.parametrize(
@@ -270,3 +287,120 @@ def test_hand_built_dataset_names_what_is_wrong():
         Dataset(runs=(), query_table=mixed)
     with pytest.raises(InputError, match="^engine_id must be a string, got NoneType None$"):
         Dataset(runs=(EngineRun(None, {}),), query_table={})
+
+
+# ---------------------------------------------------------------------------
+# The documented-layout reader against the JSON reader.
+
+# Ids and query text are drawn from printable ASCII without the two characters
+# json.dumps escapes, plus the layout's own punctuation; a placeholder marks
+# where a mutation puts a raw control character.
+SAFE_TEXT = st.lists(
+    st.sampled_from([*"abq09 -_.:~'", "}", "{", ", ", "]}", "[", ": "]), max_size=4
+).map("".join)
+CONTROL = "@"
+MUTATIONS = (
+    "as-is", "compact", "reorder", "extra-key", "non-ascii", "surrogate", "escape", "control",
+    "rank-float", "rank-true", "rank-leading-zero", "rank-negative", "rank-gap",
+    "duplicate-id", "unknown-stance", "unknown-leaning", "empty-docs", "truncate",
+    "trailing-spaces", "too-long",
+)
+# Lines in the documented layout that the layout reader must take.
+PLAIN = ("as-is", "empty-docs")
+
+
+@st.composite
+def layout_lines(draw):
+    """JSON Lines written by json.dumps in the documented key order, one
+    (engine, query) pair a line, each line left as it is or mutated once."""
+    engines = draw(st.lists(SAFE_TEXT, min_size=1, max_size=2, unique=True))
+    queries = draw(st.lists(SAFE_TEXT, min_size=1, max_size=2, unique=True))
+    lines, mutations = [], []
+    for query_id in queries:
+        query = draw(SAFE_TEXT)
+        leaning = draw(st.sampled_from([label.value for label in LeaningLabel]))
+        for engine in engines:
+            ids = draw(st.lists(SAFE_TEXT, max_size=5, unique=True))
+            stances = [draw(st.sampled_from([label.value for label in StanceLabel])) for _ in ids]
+            rec = record(engine, query_id, stances, leaning=leaning, query=query)
+            for doc, doc_id in zip(rec["docs"], ids):
+                doc["doc_id"] = doc_id
+            rec["query"] = query  # record() puts a default in place of empty text
+            mutation = draw(st.sampled_from(("as-is",) * 5 + MUTATIONS))
+            lines.append(mutate(draw, rec, mutation))
+            mutations.append(mutation)
+    return lines, mutations
+
+
+def mutate(draw, rec, mutation):
+    docs = rec["docs"]
+    i = draw(st.integers(0, max(len(docs) - 1, 0)))
+    dumps = {}
+    if mutation == "compact":
+        dumps["separators"] = (",", ":")
+    elif mutation == "reorder":
+        rec = dict(reversed(rec.items()))
+        rec["docs"] = [dict(reversed(doc.items())) for doc in docs]
+    elif mutation == "extra-key":
+        (docs[i] if docs else rec)["extra"] = draw(st.sampled_from([1, "x", None]))
+    elif mutation in ("non-ascii", "surrogate", "escape", "control"):
+        char = {
+            "non-ascii": draw(st.sampled_from(["é", "\u2028", "\U0001f600"])),
+            "surrogate": "\udc80",
+            "escape": draw(st.sampled_from(['"', "\\", "/", "\n", "\x7f", "é"])),
+            "control": CONTROL,
+        }[mutation]
+        dumps["ensure_ascii"] = mutation == "escape"
+        if docs and draw(st.booleans()):
+            docs[i]["doc_id"] += char
+        else:
+            rec[draw(st.sampled_from(["engine", "query_id", "query"]))] += char
+    elif mutation.startswith("rank-") and docs:
+        wrong = {"rank-float": float(docs[i]["rank"]), "rank-true": True, "rank-negative": -1,
+                 "rank-gap": docs[i]["rank"] + 1, "rank-leading-zero": "LEADING-ZERO"}
+        docs[i]["rank"] = wrong[mutation]
+    elif mutation == "duplicate-id" and len(docs) > 1:
+        docs[i]["doc_id"] = docs[i - 1]["doc_id"]
+    elif mutation == "unknown-stance" and docs:
+        docs[i]["stance"] = draw(st.sampled_from(["Pro", "", "sideways"]))
+    elif mutation == "unknown-leaning":
+        rec["leaning"] = draw(st.sampled_from(["Liberal", "", "centrist"]))
+    elif mutation == "empty-docs":
+        rec["docs"] = []
+    elif mutation == "too-long":
+        rec["docs"] = [
+            {"rank": k, "doc_id": f"d{k}", "stance": "pro"}
+            for k in range(1, dataset._MAX_PLAIN + 2)
+        ]
+    line = json.dumps(rec, **dumps)
+    if mutation == "control":
+        line = line.replace(CONTROL, draw(st.sampled_from(["\x00", "\x01", "\t", "\x1f"])))
+    elif mutation == "rank-leading-zero":
+        line = line.replace('"LEADING-ZERO"', f"0{i + 1}")
+    elif mutation == "truncate":
+        line = line[: draw(st.integers(1, len(line) - 1))]
+    elif mutation == "trailing-spaces":
+        line += "  "
+    return line + "\n"
+
+
+@given(layout_lines())
+@settings(deadline=None)
+def test_layout_reader_agrees_with_the_json_reader(drawn):
+    lines, mutations = drawn
+    for line, mutation in zip(lines, mutations):
+        got = dataset._plain_record(line)
+        if mutation in PLAIN:
+            assert got is not None
+        if got is not None:
+            assert got == dataset._parse_record(dataset._decode(line))
+
+    def outcome():
+        try:
+            return parse_dataset(lines)
+        except InputError as exc:
+            return str(exc)
+
+    expected = outcome()
+    with mock.patch.object(dataset, "_plain_record", lambda line: None):
+        assert outcome() == expected

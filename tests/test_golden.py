@@ -6,6 +6,9 @@ Each case runs `cli.main` in process on a fixed dataset under
 alike (degenerate one-sample tests), a list shorter than the default step
 and a query whose lists hold no pro document (undefined rKL and rRD rows).
 `one_query.jsonl` has a single query, so every t-test is skipped.
+Both files are in the layout the dataset module reads without decoding
+JSON; each case also runs on copies in another layout, which the JSON
+reader reads, and must print the same bytes.
 
 The goldens were written by the implementation they guard; a refactor that
 must keep output unchanged is checked against them. To rewrite them after a
@@ -14,11 +17,12 @@ deliberate output change, run `PYTHONPATH=src python tests/test_golden.py`.
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
-from serpbias import cli
+from serpbias import cli, dataset
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SERPS = str(GOLDEN / "serps.jsonl")
@@ -58,6 +62,45 @@ def run_case(argv):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name):
     assert run_case(CASES[name]) == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_every_golden_line_takes_the_layout_reader(monkeypatch):
+    taken = []
+
+    def spy(line, plain=dataset._plain_record):
+        record = plain(line)
+        taken.append(record is not None)
+        return record
+
+    monkeypatch.setattr(dataset, "_plain_record", spy)
+    for path in (SERPS, ONE_QUERY):
+        taken.clear()
+        dataset.load_dataset(path)
+        assert taken == [True] * len(Path(path).read_text(encoding="utf-8").splitlines())
+
+
+@pytest.fixture(scope="module")
+def relaid(tmp_path_factory):
+    """Each golden dataset's path -> a copy written with compact separators and
+    every object's keys reversed, so that every line takes the JSON reader."""
+    copies = {}
+    for path in (SERPS, ONE_QUERY):
+        lines = []
+        for line in Path(path).read_text(encoding="utf-8").splitlines(keepends=True):
+            rec = json.loads(line)
+            rec["docs"] = [dict(reversed(doc.items())) for doc in rec["docs"]]
+            lines.append(json.dumps(dict(reversed(rec.items())), separators=(",", ":")) + "\n")
+            assert dataset._plain_record(lines[-1]) is None
+        copy = tmp_path_factory.mktemp("relaid") / Path(path).name
+        copy.write_text("".join(lines), encoding="utf-8")
+        copies[path] = str(copy)
+    return copies
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_another_layout_prints_the_golden_bytes(name, relaid):
+    argv = [relaid.get(arg, arg) for arg in CASES[name]]
+    assert run_case(argv) == (GOLDEN / f"{name}.out").read_bytes()
 
 
 if __name__ == "__main__":
