@@ -27,10 +27,6 @@ class BiasRecord(Record):
     query_id: str
     beta: float
 
-    def __init__(self, query_id: str, beta: float):
-        fields = self.__dict__
-        fields["query_id"], fields["beta"] = query_id, beta
-
 
 class BiasSummary(Record):
     """Per-engine aggregate: signed mean (mb), mean absolute (mab), per-query detail."""
@@ -40,11 +36,6 @@ class BiasSummary(Record):
     mb: float
     mab: float
     per_query: tuple[BiasRecord, ...]
-
-    def __init__(self, engine: str, measure: str, mb: float, mab: float, per_query: tuple):
-        fields = self.__dict__
-        fields["engine"], fields["measure"], fields["mb"], fields["mab"] = engine, measure, mb, mab
-        fields["per_query"] = per_query
 
 
 def _betas(masks, cfg: MeasureConfig) -> list[float]:

@@ -68,8 +68,7 @@ class Dataset(Record):
                         f"but the query table gives {leaning}"
                     )
             previous = engine
-        fields = self.__dict__
-        fields["runs"], fields["query_table"] = runs, query_table
+        self._fill(runs, query_table)
 
     def engine_ids(self) -> list[str]:
         return [run.engine_id for run in self.runs]
@@ -172,7 +171,7 @@ def _plain_record(line: str):
         codes = bytes(map(_STANCE_CODE.__getitem__, parts[2::3]))
     except KeyError:  # an unknown label
         return None
-    ranked = RankedList._from_columns(engine, query_id, leaning, codes, tuple(ids))
+    ranked = RankedList._new(engine, query_id, leaning, codes, tuple(ids))
     return engine, query_id, query_text, leaning, ranked
 
 
@@ -196,7 +195,7 @@ def _ranked_list(engine: str, query_id: str, leaning: LeaningLabel, raw_docs: li
             ids.append(doc_id)
         else:
             if len(set(ids)) == len(ids):
-                return RankedList._from_columns(engine, query_id, leaning, bytes(codes), tuple(ids))
+                return RankedList._new(engine, query_id, leaning, bytes(codes), tuple(ids))
     except (KeyError, TypeError):
         pass
     return RankedList(engine, query_id, leaning, [_document(raw) for raw in raw_docs])
@@ -265,7 +264,9 @@ def parse_dataset(stream: Iterable[str]) -> Dataset:
     if not by_engine:
         raise InputError("no records in input")
     # Each record's ids were checked as it was read; Dataset checks the rest.
-    runs = tuple(EngineRun._from_checked(engine, lists) for engine, lists in by_engine.items())
+    runs = tuple(
+        EngineRun._new(engine, dict(sorted(lists.items()))) for engine, lists in by_engine.items()
+    )
     return Dataset(runs=runs, query_table=query_table)
 
 

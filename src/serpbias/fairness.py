@@ -49,8 +49,7 @@ class BaselineConfig(Record):
     def __init__(self, step: int = DEFAULT_STEP, kind: str = kind):
         check_positive_int("step", step)
         check_choice("baseline kind", kind, BASELINE_KINDS)
-        fields = self.__dict__
-        fields["step"], fields["kind"] = step, kind
+        self._fill(step, kind)
 
 
 def _eval_points(length: int, step: int) -> range:

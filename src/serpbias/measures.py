@@ -52,9 +52,7 @@ class MeasureConfig(Record):
         check_fraction("persistence", persistence)
         _check_log_base(log_base)
         check_choice("measure kind", measure_kind, MEASURE_KINDS)
-        fields = self.__dict__
-        fields["cutoff"], fields["persistence"] = cutoff, persistence
-        fields["log_base"], fields["measure_kind"] = log_base, measure_kind
+        self._fill(cutoff, persistence, log_base, measure_kind)
 
 
 def _check_log_base(base):

@@ -106,8 +106,7 @@ class Document(Record):
     def __init__(self, rank: int, stance: Label, doc_id: str):
         if rank < 1:
             raise InputError(f"document rank must be >= 1, got {rank}")
-        fields = self.__dict__
-        fields["rank"], fields["stance"], fields["doc_id"] = rank, stance, doc_id
+        self._fill(rank, stance, doc_id)
 
 
 class RankedList(Record):
@@ -158,21 +157,6 @@ class RankedList(Record):
         codes = bytes(CODE[doc.stance] for doc in docs)
         self._fill(engine_id, query_id, leaning, codes, ids)
 
-    @classmethod
-    def _from_columns(cls, engine_id, query_id, leaning, codes: bytes, doc_ids: tuple):
-        """A list built from columns whose invariants the caller has already checked."""
-        r = object.__new__(cls)
-        r._fill(engine_id, query_id, leaning, codes, doc_ids)
-        return r
-
-    def _fill(self, engine_id, query_id, leaning, codes, doc_ids):
-        # Frozen: fields are set through the instance dict, one item each, which
-        # is faster than dict.update on a new instance's dict; parsing builds
-        # one list per record, and transform_list one per list.
-        fields = self.__dict__
-        fields["engine_id"], fields["query_id"], fields["leaning"] = engine_id, query_id, leaning
-        fields["codes"], fields["doc_ids"] = codes, doc_ids
-
     @cached_property
     def docs(self) -> tuple[Document, ...]:
         labeled = enumerate(zip(self.codes, self.doc_ids), start=1)
@@ -210,18 +194,7 @@ class EngineRun(Record):
                     f"list keyed {query_id!r} carries query_id {ranked.query_id!r}"
                 )
         # Sorted once every key is known to be text.
-        self._fill(engine_id, lists)
-
-    @classmethod
-    def _from_checked(cls, engine_id: str, lists: dict[str, RankedList]) -> "EngineRun":
-        """A run of lists whose ids the caller has already checked, as __init__ does."""
-        run = object.__new__(cls)
-        run._fill(engine_id, lists)
-        return run
-
-    def _fill(self, engine_id, lists):
-        fields = self.__dict__
-        fields["engine_id"], fields["lists"] = engine_id, dict(sorted(lists.items()))
+        self._fill(engine_id, dict(sorted(lists.items())))
 
 
 def _require_stance(label) -> None:
@@ -261,9 +234,7 @@ def _translation(mapping: dict) -> bytes:
 
 def _relabel(r: RankedList, table: bytes) -> RankedList:
     """r with its codes translated through table."""
-    out = object.__new__(RankedList)
-    out._fill(r.engine_id, r.query_id, r.leaning, r.codes.translate(table), r.doc_ids)
-    return out
+    return RankedList._new(r.engine_id, r.query_id, r.leaning, r.codes.translate(table), r.doc_ids)
 
 
 _LIST_IDEOLOGY = {

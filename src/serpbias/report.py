@@ -47,13 +47,6 @@ class ReportConfig(Record):
     alpha: float
     measures: tuple[str, ...]
 
-    def __init__(
-        self, cutoff: int, persistence: float, log_base: float, alpha: float, measures: tuple
-    ):
-        fields = self.__dict__
-        fields["cutoff"], fields["persistence"], fields["log_base"] = cutoff, persistence, log_base
-        fields["alpha"], fields["measures"] = alpha, measures
-
 
 class TestEntry(Record):
     """One t-test slot: a result, or the reason there is none. Only a paired
@@ -63,16 +56,8 @@ class TestEntry(Record):
     engine_b: str | None
     measure: str
     status: str
-    detail: str
-    result: TTestResult | None
-
-    def __init__(
-        self, engine: str, engine_b: str | None, measure: str, status: str, detail: str = "",
-        result: TTestResult | None = None,
-    ):
-        fields = self.__dict__
-        fields["engine"], fields["engine_b"], fields["measure"] = engine, engine_b, measure
-        fields["status"], fields["detail"], fields["result"] = status, detail, result
+    detail: str = ""
+    result: TTestResult | None = None
 
 
 _TSV_HEADER = ("section", "engine", "engine_b", "measure", "query_id", "field", "value")
@@ -93,16 +78,6 @@ class ComparisonReport(Record):
 
     # Its entries are paired tests, so each carries engine_b (see the wire format).
     _paired = ("paired_tests",)
-
-    def __init__(
-        self, mode: str, config: ReportConfig, engines: tuple, n_queries: int, warnings: tuple,
-        bias_summaries: tuple, one_sample_tests: tuple, paired_tests: tuple,
-    ):
-        fields = self.__dict__
-        fields["mode"], fields["config"], fields["engines"] = mode, config, engines
-        fields["n_queries"], fields["warnings"] = n_queries, warnings
-        fields["bias_summaries"], fields["one_sample_tests"] = bias_summaries, one_sample_tests
-        fields["paired_tests"] = paired_tests
 
     def tsv(self) -> tuple[Sequence[str], Iterable[tuple]]:
         return _TSV_HEADER, self._tsv_blocks()
@@ -202,11 +177,6 @@ class DatasetReport(Record):
     n_records: int
     n_documents: int
 
-    def __init__(self, engines: tuple, n_queries: int, n_records: int, n_documents: int):
-        fields = self.__dict__
-        fields["engines"], fields["n_queries"] = engines, n_queries
-        fields["n_records"], fields["n_documents"] = n_records, n_documents
-
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "DatasetReport":
         n_records = sum(len(run.lists) for run in ds.runs)
@@ -248,13 +218,6 @@ class BaselineReport(Record):
     _in_config = ("baseline", "step", "g1")
     # Written after the fields, and not read: it is recomputed from the scores.
     _unread = ("summary",)
-
-    def __init__(
-        self, mode: str, baseline: str, step: int, g1: str, engines: tuple, scores: tuple
-    ):
-        fields = self.__dict__
-        fields["mode"], fields["baseline"], fields["step"], fields["g1"] = mode, baseline, step, g1
-        fields["engines"], fields["scores"] = engines, scores
 
     def summary(self) -> Iterator[dict]:
         """Per engine: the mean of its defined scores (None without any), then

@@ -34,16 +34,7 @@ class TTestResult(Record):
     p_value: float
     sample_mean: float
     std_err: float
-    reject_at: float | None
-
-    def __init__(
-        self, t_stat: float, df: int, p_value: float, sample_mean: float, std_err: float,
-        reject_at: float | None = None,
-    ):
-        fields = self.__dict__
-        fields["t_stat"], fields["df"] = t_stat, df
-        fields["p_value"], fields["sample_mean"] = p_value, sample_mean
-        fields["std_err"], fields["reject_at"] = std_err, reject_at
+    reject_at: float | None = None
 
 
 def _betacf(a: float, b: float, x: float) -> float:

@@ -1,4 +1,4 @@
-"""The package's public names, and the names each module imports."""
+"""The package's public names, the names each module imports, and where records are stored."""
 
 import ast
 import pathlib
@@ -42,3 +42,21 @@ def test_every_imported_name_is_used():
         if left:
             unused[path.name] = sorted(left)
     assert unused == {}
+
+
+def test_only_record_py_stores_record_fields():
+    # record.py states once how a record keeps its fields: no other module
+    # touches an instance dict or makes an instance without __init__.
+    # Reading the fields through vars() is allowed.
+    found = {}
+    for path in sorted(pathlib.Path(serpbias.__file__).parent.glob("*.py")):
+        if path.name == "record.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "__dict__"
+                or node.attr == "__new__" and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                found.setdefault(path.name, []).append(node.lineno)
+    assert found == {}

@@ -5,8 +5,10 @@ twin here is the frozen dataclass it replaced: the same field names, in the
 same order, with the same defaults (BaselineScore's twin is the NamedTuple
 it replaced). Hypothesis draws valid constructor arguments, and every part
 of the record contract must behave as the twin's does: repr, equality,
-hashing, keyword construction and defaults, refusing changes, copying and
-pickling, and `vars()`.
+hashing, keyword construction and defaults, the TypeError of a missing
+argument, the constructor's name, refusing changes, copying and pickling,
+and `vars()`. A subclass that declares no fields behaves as a subclass of
+the twin does.
 """
 
 import collections
@@ -196,7 +198,7 @@ def refusal(fn, *args) -> str:
 
 
 def record_type(name, fields):
-    """A record type with the given fields and no __init__."""
+    """A record type with the given fields and nothing else."""
     return type(name, (Record,), {"__annotations__": dict.fromkeys(fields, "object")})
 
 
@@ -235,8 +237,7 @@ def test_record_behaves_as_its_frozen_dataclass_twin(cls, data):
         strangers = [collections.namedtuple("Stranger", twin_field_names)(*mine)]
     else:
         strangers = [twin("Stranger", " ".join(twin_field_names))(*mine)]
-        strangers.append(object.__new__(record_type("Stranger", twin_field_names)))
-        strangers[-1].__dict__.update(zip(twin_field_names, mine))
+        strangers.append(record_type("Stranger", twin_field_names)(*mine))
     equal = theirs == strangers[0]
     for stranger in (theirs, *strangers):
         assert (ours == stranger) is equal and (ours != stranger) is not equal
@@ -255,6 +256,15 @@ def test_record_behaves_as_its_frozen_dataclass_twin(cls, data):
             assert repr(cls(**required)) == repr(Twin(**required))
     else:
         assert cls(*args[:4]) == Twin(*mine[:4])
+
+    # A missing argument is named alike, with the constructor's qualified name.
+    # RankedList takes docs where its twin takes the columns.
+    for method in ("__new__", "__init__"):
+        assert getattr(cls, method).__qualname__ == getattr(Twin, method).__qualname__
+    required = [p for p in inspect.signature(Twin).parameters.values() if p.default is p.empty]
+    if cls is not RankedList and required:
+        n = len(required) - 1
+        assert outcome(cls, *args[:n]) == outcome(Twin, *mine[:n])
 
     # Assignment and deletion are refused alike, of fields and other names.
     for name in (twin_field_names[0], twin_field_names[-1], "not_a_field"):
@@ -294,3 +304,25 @@ def test_a_ranked_list_with_cached_docs_compares_and_hashes_as_before(args):
     assert r == fresh and fresh == r and not r != fresh
     for copied in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert copied == fresh and hash(copied) == hash(fresh) and copied.docs == r.docs
+
+
+# Per type: valid arguments, and keyword arguments the type refuses.
+SUBCLASS_CASES = {
+    MeasureConfig: ((5, 0.5, 2.0, "rbp"), {"cutoff": 0}),
+    Document: ((1, StanceLabel.PRO, "d1"), {"rank": 0, "stance": StanceLabel.PRO, "doc_id": ""}),
+    DatasetReport: ((("a",), 1, 1, 3), {"engines": ()}),
+}
+
+
+@pytest.mark.parametrize("cls", list(SUBCLASS_CASES), ids=lambda cls: cls.__name__)
+def test_a_subclass_that_declares_no_fields_keeps_its_parents(cls):
+    args, refused = SUBCLASS_CASES[cls]
+    Sub, TwinSub = type("Sub", (cls,), {}), type("Sub", (TWINS[cls],), {})
+    sub, parent = Sub(*args), cls(*args)
+    assert Sub._fields == cls._fields and vars(sub) == vars(parent)
+    assert outcome(lambda: Sub(**refused)) == outcome(lambda: cls(**refused))
+    assert repr(sub) == "Sub" + repr(parent).removeprefix(cls.__name__)
+    # As for a subclass of a dataclass: equal to its own kind only.
+    twin_values = [getattr(parent, name) for name in cls._fields]
+    assert (TwinSub(*twin_values) == TWINS[cls](*twin_values)) is False
+    assert sub != parent and parent != sub and sub == Sub(*args)
