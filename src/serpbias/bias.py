@@ -17,7 +17,7 @@ from math import fsum
 from .errors import InputError
 # precision_at, rbp and dcg_at stay names here: perfbench/trace.py times them.
 from .measures import MeasureConfig, dcg_at, discounts, precision_at, rbp, scale
-from .model import EngineRun, RankedList, side_masks
+from .model import EngineRun, RankedList, SideMasks, side_masks
 from .record import Record
 
 
@@ -78,12 +78,18 @@ def _checked(masks, lists) -> list:
 def summarize_run(run: EngineRun, cfg: MeasureConfig, masks=None) -> BiasSummary:
     """Per-query slants plus both aggregates for one engine under one measure.
 
-    `masks` may give the lists' side masks in query order (model.side_masks), so
-    measures can share them; by default each list is read as labeled."""
+    `masks` may give the lists' side masks in query order, so measures can
+    share them; by default each list is read as labeled. A SideMasks
+    (model.side_masks) of one pair per list is taken as it is; other masks
+    are checked against the lists."""
     if not run.lists:
         raise InputError(f"engine {run.engine_id!r} has an empty query set")
     lists = run.lists.values()
-    betas = _betas(side_masks(lists) if masks is None else _checked(masks, lists), cfg)
+    if masks is None:
+        masks = side_masks(lists)
+    elif type(masks) is not SideMasks or len(masks) != len(lists):
+        masks = _checked(masks, lists)
+    betas = _betas(masks, cfg)
     mb, mab = fsum(betas) / len(betas), fsum(map(abs, betas)) / len(betas)
     per_query = tuple(map(BiasRecord, run.lists, betas))
     return BiasSummary(run.engine_id, cfg.measure_kind, mb, mab, per_query)

@@ -17,7 +17,10 @@ order, separators ", " and ": ", ASCII text without escapes, up to 1,024
 documents), is read by one regular-expression pass without decoding JSON.
 Any other line, and any line that pass has a doubt about, is decoded as JSON
 and checked field by field; both readers give the same dataset, and only the
-second names errors.
+second names errors. Each list keeps its ids as one JSON array text (see
+model.RankedList): the first reader joins ids that need no escape, the
+second encodes them with model.ids_text, and neither keeps a string per
+document. A byte-order mark before line 1 is skipped.
 """
 
 from __future__ import annotations
@@ -25,9 +28,19 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterable
+from itertools import chain
 
 from .errors import InputError
-from .model import CODE, Document, EngineRun, LeaningLabel, RankedList, StanceLabel, check_id
+from .model import (
+    CODE,
+    Document,
+    EngineRun,
+    LeaningLabel,
+    RankedList,
+    StanceLabel,
+    check_id,
+    ids_text,
+)
 from .record import Record
 
 
@@ -98,18 +111,23 @@ def _decode(line: str):
     except UnicodeEncodeError as exc:
         raise InputError(f"text is not valid UTF-8 (column {exc.start + 1})") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc.msg}") from None
+        msg, note = exc.msg.removesuffix(" at"), ""
+        if msg.startswith("Unexpected UTF-8 BOM"):  # json's advice names a codec
+            msg, note = "Unexpected byte-order mark", " (only one, before line 1, is skipped)"
+        raise InputError(f"malformed JSON: {msg} at column {exc.pos + 1}{note}") from None
     except (RecursionError, ValueError) as exc:
         # Nesting past the recursion limit, or an integer past the digit limit.
         raise InputError(f"malformed JSON: {exc}") from None
 
 
-def _check_unicode(engine: str, query_id: str, query_text: str, doc_ids: tuple) -> None:
+def _check_unicode(engine: str, query_id: str, query_text: str, ids_json: str) -> None:
     """InputError naming the first of these texts that holds a lone surrogate,
     which only a JSON escape such as "\\udc80" can put there: no UTF-8 output
-    can hold it."""
-    named = [("engine", engine), ("query_id", query_id), ("query", query_text)]
-    for key, text in named + [("doc_id", doc_id) for doc_id in doc_ids]:
+    can hold it. ids_json, a list's doc_ids_json, keeps each id's non-ASCII
+    characters as they are, so its first lone surrogate is in the first id
+    that holds one."""
+    named = ("engine", engine), ("query_id", query_id), ("query", query_text)
+    for key, text in (*named, ("doc_id", ids_json)):
         try:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -171,7 +189,9 @@ def _plain_record(line: str):
         codes = bytes(map(_STANCE_CODE.__getitem__, parts[2::3]))
     except KeyError:  # an unknown label
         return None
-    ranked = RankedList._new(engine, query_id, leaning, codes, tuple(ids))
+    # The ids need no escape, so this is the text model.ids_text writes.
+    ids_json = '["' + '", "'.join(ids) + '"]' if ids else "[]"
+    ranked = RankedList._new(engine, query_id, leaning, codes, ids_json)
     return engine, query_id, query_text, leaning, ranked
 
 
@@ -195,7 +215,7 @@ def _ranked_list(engine: str, query_id: str, leaning: LeaningLabel, raw_docs: li
             ids.append(doc_id)
         else:
             if len(set(ids)) == len(ids):
-                return RankedList._new(engine, query_id, leaning, bytes(codes), tuple(ids))
+                return RankedList._new(engine, query_id, leaning, bytes(codes), ids_text(ids))
     except (KeyError, TypeError):
         pass
     return RankedList(engine, query_id, leaning, [_document(raw) for raw in raw_docs])
@@ -220,23 +240,29 @@ def _json_record(line: str):
     # Only an escape puts a lone surrogate in a line that is UTF-8, and
     # a one-character test costs a small part of a two-character one.
     if "\\" in line:
-        _check_unicode(engine, query_id, query_text, ranked.doc_ids)
+        _check_unicode(engine, query_id, query_text, ranked.doc_ids_json)
     return record
 
 
 def parse_dataset(stream: Iterable[str]) -> Dataset:
     """Parse and validate a JSON Lines dataset.
 
-    Blank lines are skipped. Raises InputError, with the offending line
-    number where one exists, on a line that is not a str, text that is not
-    UTF-8, malformed JSON, an id or query text that escapes a lone surrogate,
+    Blank lines are skipped, and so is a byte-order mark (U+FEFF) before
+    line 1. Raises InputError, with the offending line number where one
+    exists, on a line that is not a str, text that is not UTF-8, malformed
+    JSON, an id or query text that escapes a lone surrogate,
     missing or mistyped fields, unknown labels, rank gaps, duplicate doc ids,
     duplicate (engine, query) pairs, inconsistent query metadata, or query
     sets that differ across engines.
     """
     by_engine: dict[str, dict[str, RankedList]] = {}
     query_table: dict[str, tuple[str, LeaningLabel]] = {}
-    for line_no, line in enumerate(stream, start=1):
+    # RFC 8259 lets a parser skip a byte-order mark before the first line.
+    lines = iter(stream)
+    first = next(lines, "")
+    if isinstance(first, str) and first.startswith("\ufeff"):
+        first = first[1:]
+    for line_no, line in enumerate(chain((first,), lines), start=1):
         if not isinstance(line, str):
             kind = type(line).__name__
             raise InputError(f"line {line_no}: a line must be text (str), not {kind}")

@@ -12,7 +12,9 @@ All types are immutable after construction and every function here is pure.
 from __future__ import annotations
 
 import enum
+import json
 from functools import cached_property
+from json.encoder import encode_basestring
 
 from .errors import InputError
 from .record import Record
@@ -90,8 +92,18 @@ POSITIVE_MASK, NEGATIVE_MASK = (
 )
 
 
+def ids_text(ids) -> str:
+    """The JSON array of the text ids, as json.dumps(list(ids), ensure_ascii=False) writes it."""
+    return "[" + ", ".join(map(encode_basestring, ids)) + "]"
+
+
+def ids_from_text(text: str) -> tuple[str, ...]:
+    """The ids that ids_text wrote into text."""
+    return tuple(json.loads(text))
+
+
 def check_id(field: str, value) -> None:
-    """InputError naming field unless value, an engine or query id, is text."""
+    """InputError naming field unless value, an engine, query or doc id, is text."""
     if not isinstance(value, str):
         raise InputError(f"{field} must be a string, got {type(value).__name__} {value!r}")
 
@@ -113,20 +125,23 @@ class RankedList(Record):
     """The ranked documents one engine returned for one query.
 
     Ranks must be contiguous 1..len(docs) in ascending order, doc_ids must
-    be unique within the list, and every document carries the same label type
-    (all stance or all ideology). Empty lists are legal (a failed crawl still
-    counts as a result page).
+    be text and unique within the list, and every document carries the same
+    label type (all stance or all ideology). Empty lists are legal (a failed
+    crawl still counts as a result page).
 
-    The labels are stored as `codes`, one byte per rank indexing LABELS, next
-    to the tuple `doc_ids`; the Document tuple `docs` is built from the two on
-    first access. Equality and hashing compare these columns.
+    The labels are stored as `codes`, one byte per rank indexing LABELS. The
+    ids are stored as one text, `doc_ids_json`: the JSON array that
+    `json.dumps(list(ids), ensure_ascii=False)` writes (see ids_text), so a
+    list holds one id object however long it is. `doc_ids` decodes that text
+    on each access, and the Document tuple `docs` is built from the codes and
+    the ids on first access. Equality and hashing compare these columns.
     """
 
     engine_id: str
     query_id: str
     leaning: LeaningLabel
     codes: bytes
-    doc_ids: tuple[str, ...]
+    doc_ids_json: str
 
     def __init__(self, engine_id: str, query_id: str, leaning: LeaningLabel, docs=()):
         check_id("engine_id", engine_id)
@@ -150,12 +165,17 @@ class RankedList(Record):
                     f"rank {position} is {type(doc.stance).__name__}, "
                     f"rank 1 is {label_type.__name__}"
                 )
+            check_id("doc_id", doc.doc_id)
         ids = tuple(doc.doc_id for doc in docs)
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise InputError(f"duplicate doc_id in list ({engine_id}, {query_id}): {dupes}")
         codes = bytes(CODE[doc.stance] for doc in docs)
-        self._fill(engine_id, query_id, leaning, codes, ids)
+        self._fill(engine_id, query_id, leaning, codes, ids_text(ids))
+
+    @property
+    def doc_ids(self) -> tuple[str, ...]:
+        return ids_from_text(self.doc_ids_json)
 
     @cached_property
     def docs(self) -> tuple[Document, ...]:
@@ -234,7 +254,8 @@ def _translation(mapping: dict) -> bytes:
 
 def _relabel(r: RankedList, table: bytes) -> RankedList:
     """r with its codes translated through table."""
-    return RankedList._new(r.engine_id, r.query_id, r.leaning, r.codes.translate(table), r.doc_ids)
+    codes = r.codes.translate(table)
+    return RankedList._new(r.engine_id, r.query_id, r.leaning, codes, r.doc_ids_json)
 
 
 _LIST_IDEOLOGY = {
@@ -262,13 +283,24 @@ def transform_list(r: RankedList) -> RankedList:
     return _relabel(r, _LIST_IDEOLOGY[r.leaning])
 
 
-def side_masks(lists) -> list[tuple[bytes, bytes]]:
-    """Each RankedList's (positive, negative) masks, read as labeled (see SIDES).
+class SideMasks(tuple):
+    """Each list's (positive, negative) masks, read as labeled (see SIDES).
 
     A mask holds one byte per rank: 1 where the document carries that side's
-    label, else 0.
+    label, else 0. Taken from the lists themselves, a SideMasks needs no
+    check, so bias.summarize_run takes it as it is.
     """
-    return [(r.codes.translate(POSITIVE_MASK), r.codes.translate(NEGATIVE_MASK)) for r in lists]
+
+    __slots__ = ()
+
+    def __new__(cls, lists):
+        masks = [
+            (r.codes.translate(POSITIVE_MASK), r.codes.translate(NEGATIVE_MASK)) for r in lists
+        ]
+        return tuple.__new__(cls, masks)
+
+
+side_masks = SideMasks  # the name the README's library example calls
 
 
 _MIRROR = _translation({a: b for pair in SIDES.values() for a, b in (pair, pair[::-1])})

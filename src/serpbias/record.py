@@ -7,8 +7,10 @@ is its default. For each record type this module writes `_fill(self,
 holds fields takes `_fill` as its `__init__`; define `__init__` only to check
 or transform the arguments, and end it with `self._fill(...)`. `_new(*values)`
 builds an instance from values its caller has already checked, without the
-type's `__init__`. A subclass that declares no fields keeps its parent's
-fields, `__init__` and checks.
+type's `__init__`. A subclass's fields are its parent's followed by its
+own. A subclass that declares no fields keeps its parent's fields,
+`__init__` and checks; one that adds fields to a type whose `__init__`
+checks must define its own `__init__`, or class creation raises TypeError.
 
 After construction a record refuses every assignment and deletion. Equality,
 hashing and repr read the fields in order, as a frozen dataclass's do, so two
@@ -25,19 +27,32 @@ class Record:
     _fields = ()  # not annotated: the annotations of a record are its fields
 
     def __init_subclass__(cls):
-        fields = tuple(cls.__dict__.get("__annotations__", ()))
-        if not fields:  # a subclass that declares no fields keeps its parent's
+        inherited = cls._fields
+        own = [f for f in cls.__dict__.get("__annotations__", ()) if f not in inherited]
+        if not own:  # a subclass that declares no fields keeps its parent's
             return
-        cls._fields = fields
-        # The tuple of a record's field values is _key(record): every record
-        # type has two or more fields, so attrgetter returns a tuple.
-        cls._key = staticmethod(attrgetter(*fields))
+        fields = cls._fields = (*inherited, *own)
+        name = "_fill" if "__init__" in cls.__dict__ else "__init__"
+        # An inherited __init__ that is not a generated one checks its
+        # arguments, and a generated __init__ would skip those checks.
+        generated = (object.__init__, getattr(cls, "_fill", None))
+        if name == "__init__" and cls.__init__ not in generated:
+            raise TypeError(
+                f"{cls.__qualname__} adds fields but would skip the checks of "
+                f"{cls.__init__.__qualname__}: define {cls.__qualname__}.__init__ "
+                f"to check its arguments, and end it with self._fill(...)"
+            )
+        # The tuple of a record's field values is _key(record).
+        get = attrgetter(*fields)
+        cls._key = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
         # Straight-line code, one dict item per field: faster than a loop over
         # the fields or dict.update on a new instance's dict, and parsing builds
-        # one RankedList per record. Python itself rejects a field without a
-        # default after one with a default.
-        name = "_fill" if "__init__" in cls.__dict__ else "__init__"
-        params = [f"{f}=_cls.{f}" if f in cls.__dict__ else f for f in fields]
+        # one RankedList per record.
+        bases = cls.__mro__[: cls.__mro__.index(Record)]
+        params = [f"{f}=_cls.{f}" if any(f in b.__dict__ for b in bases) else f for f in fields]
+        required = [p for p in params if "=" not in p]
+        if required and params.index(required[-1]) >= len(required):
+            raise TypeError(f"field {required[-1]!r} without a default follows one with a default")
         lines = [f"def {name}(self, {', '.join(params)}):", "    _store = self.__dict__"]
         lines += [f"    _store[{f!r}] = {f}" for f in fields]
         namespace = {"_cls": cls}

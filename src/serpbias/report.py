@@ -286,8 +286,9 @@ def evaluate(
     kinds = tuple(sorted(MEASURE_KINDS if measures is None else set(measures)))
     kind_cfgs = [MeasureConfig(cfg.cutoff, cfg.persistence, cfg.log_base, kind) for kind in kinds]
 
-    # Each list's side masks, taken once for every measure (see model.side_masks);
-    # a relabeled list lives only until its masks are taken.
+    # Each list's side masks, taken once for every measure and checked by
+    # none (see model.SideMasks); a relabeled list lives only until its masks
+    # are taken.
     lists = [run.lists.values() for run in ds.runs]
     if mode == "ideology":
         lists = [map(transform_list, values) for values in lists]

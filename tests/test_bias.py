@@ -1,5 +1,6 @@
 """Slant scores and aggregates against independent summation oracles."""
 
+import importlib
 import itertools
 import math
 import random
@@ -25,7 +26,11 @@ from serpbias import (
     summarize_run,
     transform_list,
 )
-from serpbias.model import LABELS, SIDES, side_masks
+from serpbias import report
+from serpbias.model import LABELS, SIDES, SideMasks, side_masks
+
+# The package re-exports the function bias, so the module is taken by full name.
+bias_module = importlib.import_module("serpbias.bias")
 
 P, N, A, X = (
     StanceLabel.PRO,
@@ -430,3 +435,34 @@ def test_masks_must_be_a_list_or_tuple_of_one_pair_per_list():
         with pytest.raises(InputError, match="^masks need 2 pairs of bytes, one per list"):
             summarize_run(run, CFG_P, masks=bad)
     assert summarize_run(run, CFG_P, masks=tuple(masks)) == summarize_run(run, CFG_P)
+
+
+@pytest.mark.parametrize("mode", ["stance", "ideology"])
+def test_evaluate_takes_side_masks_without_checking_them(monkeypatch, mode):
+    runs = [run_of(engine, {"q1": [P, X], "q2": [A, P, N], "q3": []}) for engine in "abc"]
+    ds = Dataset(tuple(runs), {q: ("", LeaningLabel.CONSERVATIVE) for q in ("q1", "q2", "q3")})
+    expected = evaluate(ds, mode=mode)
+    checked, summarized = [], []
+
+    def check(masks, lists, real=bias_module._checked):
+        checked.append(masks)
+        return real(masks, lists)
+
+    def summarize(run, cfg, masks=None, real=report.summarize_run):
+        summarized.append(type(masks))
+        return real(run, cfg, masks=masks)
+
+    monkeypatch.setattr(bias_module, "_checked", check)
+    monkeypatch.setattr(report, "summarize_run", summarize)
+    assert evaluate(ds, mode=mode) == expected
+    # Scored once per (engine, measure), from masks that no one checks.
+    assert summarized == [SideMasks] * 9 and checked == []
+
+
+def test_side_masks_of_another_count_are_checked():
+    run = run_of("e", {"q1": [P], "q2": [A, P]})
+    lists = list(run.lists.values())
+    for other in (side_masks(lists[:1]), side_masks(lists * 2)):
+        assert type(other) is SideMasks
+        with pytest.raises(InputError, match="^masks need 2 pairs of bytes, one per list"):
+            summarize_run(run, CFG_P, masks=other)

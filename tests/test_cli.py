@@ -58,6 +58,24 @@ def test_validate_reads_stdin(dataset_path):
     assert json.loads(proc.stdout)["n_queries"] == 6
 
 
+def test_a_byte_order_mark_before_line_1_is_skipped(dataset_path, tmp_path):
+    text = Path(dataset_path).read_text(encoding="utf-8")
+    marked = tmp_path / "marked.jsonl"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = run_main("validate", "--input", dataset_path)
+    assert run_main("validate", "--input", marked) == expected
+    proc = cli("validate", "--input", "-", stdin="\ufeff" + text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    # Line numbers are those of the file.
+    marked.write_text(text + "{", encoding="utf-8-sig")
+    line = len(text.splitlines()) + 1
+    code, out, err = run_main("validate", "--input", marked)
+    assert (code, out) == (1, "")
+    message = "Expecting property name enclosed in double quotes at column 2"
+    assert err == f"input error: line {line}: malformed JSON: {message}\n"
+
+
 def test_evaluate_defaults_in_config_block(dataset_path):
     proc = cli("evaluate", "--input", dataset_path)
     assert proc.returncode == 0

@@ -1,9 +1,9 @@
 """Columnar label storage against the per-document model.
 
-A RankedList keeps one label code per rank next to its doc ids, and the
-parser, the relabelings and the measures work on those columns. These tests
-hold each of them to what the public Document/RankedList constructors and
-brute-force sums over `r.docs` give.
+A RankedList keeps one label code per rank next to its doc ids, held as one
+JSON array text, and the parser, the relabelings and the measures work on
+those columns. These tests hold each of them to what the public
+Document/RankedList constructors and brute-force sums over `r.docs` give.
 """
 
 import io
@@ -32,7 +32,8 @@ from serpbias import (
     rbp,
     transform_list,
 )
-from serpbias.model import LABELS
+from serpbias import dataset
+from serpbias.model import LABELS, ids_text
 
 STANCE_TEXT = [label.value for label in StanceLabel]
 LEANING_TEXT = [label.value for label in LeaningLabel]
@@ -295,3 +296,69 @@ def test_relabelings_keep_the_contract(ds):
                     transform_list(ideology)
                 with pytest.raises(InputError, match="only stance labels"):
                     transform_list(mirror(ideology))
+
+
+# ---------------------------------------------------------------------------
+# Id storage: one text per list, whichever path built it.
+
+# Characters json.dumps escapes ('"', backslash, control characters), DEL,
+# which it does not, non-ASCII text and the layout's own punctuation.
+ID_TEXT = st.lists(
+    st.sampled_from(
+        [*"ab09 -", '"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "😀", '", "']
+    ),
+    max_size=4,
+).map("".join)
+
+
+@given(
+    ids=st.lists(ID_TEXT, max_size=6, unique=True),
+    stances=st.lists(st.sampled_from(STANCE_TEXT), min_size=6, max_size=6),
+)
+@settings(deadline=None)
+def test_every_reader_stores_the_same_id_text(ids, stances):
+    rec = record("e", "q", stances[: len(ids)])
+    for doc, doc_id in zip(rec["docs"], ids):
+        doc["doc_id"] = doc_id
+    expected = json.dumps(ids, ensure_ascii=False)
+    assert ids_text(ids) == expected
+    docs = [Document(doc["rank"], StanceLabel(doc["stance"]), doc["doc_id"]) for doc in rec["docs"]]
+    built = {"constructor": RankedList("e", "q", LeaningLabel.CONSERVATIVE, docs)}
+    layout = json.dumps(rec, ensure_ascii=False) + "\n"
+    plain = dataset._plain_record(layout)
+    # The layout reader takes the line when no id needs an escape.
+    assert (plain is not None) is (layout.isascii() and "\\" not in layout)
+    if plain is not None:
+        built["layout reader"] = plain[-1]
+    for dumps in ({}, {"ensure_ascii": False}, {"separators": (",", ":")}):
+        line = json.dumps(rec, **dumps)
+        built[f"JSON reader {dumps}"] = dataset._json_record(line)[-1]
+        built[f"parse_dataset {dumps}"] = parse_dataset([line]).runs[0].lists["q"]
+    for how, r in built.items():
+        assert vars(r)["doc_ids_json"] == expected, how
+        assert r.doc_ids == tuple(ids), how
+        assert r == built["constructor"] and hash(r) == hash(built["constructor"]), how
+        assert [doc.doc_id for doc in r.docs] == ids, how
+        # The relabelings pass the text through as it is.
+        assert transform_list(r).doc_ids_json is mirror(r).doc_ids_json is r.doc_ids_json
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["layout reader", "JSON reader"])
+def test_a_parsed_list_holds_its_ids_as_one_str(compact):
+    rec = record("e", "q", ["pro", "against", "neutral"])
+    line = json.dumps(rec, separators=(",", ":") if compact else None)
+    assert (dataset._plain_record(line) is None) is compact
+    r = parse_dataset([line]).runs[0].lists["q"]
+    for held in (r, transform_list(r)):
+        assert list(vars(held)) == list(RankedList._fields)
+        assert type(vars(held)["doc_ids_json"]) is str
+        assert not [value for value in vars(held).values() if isinstance(value, (tuple, list))]
+    assert r.doc_ids == ("q-d1", "q-d2", "q-d3")
+    # doc_ids decodes anew on each access; only docs is kept once read.
+    assert r.doc_ids is not r.doc_ids and "doc_ids" not in vars(r)
+
+
+def test_hand_built_ids_must_be_text():
+    docs = [Document(1, StanceLabel.PRO, "a"), Document(2, StanceLabel.PRO, 2)]
+    with pytest.raises(InputError, match="^doc_id must be a string, got int 2$"):
+        RankedList("e", "q", LeaningLabel.CONSERVATIVE, docs)

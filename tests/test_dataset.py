@@ -81,10 +81,13 @@ def test_a_line_of_a_str_subclass_is_text():
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("\x00\n" + ONE_RECORD, "line 1: malformed JSON: Expecting value"),
-        ("\n" + ONE_RECORD + "\x00\n", "line 3: malformed JSON: Expecting value"),
-        (ONE_RECORD.replace("\n", "\x0c\n"), "line 1: malformed JSON: Extra data"),
-        (" \x0c" + ONE_RECORD, "line 1: malformed JSON: Expecting value"),
+        ("\x00\n" + ONE_RECORD, "line 1: malformed JSON: Expecting value at column 1"),
+        ("\n" + ONE_RECORD + "\x00\n", "line 3: malformed JSON: Expecting value at column 1"),
+        (
+            ONE_RECORD.replace("\n", "\x0c\n"),
+            f"line 1: malformed JSON: Extra data at column {len(ONE_RECORD)}",
+        ),
+        (" \x0c" + ONE_RECORD, "line 1: malformed JSON: Expecting value at column 2"),
     ],
     ids=["nul", "nul-after-a-record", "json-then-form-feed", "form-feed-then-json"],
 )
@@ -92,6 +95,38 @@ def test_a_line_with_more_than_whitespace_is_read(text, message):
     with pytest.raises(InputError) as caught:
         parse(text)
     assert str(caught.value) == message
+
+
+def test_a_byte_order_mark_before_line_1_is_skipped():
+    assert parse("\ufeff" + ONE_RECORD) == parse(ONE_RECORD)
+    assert parse_dataset(["\ufeff" + ONE_RECORD]) == parse(ONE_RECORD)
+    assert list(parse("\ufeff\n" + ONE_RECORD).query_table) == ["q01"]
+    # Line numbers stay those of the input, and only line 1 may start with a mark.
+    with pytest.raises(InputError) as caught:
+        parse("\ufeff" + ONE_RECORD + "\ufeff" + ONE_RECORD)
+    assert str(caught.value) == (
+        "line 2: malformed JSON: Unexpected byte-order mark at column 1 "
+        "(only one, before line 1, is skipped)"
+    )
+    with pytest.raises(InputError, match="^line 1: .* mark at column 1 .only one, before line 1"):
+        parse("\ufeff\ufeff" + ONE_RECORD)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"bad\n', "Invalid control character at column 6"),
+        ('{"engine": "e",\n', "Expecting property name enclosed in double quotes at column 17"),
+        ('{"engine": "e\n', "Invalid control character at column 14"),
+        ('{"engine": "e\\q"}\n', "Invalid \\escape at column 14"),
+        ('{"engine": "e" "q"}\n', "Expecting ',' delimiter at column 16"),
+        ('{"engine": "e}', "Unterminated string starting at column 12"),
+    ],
+)
+def test_malformed_json_names_the_column(line, message):
+    with pytest.raises(InputError) as caught:
+        parse_dataset([ONE_RECORD, line])
+    assert str(caught.value) == f"line 2: malformed JSON: {message}"
 
 
 def test_malformed_json_names_line():

@@ -8,7 +8,8 @@ and a query whose lists hold no pro document (undefined rKL and rRD rows).
 `one_query.jsonl` has a single query, so every t-test is skipped.
 Both files are in the layout the dataset module reads without decoding
 JSON; each case also runs on copies in another layout, which the JSON
-reader reads, and must print the same bytes.
+reader reads, and must print the same bytes. Every case also runs with the
+decoder of a list's doc ids made to raise, since no command reads them.
 
 The goldens were written by the implementation they guard; a refactor that
 must keep output unchanged is checked against them. To rewrite them after a
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from serpbias import cli, dataset
+from serpbias import cli, dataset, model
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SERPS = str(GOLDEN / "serps.jsonl")
@@ -101,6 +102,18 @@ def relaid(tmp_path_factory):
 def test_another_layout_prints_the_golden_bytes(name, relaid):
     argv = [relaid.get(arg, arg) for arg in CASES[name]]
     assert run_case(argv) == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_no_golden_command_decodes_the_ids(monkeypatch, relaid):
+    """Every command reads a list's codes and length only, never its ids."""
+
+    def refuse(text):
+        raise AssertionError(f"doc ids decoded: {text[:40]}")
+
+    monkeypatch.setattr(model, "ids_from_text", refuse)
+    for name, argv in sorted(CASES.items()):
+        for args in (argv, [relaid.get(arg, arg) for arg in argv]):
+            assert run_case(args) == (GOLDEN / f"{name}.out").read_bytes(), name
 
 
 if __name__ == "__main__":

@@ -203,7 +203,7 @@ def test_labels_outside_both_vocabularies_rejected():
 
 def test_columns_mirror_the_documents():
     r = make_list([StanceLabel.PRO, StanceLabel.NOT_RELEVANT, StanceLabel.PRO])
-    columns = ["engine_id", "query_id", "leaning", "codes", "doc_ids"]
+    columns = ["engine_id", "query_id", "leaning", "codes", "doc_ids_json"]
     assert list(r._fields) == columns
     assert r.doc_ids == ("q01-d1", "q01-d2", "q01-d3")
     assert r.mask(StanceLabel.PRO) == bytes([1, 0, 1])

@@ -8,7 +8,8 @@ of the record contract must behave as the twin's does: repr, equality,
 hashing, keyword construction and defaults, the TypeError of a missing
 argument, the constructor's name, refusing changes, copying and pickling,
 and `vars()`. A subclass that declares no fields behaves as a subclass of
-the twin does.
+the twin does, and so does one that adds fields to a type without checks;
+one that adds fields to a type with checks must say how it checks them.
 """
 
 import collections
@@ -31,6 +32,7 @@ from serpbias import (
     BiasRecord,
     BiasSummary,
     ComparisonReport,
+    ConfigError,
     Dataset,
     DatasetReport,
     Document,
@@ -70,7 +72,7 @@ def old_baseline_score():
 
 TWINS = {
     Document: twin("Document", "rank stance doc_id"),
-    RankedList: twin("RankedList", "engine_id query_id leaning codes doc_ids"),
+    RankedList: twin("RankedList", "engine_id query_id leaning codes doc_ids_json"),
     EngineRun: twin("EngineRun", "engine_id lists"),
     Dataset: twin("Dataset", "runs query_table"),
     MeasureConfig: twin(
@@ -326,3 +328,61 @@ def test_a_subclass_that_declares_no_fields_keeps_its_parents(cls):
     twin_values = [getattr(parent, name) for name in cls._fields]
     assert (TwinSub(*twin_values) == TWINS[cls](*twin_values)) is False
     assert sub != parent and parent != sub and sub == Sub(*args)
+
+
+def test_a_subclass_that_adds_fields_follows_its_parents():
+    Sub = type("Sub", (DatasetReport,), {"__annotations__": {"extra": "int"}, "extra": 0})
+    TwinSub = dataclasses.make_dataclass(
+        "Sub",
+        [("extra", object, dataclasses.field(default=0))],
+        bases=(TWINS[DatasetReport],),
+        frozen=True,
+    )
+    assert Sub._fields == (*DatasetReport._fields, "extra") == tuple(field_names(TwinSub))
+    args = (("a",), 1, 1, 3)
+    for given_args in (args, (*args, 9)):
+        sub, theirs = Sub(*given_args), TwinSub(*given_args)
+        assert repr(sub) == repr(theirs) and hash(sub) == hash(theirs)
+        assert sub == Sub(*given_args) and sub != DatasetReport(*args)
+    assert outcome(lambda: Sub(*args[:3])) == outcome(lambda: TwinSub(*args[:3]))
+
+
+def test_a_record_type_may_have_one_field():
+    One = record_type("One", ["x"])
+    TwinOne = twin("One", "x")
+    assert One._fields == ("x",)
+    for value in (1, "a", (1, 2), None):
+        ours, theirs = One(value), TwinOne(value)
+        assert repr(ours) == repr(theirs) and hash(ours) == hash(theirs)
+        assert ours == One(value) and ours != One([value])
+    Two = type("Two", (One,), {"__annotations__": {"y": "object"}})
+    assert repr(Two(1, 2)) == "Two(x=1, y=2)"
+
+
+def test_a_subclass_that_adds_fields_keeps_or_replaces_its_parents_checks():
+    # A generated __init__ would skip MeasureConfig's checks, so the class is refused.
+    refused = r"^Y adds fields but would skip the checks of MeasureConfig\.__init__: define "
+    with pytest.raises(TypeError, match=refused):
+        type("Y", (MeasureConfig,), {"__annotations__": {"extra": "int"}})
+
+    class Z(MeasureConfig):
+        extra: int
+
+        def __init__(self, extra, **config):
+            checked = MeasureConfig(**config)
+            self._fill(*(getattr(checked, name) for name in MeasureConfig._fields), extra)
+
+    assert Z._fields == (*MeasureConfig._fields, "extra")
+    fields = "cutoff=3, persistence=0.8, log_base=2.0, measure_kind='precision', extra=1"
+    assert repr(Z(1, cutoff=3)).endswith(f".<locals>.Z({fields})")
+    with pytest.raises(ConfigError):
+        Z(1, cutoff=0)
+
+
+def test_a_field_without_a_default_may_not_follow_one_with_a_default():
+    annotations = {"__annotations__": {"extra": "int"}}
+    with pytest.raises(TypeError):
+        dataclasses.make_dataclass("Late", [("extra", object)], bases=(TWINS[Entry],))
+    late = "^field 'extra' without a default follows one with a default$"
+    with pytest.raises(TypeError, match=late):
+        type("Late", (Entry,), annotations)
