@@ -17,7 +17,7 @@ from math import fsum
 from .errors import InputError
 # precision_at, rbp and dcg_at stay names here: perfbench/trace.py times them.
 from .measures import MeasureConfig, dcg_at, discounts, precision_at, rbp, scale
-from .model import EngineRun, RankedList, SideMasks, side_masks
+from .model import EngineRun, RankedList, side_masks
 from .record import Record
 
 
@@ -61,35 +61,12 @@ def bias(r: RankedList, cfg: MeasureConfig) -> float:
     return _betas(side_masks((r,)), cfg)[0]
 
 
-def _checked(masks, lists) -> list:
-    """masks, if it is a list or tuple of one pair of bytes per list, each as long as it."""
-    if isinstance(masks, (list, tuple)) and len(masks) == len(lists):
-        try:
-            for (pos, neg), r in zip(masks, lists):
-                if not (type(pos) is type(neg) is bytes and len(pos) == len(neg) == len(r.codes)):
-                    break
-            else:
-                return masks
-        except (TypeError, ValueError):  # an entry that is not a pair
-            pass
-    raise InputError(f"masks need {len(lists)} pairs of bytes, one per list and as long as it")
-
-
-def summarize_run(run: EngineRun, cfg: MeasureConfig, masks=None) -> BiasSummary:
-    """Per-query slants plus both aggregates for one engine under one measure.
-
-    `masks` may give the lists' side masks in query order, so measures can
-    share them; by default each list is read as labeled. A SideMasks
-    (model.side_masks) of one pair per list is taken as it is; other masks
-    are checked against the lists."""
+def summarize_run(run: EngineRun, cfg: MeasureConfig) -> BiasSummary:
+    """Per-query slants plus both aggregates for one engine under one measure,
+    from the run's side masks (EngineRun.masks)."""
     if not run.lists:
         raise InputError(f"engine {run.engine_id!r} has an empty query set")
-    lists = run.lists.values()
-    if masks is None:
-        masks = side_masks(lists)
-    elif type(masks) is not SideMasks or len(masks) != len(lists):
-        masks = _checked(masks, lists)
-    betas = _betas(masks, cfg)
+    betas = _betas(run.masks, cfg)
     mb, mab = fsum(betas) / len(betas), fsum(map(abs, betas)) / len(betas)
     per_query = tuple(map(BiasRecord, run.lists, betas))
     return BiasSummary(run.engine_id, cfg.measure_kind, mb, mab, per_query)

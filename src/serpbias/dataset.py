@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import Iterable
 from itertools import chain
 
@@ -115,9 +116,11 @@ def _decode(line: str):
         if msg.startswith("Unexpected UTF-8 BOM"):  # json's advice names a codec
             msg, note = "Unexpected byte-order mark", " (only one, before line 1, is skipped)"
         raise InputError(f"malformed JSON: {msg} at column {exc.pos + 1}{note}") from None
-    except (RecursionError, ValueError) as exc:
-        # Nesting past the recursion limit, or an integer past the digit limit.
+    except RecursionError as exc:  # nesting past the recursion limit
         raise InputError(f"malformed JSON: {exc}") from None
+    except ValueError:  # an integer past the digit limit; json's advice is for programs
+        limit = f"the limit of {sys.get_int_max_str_digits()} digits"
+        raise InputError(f"malformed JSON: an integer exceeds {limit}") from None
 
 
 def _check_unicode(engine: str, query_id: str, query_text: str, ids_json: str) -> None:

@@ -8,9 +8,11 @@ holds fields takes `_fill` as its `__init__`; define `__init__` only to check
 or transform the arguments, and end it with `self._fill(...)`. `_new(*values)`
 builds an instance from values its caller has already checked, without the
 type's `__init__`. A subclass's fields are its parent's followed by its
-own. A subclass that declares no fields keeps its parent's fields,
-`__init__` and checks; one that adds fields to a type whose `__init__`
-checks must define its own `__init__`, or class creation raises TypeError.
+own; a field it declares again keeps its place and takes the new default,
+as in a dataclass. A subclass that declares no fields keeps its parent's
+fields, `__init__` and checks; one that declares fields on a type whose
+`__init__` checks must define its own `__init__`, or class creation raises
+TypeError.
 
 After construction a record refuses every assignment and deletion. Equality,
 hashing and repr read the fields in order, as a frozen dataclass's do, so two
@@ -27,18 +29,18 @@ class Record:
     _fields = ()  # not annotated: the annotations of a record are its fields
 
     def __init_subclass__(cls):
-        inherited = cls._fields
-        own = [f for f in cls.__dict__.get("__annotations__", ()) if f not in inherited]
-        if not own:  # a subclass that declares no fields keeps its parent's
+        annotated = cls.__dict__.get("__annotations__", ())
+        if not annotated:  # a subclass that declares no fields keeps its parent's
             return
-        fields = cls._fields = (*inherited, *own)
+        inherited = cls._fields
+        fields = cls._fields = (*inherited, *(f for f in annotated if f not in inherited))
         name = "_fill" if "__init__" in cls.__dict__ else "__init__"
         # An inherited __init__ that is not a generated one checks its
         # arguments, and a generated __init__ would skip those checks.
         generated = (object.__init__, getattr(cls, "_fill", None))
         if name == "__init__" and cls.__init__ not in generated:
             raise TypeError(
-                f"{cls.__qualname__} adds fields but would skip the checks of "
+                f"{cls.__qualname__} declares fields but would skip the checks of "
                 f"{cls.__init__.__qualname__}: define {cls.__qualname__}.__init__ "
                 f"to check its arguments, and end it with self._fill(...)"
             )

@@ -23,7 +23,7 @@ from .bias import BiasRecord, BiasSummary, summarize_run
 from .dataset import Dataset
 from .errors import ConfigError, DegenerateSampleError, InputError, check_choice, check_fraction
 from .measures import MEASURE_KINDS, MeasureConfig
-from .model import IdeologyLabel, StanceLabel, side_masks, transform_list
+from .model import EngineRun, IdeologyLabel, StanceLabel, transform_list
 from .record import Record
 from .stats import Sample, TTestResult, one_sample_ttest, paired_ttest
 
@@ -286,19 +286,15 @@ def evaluate(
     kinds = tuple(sorted(MEASURE_KINDS if measures is None else set(measures)))
     kind_cfgs = [MeasureConfig(cfg.cutoff, cfg.persistence, cfg.log_base, kind) for kind in kinds]
 
-    # Each list's side masks, taken once for every measure and checked by
-    # none (see model.SideMasks); a relabeled list lives only until its masks
-    # are taken.
-    lists = [run.lists.values() for run in ds.runs]
-    if mode == "ideology":
-        lists = [map(transform_list, values) for values in lists]
-    masks = list(map(side_masks, lists))
     engines = tuple(ds.engine_ids())
     n_queries = len(ds.query_table)
 
-    summaries = [
-        summarize_run(run, c, masks=m) for run, m in zip(ds.runs, masks) for c in kind_cfgs
-    ]
+    summaries = []
+    for run in ds.runs:
+        if mode == "ideology":  # a relabeled run lives only while it is scored
+            relabeled = map(transform_list, run.lists.values())
+            run = EngineRun._new(run.engine_id, dict(zip(run.lists, relabeled)))
+        summaries += [summarize_run(run, c) for c in kind_cfgs]
     # Each column of betas is checked once, here, and every t-test takes it as it is.
     betas = {(s.engine, s.measure): Sample([rec.beta for rec in s.per_query]) for s in summaries}
 

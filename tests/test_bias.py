@@ -1,9 +1,9 @@
 """Slant scores and aggregates against independent summation oracles."""
 
-import importlib
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given
@@ -13,6 +13,7 @@ from conftest import make_list, random_stances, run_of
 from serpbias import (
     Dataset,
     EngineRun,
+    IdeologyLabel,
     InputError,
     LeaningLabel,
     MeasureConfig,
@@ -26,11 +27,8 @@ from serpbias import (
     summarize_run,
     transform_list,
 )
-from serpbias import report
-from serpbias.model import LABELS, SIDES, SideMasks, side_masks
-
-# The package re-exports the function bias, so the module is taken by full name.
-bias_module = importlib.import_module("serpbias.bias")
+from serpbias import model, report
+from serpbias.model import LABELS, SIDES
 
 P, N, A, X = (
     StanceLabel.PRO,
@@ -400,69 +398,37 @@ def test_evaluate_rejects_an_empty_query_set(mode):
         evaluate(ds, mode=mode)
 
 
-def test_given_masks_score_as_the_lists_do():
-    run = run_of("e", {"q1": [P, X], "q2": [A, P, N], "q3": []})
-    masks = side_masks(run.lists.values())
-    for cfg in (CFG_P, MeasureConfig(measure_kind="rbp"), MeasureConfig(measure_kind="dcg")):
-        assert summarize_run(run, cfg, masks=masks) == summarize_run(run, cfg)
-
-
-@pytest.mark.parametrize(
-    "q1",
-    [
-        (b"\x01\x01\x01", b"\x00\x00\x00"),
-        (b"", b""),
-        (b"\x01", b"\x00\x00"),
-        (b"\x01",),
-        (b"\x01", b"\x00", b"\x00"),
-        b"\x01\x00",
-        ("\x01", "\x00"),
-        (bytearray(b"\x01"), b"\x00"),
-        None,
-    ],
-    ids=["longer", "shorter", "uneven", "one", "three", "bytes", "text", "bytearray", "none"],
-)
-def test_each_list_needs_a_pair_of_bytes_as_long_as_it(q1):
-    run = run_of("e", {"q1": [P], "q2": [A, P]})
-    with pytest.raises(InputError, match="^masks need 2 pairs of bytes, one per list and as long as it$"):
-        summarize_run(run, CFG_P, masks=[q1, (b"\x00\x01", b"\x01\x00")])
-
-
-def test_masks_must_be_a_list_or_tuple_of_one_pair_per_list():
-    run = run_of("e", {"q1": [P], "q2": [A, P]})
-    masks = side_masks(run.lists.values())
-    for bad in (masks[:1], masks * 2, iter(masks), dict(enumerate(masks)), 2):
-        with pytest.raises(InputError, match="^masks need 2 pairs of bytes, one per list"):
-            summarize_run(run, CFG_P, masks=bad)
-    assert summarize_run(run, CFG_P, masks=tuple(masks)) == summarize_run(run, CFG_P)
-
-
 @pytest.mark.parametrize("mode", ["stance", "ideology"])
 def test_evaluate_takes_side_masks_without_checking_them(monkeypatch, mode):
-    runs = [run_of(engine, {"q1": [P, X], "q2": [A, P, N], "q3": []}) for engine in "abc"]
-    ds = Dataset(tuple(runs), {q: ("", LeaningLabel.CONSERVATIVE) for q in ("q1", "q2", "q3")})
-    expected = evaluate(ds, mode=mode)
-    checked, summarized = [], []
+    """evaluate takes each engine's side masks once, on the run it scores, and
+    every measure shares them; in ideology mode one relabeled run is alive
+    at a time."""
 
-    def check(masks, lists, real=bias_module._checked):
-        checked.append(masks)
-        return real(masks, lists)
+    def dataset():
+        runs = [run_of(engine, {"q1": [P, X], "q2": [A, P, N], "q3": []}) for engine in "abc"]
+        table = {q: ("", LeaningLabel.CONSERVATIVE) for q in ("q1", "q2", "q3")}
+        return Dataset(tuple(runs), table)
 
-    def summarize(run, cfg, masks=None, real=report.summarize_run):
-        summarized.append(type(masks))
-        return real(run, cfg, masks=masks)
+    expected = evaluate(dataset(), mode=mode)
+    taken, summarized, seen, alive = [], [], [], []
 
-    monkeypatch.setattr(bias_module, "_checked", check)
+    def masks(lists, real=model.side_masks):
+        lists = list(lists)
+        taken.append({(r.engine_id, type(LABELS[code])) for r in lists for code in r.codes})
+        return real(lists)
+
+    def summarize(run, cfg, real=report.summarize_run):
+        summarized.append((run.engine_id, cfg.measure_kind))
+        seen.append(weakref.ref(run))
+        alive.append(len({id(ref()) for ref in seen if ref() is not None}))
+        return real(run, cfg)
+
+    monkeypatch.setattr(model, "side_masks", masks)
     monkeypatch.setattr(report, "summarize_run", summarize)
-    assert evaluate(ds, mode=mode) == expected
-    # Scored once per (engine, measure), from masks that no one checks.
-    assert summarized == [SideMasks] * 9 and checked == []
-
-
-def test_side_masks_of_another_count_are_checked():
-    run = run_of("e", {"q1": [P], "q2": [A, P]})
-    lists = list(run.lists.values())
-    for other in (side_masks(lists[:1]), side_masks(lists * 2)):
-        assert type(other) is SideMasks
-        with pytest.raises(InputError, match="^masks need 2 pairs of bytes, one per list"):
-            summarize_run(run, CFG_P, masks=other)
+    # A fresh dataset: the first evaluate kept the masks on the runs it was given.
+    assert evaluate(dataset(), mode=mode) == expected
+    labels = IdeologyLabel if mode == "ideology" else StanceLabel
+    assert taken == [{(engine, labels)} for engine in "abc"]
+    kinds = ("dcg", "precision", "rbp")
+    assert summarized == [(engine, kind) for engine in "abc" for kind in kinds]
+    assert alive == ([1] * 9 if mode == "ideology" else [1, 1, 1, 2, 2, 2, 3, 3, 3])

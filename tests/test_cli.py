@@ -76,6 +76,20 @@ def test_a_byte_order_mark_before_line_1_is_skipped(dataset_path, tmp_path):
     assert err == f"input error: line {line}: malformed JSON: {message}\n"
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+    reason="this Python reads integers of any length",
+)
+def test_an_integer_past_the_digit_limit_names_the_limit(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "digits.jsonl"
+    path.write_text("1" * (limit + 700) + "\n", encoding="utf-8")
+    code, out, err = run_main("validate", "--input", path)
+    assert (code, out) == (1, "")
+    message = f"malformed JSON: an integer exceeds the limit of {limit} digits"
+    assert err == f"input error: line 1: {message}\n"
+
+
 def test_evaluate_defaults_in_config_block(dataset_path):
     proc = cli("evaluate", "--input", dataset_path)
     assert proc.returncode == 0
@@ -165,7 +179,8 @@ def test_baselines_custom_g1_and_mode(dataset_path):
 def test_missing_file_is_input_error():
     proc = cli("evaluate", "--input", "/nonexistent/data.jsonl")
     assert proc.returncode == 1
-    assert "input error" in proc.stderr
+    expected = "input error: cannot read '/nonexistent/data.jsonl': No such file or directory\n"
+    assert proc.stderr == expected
 
 
 def test_invalid_dataset_is_input_error(tmp_path):

@@ -153,6 +153,46 @@ def test_parse_matches_document_path(records):
         assert got.docs == ref.docs
 
 
+def refuse_document(raw):
+    raise AssertionError(f"read document by document: {raw!r}")
+
+
+unicode_ids = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(unicode_ids, st.sampled_from(STANCE_TEXT)),
+            max_size=8,
+            unique_by=lambda doc: doc[0],
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+@settings(deadline=None)
+def test_valid_docs_arrays_never_take_the_document_path(lists):
+    """The JSON reader's column loop takes every valid docs array whole: only
+    a fault sends a list through dataset._document."""
+    records = []
+    for q, docs in enumerate(lists):
+        rec = record("e", f"q{q}", [])
+        rec["docs"] = [
+            {"stance": stance, "doc_id": doc_id, "rank": rank}
+            for rank, (doc_id, stance) in enumerate(docs, start=1)
+        ]
+        records.append(rec)
+    expected = [reference_list(rec) for rec in records]
+    compact = (json.dumps(dict(reversed(rec.items())), separators=(",", ":")) for rec in records)
+    lines = [line + "\n" for line in compact]
+    assert not any(map(dataset._plain_record, lines))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_document", refuse_document)
+        parsed = parse_dataset(lines).runs[0].lists
+    assert [parsed[ref.query_id] for ref in expected] == expected
+
+
 @pytest.mark.parametrize(
     "docs, message",
     [

@@ -104,6 +104,17 @@ def test_another_layout_prints_the_golden_bytes(name, relaid):
     assert run_case(argv) == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def test_the_json_reader_reads_every_golden_list_column_by_column(monkeypatch, relaid):
+    """No valid list goes through dataset._document, the per-document fall-back."""
+
+    def refuse(raw):
+        raise AssertionError(f"read document by document: {raw!r}")
+
+    monkeypatch.setattr(dataset, "_document", refuse)
+    for path, copy in relaid.items():
+        assert dataset.load_dataset(copy) == dataset.load_dataset(path)
+
+
 def test_no_golden_command_decodes_the_ids(monkeypatch, relaid):
     """Every command reads a list's codes and length only, never its ids."""
 

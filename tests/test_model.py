@@ -187,12 +187,12 @@ def test_rank_positions_match_index():
 
 
 def test_duplicate_doc_ids_rejected():
-    docs = (
-        Document(rank=1, stance=StanceLabel.PRO, doc_id="same"),
-        Document(rank=2, stance=StanceLabel.PRO, doc_id="same"),
-    )
-    with pytest.raises(InputError, match="duplicate doc_id"):
+    # The message names each repeated id once, sorted, and no other id.
+    ids = ["d2", "d1", "unique", "d1", "d2", "d2"]
+    docs = [Document(k, StanceLabel.PRO, doc_id) for k, doc_id in enumerate(ids, start=1)]
+    with pytest.raises(InputError) as info:
         RankedList("e", "q", LeaningLabel.LIBERAL, docs)
+    assert str(info.value) == "duplicate doc_id in list (e, q): ['d1', 'd2']"
 
 
 def test_labels_outside_both_vocabularies_rejected():

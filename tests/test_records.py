@@ -8,8 +8,9 @@ of the record contract must behave as the twin's does: repr, equality,
 hashing, keyword construction and defaults, the TypeError of a missing
 argument, the constructor's name, refusing changes, copying and pickling,
 and `vars()`. A subclass that declares no fields behaves as a subclass of
-the twin does, and so does one that adds fields to a type without checks;
-one that adds fields to a type with checks must say how it checks them.
+the twin does, and so does one that adds fields to a type without checks
+or declares one of its parent's fields again; one that declares fields on
+a type with checks must say how it checks them.
 """
 
 import collections
@@ -347,6 +348,25 @@ def test_a_subclass_that_adds_fields_follows_its_parents():
     assert outcome(lambda: Sub(*args[:3])) == outcome(lambda: TwinSub(*args[:3]))
 
 
+def test_a_subclass_that_declares_a_field_again_takes_its_new_default():
+    Sub = type("Sub", (Entry,), {"__annotations__": {"detail": "str"}, "detail": "x"})
+    TwinSub = dataclasses.make_dataclass(
+        "Sub",
+        [("detail", object, dataclasses.field(default="x"))],
+        bases=(TWINS[Entry],),
+        frozen=True,
+    )
+    assert Sub._fields == Entry._fields == tuple(field_names(TwinSub))
+    args = ("e", None, "p", "ok")
+    for given_args in (args, (*args, "y"), (*args, "y", None)):
+        sub, theirs = Sub(*given_args), TwinSub(*given_args)
+        assert repr(sub) == repr(theirs) and hash(sub) == hash(theirs)
+    # Declaring a field again on a type that checks still needs an __init__.
+    refused = r"^Y declares fields but would skip the checks of MeasureConfig\.__init__: "
+    with pytest.raises(TypeError, match=refused):
+        type("Y", (MeasureConfig,), {"__annotations__": {"cutoff": "int"}, "cutoff": 5})
+
+
 def test_a_record_type_may_have_one_field():
     One = record_type("One", ["x"])
     TwinOne = twin("One", "x")
@@ -361,7 +381,7 @@ def test_a_record_type_may_have_one_field():
 
 def test_a_subclass_that_adds_fields_keeps_or_replaces_its_parents_checks():
     # A generated __init__ would skip MeasureConfig's checks, so the class is refused.
-    refused = r"^Y adds fields but would skip the checks of MeasureConfig\.__init__: define "
+    refused = r"^Y declares fields but would skip the checks of MeasureConfig\.__init__: define "
     with pytest.raises(TypeError, match=refused):
         type("Y", (MeasureConfig,), {"__annotations__": {"extra": "int"}})
 
