@@ -17,7 +17,7 @@ from math import fsum
 from .errors import InputError
 # precision_at, rbp and dcg_at stay names here: perfbench/trace.py times them.
 from .measures import MeasureConfig, dcg_at, discounts, precision_at, rbp, scale
-from .model import EngineRun, RankedList, side_masks
+from .model import NEGATIVE_MASK, POSITIVE_MASK, EngineRun, RankedList
 from .record import Record
 
 
@@ -38,17 +38,18 @@ class BiasSummary(Record):
     per_query: tuple[BiasRecord, ...]
 
 
-def _betas(masks, cfg: MeasureConfig) -> list[float]:
-    """The slant of each list from its (positive, negative) masks, one discount table per length."""
+def _betas(lists, cfg: MeasureConfig) -> list[float]:
+    """Each list's slant from its side masks (see model.SIDES), under one discount
+    table for the longest list: compress stops at each list's end, and no
+    rank's discount depends on the table's length."""
+    positives = [r.codes.translate(POSITIVE_MASK) for r in lists]
+    negatives = [r.codes.translate(NEGATIVE_MASK) for r in lists]
     op, factor = scale(cfg)
-    cache, betas = {}, []
-    for positive, negative in masks:
-        weights = cache.get(len(positive))
-        if weights is None:
-            weights = cache[len(positive)] = discounts(cfg, len(positive))
-        utility = op(fsum(compress(weights, positive)), factor)
-        betas.append(utility - op(fsum(compress(weights, negative)), factor))
-    return betas
+    weights = discounts(cfg, max(map(len, positives), default=0))
+    return [
+        op(fsum(compress(weights, pos)), factor) - op(fsum(compress(weights, neg)), factor)
+        for pos, neg in zip(positives, negatives)
+    ]
 
 
 def bias(r: RankedList, cfg: MeasureConfig) -> float:
@@ -58,15 +59,15 @@ def bias(r: RankedList, cfg: MeasureConfig) -> float:
     carry ideology labels. Each side's utility is computed on its own and
     only then subtracted; an empty list scores 0.
     """
-    return _betas(side_masks((r,)), cfg)[0]
+    return _betas((r,), cfg)[0]
 
 
 def summarize_run(run: EngineRun, cfg: MeasureConfig) -> BiasSummary:
     """Per-query slants plus both aggregates for one engine under one measure,
-    from the run's side masks (EngineRun.masks)."""
+    read from the run's lists at each call."""
     if not run.lists:
         raise InputError(f"engine {run.engine_id!r} has an empty query set")
-    betas = _betas(run.masks, cfg)
+    betas = _betas(run.lists.values(), cfg)
     mb, mab = fsum(betas) / len(betas), fsum(map(abs, betas)) / len(betas)
     per_query = tuple(map(BiasRecord, run.lists, betas))
     return BiasSummary(run.engine_id, cfg.measure_kind, mb, mab, per_query)

@@ -195,12 +195,7 @@ class RankedList(Record):
 
 
 class EngineRun(Record):
-    """One engine's lists over the whole query set, keyed and ordered by query_id.
-
-    `masks`, the lists' side masks, is taken on first use and kept, as
-    RankedList.docs is, so every measure scored on the run shares it. Like
-    the checks above, it assumes `lists` is not changed after construction.
-    """
+    """One engine's lists over the whole query set, keyed and ordered by query_id."""
 
     engine_id: str
     lists: dict[str, RankedList]
@@ -220,11 +215,6 @@ class EngineRun(Record):
                 )
         # Sorted once every key is known to be text.
         self._fill(engine_id, dict(sorted(lists.items())))
-
-    @cached_property
-    def masks(self) -> list[tuple[bytes, bytes]]:
-        """side_masks of the lists in query order, taken on first use."""
-        return side_masks(self.lists.values())
 
 
 def _require_stance(label) -> None:
@@ -291,15 +281,6 @@ def transform_list(r: RankedList) -> RankedList:
     if r.codes:
         _require_stance(LABELS[r.codes[0]])
     return _relabel(r, _LIST_IDEOLOGY[r.leaning])
-
-
-def side_masks(lists) -> list[tuple[bytes, bytes]]:
-    """Each list's (positive, negative) masks, read as labeled (see SIDES).
-
-    A mask holds one byte per rank: 1 where the document carries that side's
-    label, else 0.
-    """
-    return [(r.codes.translate(POSITIVE_MASK), r.codes.translate(NEGATIVE_MASK)) for r in lists]
 
 
 _MIRROR = _translation({a: b for pair in SIDES.values() for a, b in (pair, pair[::-1])})

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections import namedtuple
+from collections import ChainMap, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import groupby, repeat
 from json.encoder import encode_basestring as _encode_text
@@ -355,14 +355,14 @@ def _float_text(x: float) -> str:
 _ITEM = object()
 
 
-def to_json_text(value, indent: int = 0) -> str:
+def to_json_text(value) -> str:
     """Deterministic JSON with floats at 17 significant digits.
 
-    The layout is that of json.dumps(value, ensure_ascii=False, indent=2),
-    nested indent levels deep. Text, and each key as str(key), goes through
-    the encoder json.dumps uses; a named tuple renders as an array, and any
-    other subclass of a JSON type as json.dumps renders it. Scalars are
-    written in line, so only a container costs a Python call.
+    The layout is that of json.dumps(value, ensure_ascii=False, indent=2).
+    Text, and each key as str(key), goes through the encoder json.dumps
+    uses; a named tuple renders as an array, and any other subclass of a JSON
+    type as json.dumps renders it. Scalars are written in line, so only a
+    container costs a Python call.
     """
     chunks: list[str] = []
     append = chunks.append
@@ -408,7 +408,7 @@ def to_json_text(value, indent: int = 0) -> str:
                     items(zip(repeat(_ITEM), v), depth + 1, inner, "," + inner)
                     append(breaks[depth] + "]")
 
-    items(((_ITEM, value),), indent, "", "")
+    items(((_ITEM, value),), 0, "", "")
     return "".join(chunks)
 
 
@@ -465,7 +465,8 @@ _Slot = namedtuple("_Slot", "key kind hint slots write", defaults=(None, (), Non
 @functools.cache
 def _schema(cls, paired: bool = False) -> tuple[_Slot, ...]:
     """The slots of cls's JSON object; paired when cls is read as a paired test."""
-    hints = cls.__annotations__
+    # A class's own annotations name only the fields it declares itself.
+    hints = ChainMap(*(vars(c).get("__annotations__", {}) for c in cls.__mro__))
     in_config = getattr(cls, "_in_config", ())
 
     def slot(name: str) -> _Slot:

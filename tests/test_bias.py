@@ -27,7 +27,7 @@ from serpbias import (
     summarize_run,
     transform_list,
 )
-from serpbias import model, report
+from serpbias import report
 from serpbias.model import LABELS, SIDES
 
 P, N, A, X = (
@@ -398,37 +398,52 @@ def test_evaluate_rejects_an_empty_query_set(mode):
         evaluate(ds, mode=mode)
 
 
+def three_engines():
+    runs = [run_of(engine, {"q1": [P, X], "q2": [A, P, N], "q3": []}) for engine in "abc"]
+    table = {q: ("", LeaningLabel.CONSERVATIVE) for q in ("q1", "q2", "q3")}
+    return Dataset(tuple(runs), table)
+
+
 @pytest.mark.parametrize("mode", ["stance", "ideology"])
-def test_evaluate_takes_side_masks_without_checking_them(monkeypatch, mode):
-    """evaluate takes each engine's side masks once, on the run it scores, and
-    every measure shares them; in ideology mode one relabeled run is alive
-    at a time."""
-
-    def dataset():
-        runs = [run_of(engine, {"q1": [P, X], "q2": [A, P, N], "q3": []}) for engine in "abc"]
-        table = {q: ("", LeaningLabel.CONSERVATIVE) for q in ("q1", "q2", "q3")}
-        return Dataset(tuple(runs), table)
-
-    expected = evaluate(dataset(), mode=mode)
-    taken, summarized, seen, alive = [], [], [], []
-
-    def masks(lists, real=model.side_masks):
-        lists = list(lists)
-        taken.append({(r.engine_id, type(LABELS[code])) for r in lists for code in r.codes})
-        return real(lists)
+def test_evaluate_summarizes_each_run_once_per_measure(monkeypatch, mode):
+    """evaluate scores each engine's run, labeled for the mode, once per
+    measure; in ideology mode one relabeled run is alive at a time."""
+    expected = evaluate(three_engines(), mode=mode)
+    summarized, seen, alive = [], [], []
 
     def summarize(run, cfg, real=report.summarize_run):
-        summarized.append((run.engine_id, cfg.measure_kind))
+        labels = {type(LABELS[code]) for r in run.lists.values() for code in r.codes}
+        summarized.append((run.engine_id, cfg.measure_kind, labels))
         seen.append(weakref.ref(run))
         alive.append(len({id(ref()) for ref in seen if ref() is not None}))
         return real(run, cfg)
 
-    monkeypatch.setattr(model, "side_masks", masks)
     monkeypatch.setattr(report, "summarize_run", summarize)
-    # A fresh dataset: the first evaluate kept the masks on the runs it was given.
-    assert evaluate(dataset(), mode=mode) == expected
-    labels = IdeologyLabel if mode == "ideology" else StanceLabel
-    assert taken == [{(engine, labels)} for engine in "abc"]
+    assert evaluate(three_engines(), mode=mode) == expected
+    labels = {IdeologyLabel if mode == "ideology" else StanceLabel}
     kinds = ("dcg", "precision", "rbp")
-    assert summarized == [(engine, kind) for engine in "abc" for kind in kinds]
+    assert summarized == [(engine, kind, labels) for engine in "abc" for kind in kinds]
     assert alive == ([1] * 9 if mode == "ideology" else [1, 1, 1, 2, 2, 2, 3, 3, 3])
+
+
+@pytest.mark.parametrize("cfg", ALL_CFGS, ids=lambda c: c.measure_kind)
+def test_a_list_replaced_after_scoring_is_scored_as_replaced(cfg):
+    """summarize_run reads the run's lists at each call: a list replaced in
+    run.lists after one call scores as it would in a fresh run."""
+    run = run_of("e", {"q1": [P, X], "q2": [P, P, A, N], "q3": [A]})
+    before = summarize_run(run, cfg)
+    run.lists["q2"] = mirror(run.lists["q2"])
+    after = summarize_run(run, cfg)
+    assert after == summarize_run(EngineRun("e", dict(run.lists)), cfg)
+    assert after.mb < 0.0 < before.mb
+
+
+@pytest.mark.parametrize("mode", ["stance", "ideology"])
+def test_scoring_adds_nothing_to_a_run(mode):
+    """A run's instance dict holds its fields only, after evaluate and summarize_run."""
+    ds = three_engines()
+    evaluate(ds, mode=mode)
+    for run in ds.runs:
+        for cfg in ALL_CFGS:
+            summarize_run(run, cfg)
+        assert set(vars(run)) == set(run._fields)

@@ -177,6 +177,19 @@ def test_every_golden_json_reads_back_and_renders_every_golden_format():
                 assert render_report(rep, fmt) == golden.read_bytes().decode("utf-8"), golden.name
 
 
+def test_a_report_subclass_that_declares_no_fields_renders_as_its_parent():
+    """Such a subclass has its parent's fields and annotations: every golden
+    report, rebuilt as one, renders the parent's bytes in every format and
+    reads back as the parent report."""
+    for path in sorted(GOLDEN.glob("*.json.out")):
+        rep = report_from_json(path.read_bytes().decode("utf-8"))
+        cls = type(rep)
+        sub = type("Sub", (cls,), {})(*(getattr(rep, name) for name in cls._fields))
+        for fmt in ("json", "tsv", "markdown"):
+            assert render_report(sub, fmt) == render_report(rep, fmt), (path.name, fmt)
+        assert report_from_json(render_report(sub, "json")) == rep
+
+
 VALIDATE_JSON = (GOLDEN / "validate.json.out").read_text(encoding="utf-8")
 
 
@@ -569,19 +582,18 @@ def same_outcome(write, reference, *args):
         assert write(*args) == expected
 
 
-@given(value=json_values, indent=st.integers(0, 3))
+@given(value=json_values)
 @example(
     value={
         "text": ['"\\|\t\r\n\x00\udc80é😀', Text("sub\n")],
         Text("key\""): Pair(-0.0, [1e16, 5e-324, 1.7976931348623157e308, Number(2.0)]),
         7: (Level.HIGH, True, None, 0, [], {}, ()),
     },
-    indent=1,
 )
-@example(value=[1.5, {"a": [math.inf]}, math.nan], indent=0)
-@example(value={"a": [object()]}, indent=0)
-def test_json_writer_matches_the_recursive_writer(value, indent):
-    same_outcome(to_json_text, reference_json, value, indent)
+@example(value=[1.5, {"a": [math.inf]}, math.nan])
+@example(value={"a": [object()]})
+def test_json_writer_matches_the_recursive_writer(value):
+    same_outcome(to_json_text, reference_json, value)
 
 
 cells = st.one_of(odd_text, scalars, st.lists(odd_text, max_size=3).map(tuple))
