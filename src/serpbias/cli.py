@@ -112,16 +112,18 @@ def _g1(args):
     labels = MODES[args.mode]
     if args.g1 is None:
         return SIDES[labels][0]
-    try:
-        g1 = labels.from_str(args.g1)
-    except InputError as exc:
-        raise ConfigError(f"invalid --g1: {exc}") from None
-    if g1 is IdeologyLabel.EXCLUDED:
+    if labels is IdeologyLabel and args.g1 == IdeologyLabel.EXCLUDED.value:
         raise ConfigError(
             "invalid --g1: excluded documents are scored as not-relevant, "
             "so no list carries the excluded label"
         )
-    return g1
+    groups = {label.value: label for label in labels if label is not IdeologyLabel.EXCLUDED}
+    if args.g1 not in groups:
+        valid = ", ".join(groups)
+        raise ConfigError(
+            f"invalid --g1: unknown {args.mode} label {args.g1!r} (expected one of: {valid})"
+        )
+    return groups[args.g1]
 
 
 def _baselines(args) -> BaselineReport:

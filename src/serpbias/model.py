@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import json
-from functools import cached_property
 from json.encoder import encode_basestring
 
 from .errors import InputError
@@ -97,11 +96,6 @@ def ids_text(ids) -> str:
     return "[" + ", ".join(map(encode_basestring, ids)) + "]"
 
 
-def ids_from_text(text: str) -> tuple[str, ...]:
-    """The ids that ids_text wrote into text."""
-    return tuple(json.loads(text))
-
-
 def check_id(field: str, value) -> None:
     """InputError naming field unless value, an engine, query or doc id, is text."""
     if not isinstance(value, str):
@@ -132,9 +126,10 @@ class RankedList(Record):
     The labels are stored as `codes`, one byte per rank indexing LABELS. The
     ids are stored as one text, `doc_ids_json`: the JSON array that
     `json.dumps(list(ids), ensure_ascii=False)` writes (see ids_text), so a
-    list holds one id object however long it is. `doc_ids` decodes that text
-    on each access, and the Document tuple `docs` is built from the codes and
-    the ids on first access. Equality and hashing compare these columns.
+    list holds one id object however long it is. A list holds only these
+    fields: `doc_ids` decodes the text, and `docs` builds the Document tuple
+    from the codes and the ids, anew on each access. Equality and hashing
+    compare the fields.
     """
 
     engine_id: str
@@ -175,9 +170,9 @@ class RankedList(Record):
 
     @property
     def doc_ids(self) -> tuple[str, ...]:
-        return ids_from_text(self.doc_ids_json)
+        return tuple(json.loads(self.doc_ids_json))
 
-    @cached_property
+    @property
     def docs(self) -> tuple[Document, ...]:
         labeled = enumerate(zip(self.codes, self.doc_ids), start=1)
         return tuple(Document(rank, LABELS[code], doc_id) for rank, (code, doc_id) in labeled)

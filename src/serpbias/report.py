@@ -15,7 +15,7 @@ import functools
 import json
 import math
 from collections import ChainMap, namedtuple
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby, repeat
 from json.encoder import encode_basestring as _encode_text
 
@@ -190,18 +190,14 @@ class DatasetReport(Record):
         return "Dataset", [markdown_list(bullets)]
 
 
-class BaselineScore(
-    namedtuple("BaselineScore", "engine query_id status score detail", defaults=("",))
-):
+class BaselineScore(Record):
     """One list's baseline score; status "undefined" carries no score and says why."""
-
-    __slots__ = ()
 
     engine: str
     query_id: str
     status: str
     score: float | None
-    detail: str
+    detail: str = ""
 
 
 class BaselineReport(Record):
@@ -235,10 +231,10 @@ class BaselineReport(Record):
             yield {"engine": engine, "mean_score": mean, **counts}
 
     def tsv(self) -> tuple[Sequence[str], Iterable[tuple]]:
-        return BaselineScore._fields, [((), tuple(zip(*self.scores)))]
+        return BaselineScore._fields, [((), tuple(zip(*map(BaselineScore._key, self.scores))))]
 
     def markdown(self) -> tuple[str, list[str]]:
-        rows = [row[:4] for row in self.scores]
+        rows = [BaselineScore._key(row)[:4] for row in self.scores]
         means = [row.values() for row in self.summary()]
         return f"{self.baseline} baseline (step {self.step}, g1 = {self.g1})", [
             markdown_table(("engine", "query", "status", "score"), rows),
@@ -479,7 +475,11 @@ def _schema(cls, paired: bool = False) -> tuple[_Slot, ...]:
         kind = "parts" if hint.startswith("tuple[") else "in_line" if "|" in hint else "part"
         part = _PARTS[hint.removeprefix("tuple[").removesuffix(", ...]").removesuffix(" | None")]
         inner = _schema(part, name in getattr(cls, "_paired", ()))
-        return _Slot(name, kind, part, inner, _writer(part, inner))
+        # A part whose fields are all leaves is written as its own instance
+        # dict: no Python call per field.
+        leaves = all(s.kind == "leaf" for s in inner)
+        write = vars if leaves else functools.partial(_write, slots=inner)
+        return _Slot(name, kind, part, inner, write)
 
     slots = []
     for in_group, names in groupby(cls._fields, key=in_config.__contains__):
@@ -487,15 +487,6 @@ def _schema(cls, paired: bool = False) -> tuple[_Slot, ...]:
         slots += [_Slot("config", "group", slots=inner)] if in_group else inner
     slots += [_Slot(name, "unread") for name in getattr(cls, "_unread", ())]
     return tuple(slots)
-
-
-def _writer(cls, slots: tuple[_Slot, ...]) -> Callable:
-    """What writes a cls as its JSON object. A part whose fields are all
-    leaves is its own instance dict (a named tuple's _asdict()): no Python
-    call per field."""
-    if any(s.kind != "leaf" for s in slots):
-        return functools.partial(_write, slots=slots)
-    return cls._asdict if hasattr(cls, "_asdict") else vars
 
 
 def _write(part, slots: tuple[_Slot, ...]) -> dict:
@@ -562,10 +553,11 @@ def report_from_json(text: str) -> Report:
     InputError."""
     try:
         data = json.loads(text, parse_constant=_no_constant)
-        if "bias_summaries" in data:
+        keys = data if isinstance(data, dict) else ()  # _read refuses what is not an object
+        if "bias_summaries" in keys:
             cls = ComparisonReport
         else:
-            cls = BaselineReport if "scores" in data else DatasetReport
+            cls = BaselineReport if "scores" in keys else DatasetReport
         return cls(*_read(data, _schema(cls)))
     except (LookupError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"not a serpbias report: {type(exc).__name__}: {exc}") from None

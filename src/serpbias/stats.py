@@ -3,13 +3,16 @@
 The two-tailed tail probability comes from the identity
 P(|T_df| >= t) = I_x(df/2, 1/2) with x = df/(df + t^2), where I_x is the
 regularized incomplete beta function, evaluated here with a modified Lentz
-continued fraction. Absolute accuracy is far below 1e-10 over the degrees
-of freedom this package encounters.
+continued fraction. Against scipy, over t in (0, 8] in steps of 0.001, the
+largest absolute error is 5e-13 up to df 56, 1.1e-11 at df 1,000 and 1.6e-10
+at 10,000, mostly at small t; it is 4.4e-9 at 10^5 and 1.2e-8 at 10^6. At t =
+1.96, where the tail is 0.05, df 10^16 gives 4.7e-10 and 10^17 gives 1.0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import sub
@@ -93,11 +96,14 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 def student_t_sf(t: float, df: int) -> float:
     """Two-tailed tail probability P(|T_df| >= |t|).
 
-    df must be an int of at least 1, and a bool is not one, else ConfigError;
-    t must be a number other than NaN, and text is not one, else InputError.
+    df must be an int from 1 to the largest float, and a bool is not one,
+    else ConfigError; t must be a number other than NaN, and text is not
+    one, else InputError.
     """
     if isinstance(df, bool) or not isinstance(df, int) or df < 1:
         raise ConfigError(f"degrees of freedom must be an integer >= 1, got {df!r}")
+    if df > sys.float_info.max:  # df enters float arithmetic
+        raise ConfigError("degrees of freedom must lie in the float range, up to 1.8e308")
     try:
         number = math.nan if isinstance(t, (str, bytes, bytearray)) else float(t)
     except OverflowError:  # an int past the float range

@@ -226,6 +226,23 @@ def test_excluded_g1_is_configuration_error():
     assert proc.stderr.count("\n") == 1
 
 
+def test_an_unknown_g1_lists_only_the_labels_it_accepts():
+    golden = str(Path(__file__).parent / "golden" / "serps.jsonl")
+    for mode, valid in (
+        ("ideology", "conservative, liberal, neutral, not-relevant"),
+        ("stance", "pro, neutral, against, not-relevant"),
+    ):
+        proc = cli("baselines", "--input", golden, "--mode", mode, "--g1", "EXCLUDED")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"configuration error: invalid --g1: unknown {mode} label 'EXCLUDED' "
+            f"(expected one of: {valid})\n"
+        )
+        for label in valid.split(", "):
+            proc = cli("baselines", "--input", golden, "--mode", mode, "--g1", label)
+            assert proc.returncode == 0, proc.stderr
+
+
 def test_unencodable_stdout_is_configuration_error(tmp_path):
     path = tmp_path / "u.jsonl"
     path.write_text(jsonl([record("\u00fc", "q1", ["pro"])]), encoding="utf-8")

@@ -8,8 +8,9 @@ and a query whose lists hold no pro document (undefined rKL and rRD rows).
 `one_query.jsonl` has a single query, so every t-test is skipped.
 Both files are in the layout the dataset module reads without decoding
 JSON; each case also runs on copies in another layout, which the JSON
-reader reads, and must print the same bytes. Every case also runs with the
-decoder of a list's doc ids made to raise, since no command reads them.
+reader reads, and must print the same bytes. Every case also runs with a
+list's `doc_ids`, which `docs` reads too, made to raise, since no command
+reads them.
 
 The goldens were written by the implementation they guard; a refactor that
 must keep output unchanged is checked against them. To rewrite them after a
@@ -118,10 +119,10 @@ def test_the_json_reader_reads_every_golden_list_column_by_column(monkeypatch, r
 def test_no_golden_command_decodes_the_ids(monkeypatch, relaid):
     """Every command reads a list's codes and length only, never its ids."""
 
-    def refuse(text):
-        raise AssertionError(f"doc ids decoded: {text[:40]}")
+    def refuse(ranked):
+        raise AssertionError(f"doc ids decoded: {ranked.doc_ids_json[:40]}")
 
-    monkeypatch.setattr(model, "ids_from_text", refuse)
+    monkeypatch.setattr(model.RankedList, "doc_ids", property(refuse))
     for name, argv in sorted(CASES.items()):
         for args in (argv, [relaid.get(arg, arg) for arg in argv]):
             assert run_case(args) == (GOLDEN / f"{name}.out").read_bytes(), name

@@ -208,9 +208,8 @@ def test_columns_mirror_the_documents():
     assert r.doc_ids == ("q01-d1", "q01-d2", "q01-d3")
     assert r.mask(StanceLabel.PRO) == bytes([1, 0, 1])
     assert r.mask(IdeologyLabel.NOT_RELEVANT) == bytes(3)
-    # Built from columns, docs are made once and then shared.
+    # Built from the columns of a list made without documents.
     m = mirror(r)
-    assert m.docs is m.docs
     assert m.docs[1] == Document(rank=2, stance=StanceLabel.NOT_RELEVANT, doc_id="q01-d2")
 
 

@@ -1,29 +1,30 @@
 """The record types against frozen-dataclass twins of the same fields.
 
 Each public record type is a plain class on `serpbias.record.Record`. Its
-twin here is the frozen dataclass it replaced: the same field names, in the
-same order, with the same defaults (BaselineScore's twin is the NamedTuple
-it replaced). Hypothesis draws valid constructor arguments, and every part
-of the record contract must behave as the twin's does: repr, equality,
-hashing, keyword construction and defaults, the TypeError of a missing
-argument, the constructor's name, refusing changes, copying and pickling,
-and `vars()`. A subclass that declares no fields behaves as a subclass of
-the twin does, and so does one that adds fields to a type without checks
-or declares one of its parent's fields again; one that declares fields on
-a type with checks must say how it checks them.
+twin here is a frozen dataclass of the same field names, in the same order,
+with the same defaults. Hypothesis draws valid constructor arguments, and
+every part of the record contract must behave as the twin's does: repr,
+equality, hashing, keyword construction and defaults, the TypeError of a
+missing argument, the constructor's name, refusing changes, copying and
+pickling, and `vars()`. A subclass that declares no fields behaves as a
+subclass of the twin does, and so does one that adds fields to a type
+without checks or declares one of its parent's fields again; one that
+declares fields on a type with checks must say how it checks them. Every
+record that the golden commands build holds its fields and nothing else.
 """
 
-import collections
 import copy
 import dataclasses
+import importlib
 import inspect
 import pickle
-import typing
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import serpbias
 from serpbias import (
     BASELINE_KINDS,
     MEASURE_KINDS,
@@ -47,8 +48,11 @@ from serpbias import (
     TestEntry as Entry,
     TTestResult,
 )
+from serpbias import cli, report
+from serpbias.dataset import load_dataset
 from serpbias.model import LABELS
 from serpbias.record import Record
+from test_golden import CASES
 
 
 def twin(name, fields, **defaults):
@@ -58,17 +62,6 @@ def twin(name, fields, **defaults):
         for f in fields.split()
     ]
     return dataclasses.make_dataclass(name, specs, frozen=True)
-
-
-def old_baseline_score():
-    class BaselineScore(typing.NamedTuple):
-        engine: str
-        query_id: str
-        status: str
-        score: typing.Optional[float]
-        detail: str = ""
-
-    return BaselineScore
 
 
 TWINS = {
@@ -100,7 +93,7 @@ TWINS = {
     ),
     DatasetReport: twin("DatasetReport", "engines n_queries n_records n_documents"),
     BaselineReport: twin("BaselineReport", "mode baseline step g1 engines scores"),
-    BaselineScore: old_baseline_score(),
+    BaselineScore: twin("BaselineScore", "engine query_id status score detail", detail=""),
 }
 
 # ---------------------------------------------------------------------------
@@ -206,8 +199,6 @@ def record_type(name, fields):
 
 
 def field_names(twin_type) -> list[str]:
-    if issubclass(twin_type, tuple):
-        return list(twin_type._fields)
     return [f.name for f in dataclasses.fields(twin_type)]
 
 
@@ -234,31 +225,21 @@ def test_record_behaves_as_its_frozen_dataclass_twin(cls, data):
     if not isinstance(outcome(hash, ours), tuple):
         assert hash(cls(*args)) == hash(ours)
 
-    # Another type with the same fields: a dataclass is never equal to one,
-    # a named tuple is equal to any tuple of its values.
-    if issubclass(Twin, tuple):
-        strangers = [collections.namedtuple("Stranger", twin_field_names)(*mine)]
-    else:
-        strangers = [twin("Stranger", " ".join(twin_field_names))(*mine)]
-        strangers.append(record_type("Stranger", twin_field_names)(*mine))
-    equal = theirs == strangers[0]
+    # Another type with the same fields: a dataclass is never equal to one.
+    strangers = [twin("Stranger", " ".join(twin_field_names))(*mine)]
+    strangers.append(record_type("Stranger", twin_field_names)(*mine))
     for stranger in (theirs, *strangers):
-        assert (ours == stranger) is equal and (ours != stranger) is not equal
+        assert ours != stranger and not ours == stranger
 
     # Keyword construction, and the defaults of the trailing fields.
     names = list(inspect.signature(cls).parameters)
     assert cls(**dict(zip(names, args))) == ours
-    if cls is not BaselineScore:
-        defaults = {
-            f.name: f.default
-            for f in dataclasses.fields(Twin)
-            if f.default is not dataclasses.MISSING
-        }
-        if defaults:
-            required = dict(zip(names[: len(names) - len(defaults)], args))
-            assert repr(cls(**required)) == repr(Twin(**required))
-    else:
-        assert cls(*args[:4]) == Twin(*mine[:4])
+    defaults = {
+        f.name: f.default for f in dataclasses.fields(Twin) if f.default is not dataclasses.MISSING
+    }
+    if defaults:
+        required = dict(zip(names[: len(names) - len(defaults)], args))
+        assert repr(cls(**required)) == repr(Twin(**required))
 
     # A missing argument is named alike, with the constructor's qualified name.
     # RankedList takes docs where its twin takes the columns.
@@ -289,21 +270,17 @@ def test_record_behaves_as_its_frozen_dataclass_twin(cls, data):
     assert pickle.dumps(pickled) == pickle.dumps(ours)
 
     # vars() is the fields in order, as the TSV rows and the JSON writer read it.
-    their_vars = outcome(vars, theirs)
-    if isinstance(their_vars, tuple):  # a named tuple has no instance dict
-        assert outcome(vars, ours)[0] is their_vars[0]
-    else:
-        assert list(vars(ours).items()) == list(their_vars.items())
+    assert list(vars(ours).items()) == list(vars(theirs).items())
 
 
 @settings(max_examples=30, deadline=None)
 @given(list_args())
-def test_a_ranked_list_with_cached_docs_compares_and_hashes_as_before(args):
+def test_reading_docs_leaves_a_ranked_list_as_it_was(args):
     r, fresh = RankedList(*args), RankedList(*args)
-    before = hash(r), repr(r)
+    before = tuple(vars(r)), pickle.dumps(r), hash(r), repr(r)
     assert r.docs == tuple(args[3])
-    assert "docs" in vars(r)
-    assert (hash(r), repr(r)) == before
+    assert r.doc_ids == tuple(doc.doc_id for doc in args[3])
+    assert (tuple(vars(r)), pickle.dumps(r), hash(r), repr(r)) == before
     assert r == fresh and fresh == r and not r != fresh
     for copied in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert copied == fresh and hash(copied) == hash(fresh) and copied.docs == r.docs
@@ -406,3 +383,45 @@ def test_a_field_without_a_default_may_not_follow_one_with_a_default():
     late = "^field 'extra' without a default follows one with a default$"
     with pytest.raises(TypeError, match=late):
         type("Late", (Entry,), annotations)
+
+
+def reached(value):
+    """value and every value inside it, depth first: the fields of a record,
+    the items of a tuple or list and the values of a dict."""
+    yield value
+    if isinstance(value, Record):
+        children = vars(value).values()
+    elif isinstance(value, dict):
+        children = value.values()
+    elif isinstance(value, (tuple, list)):
+        children = value
+    else:
+        return
+    for child in children:
+        yield from reached(child)
+
+
+def test_every_record_holds_only_its_fields():
+    """Every record that the golden commands build holds its fields and nothing
+    else, also once each list's docs and doc_ids have been read; and every
+    type of the package that names fields is a Record."""
+    seen = set()
+    for argv in CASES.values():
+        args = cli.build_parser().parse_args(argv)
+        ds = load_dataset(args.input)
+        for run in ds.runs:
+            for ranked in run.lists.values():
+                assert len(ranked.docs) == len(ranked.doc_ids) == len(ranked)
+                seen.update(map(type, ranked.docs))
+        for value in (*reached(ds), *reached(cli._REPORTS[args.command](args))):
+            if hasattr(type(value), "_fields"):
+                seen.add(type(value))
+                assert tuple(vars(value)) == type(value)._fields, type(value).__name__
+    assert {BaselineScore, RankedList, Document, TTestResult, DatasetReport} <= seen
+
+    for info in pkgutil.iter_modules(serpbias.__path__):
+        module = importlib.import_module(f"serpbias.{info.name}")
+        for cls in vars(module).values():
+            named = isinstance(cls, type) and hasattr(cls, "_fields")
+            if named and cls.__module__ == module.__name__ and cls is not report._Slot:
+                assert issubclass(cls, Record), cls.__qualname__

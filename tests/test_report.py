@@ -223,6 +223,9 @@ def edited(name, *path_and_value):
     "text, field",
     [
         ("[]", ""),
+        ("1", "TypeError: expected an object, not int"),
+        ("null", "TypeError: expected an object, not NoneType"),
+        ("true", "TypeError: expected an object, not bool"),
         ("{}", ""),
         ('{"bias_summaries": []}', ""),
         ("nope", ""),
@@ -263,7 +266,7 @@ def edited(name, *path_and_value):
         (edited("evaluate-stance", "paired_tests", 0, "engine_b", DROP), "'engine_b'"),
     ],
     ids=[
-        "list", "empty-object", "no-config", "not-json", "deep-nesting", "extra-key",
+        "list", "number", "null", "boolean", "empty-object", "no-config", "not-json", "deep-nesting", "extra-key",
         "validate-text-fields", "validate-null-count", "evaluate-text-persistence",
         "evaluate-bool-beta", "evaluate-float-df", "evaluate-null-status",
         "baselines-bool-step", "baselines-text-score", "baselines-int-engine",
@@ -750,7 +753,7 @@ def reference_to_dict(rep):
             "mode": rep.mode,
             "config": {"baseline": rep.baseline, "step": rep.step, "g1": rep.g1},
             "engines": list(rep.engines),
-            "scores": [row._asdict() for row in rep.scores],
+            "scores": [vars(row) for row in rep.scores],
             "summary": list(rep.summary()),
         }
     return ref_as_dict(rep)
@@ -855,9 +858,10 @@ def reference_from_json(text):
     """The hand-written from_dict of each report type, behind the same dispatch."""
     try:
         data = json.loads(text, parse_constant=ref_no_constant)
-        if "bias_summaries" in data:
+        keys = data if isinstance(data, dict) else ()
+        if "bias_summaries" in keys:
             return ref_comparison(data)
-        if "scores" in data:
+        if "scores" in keys:
             return ref_baselines(data)
         return DatasetReport(**ref_fields(DatasetReport, data))
     except (LookupError, TypeError, ValueError, RecursionError) as exc:

@@ -50,6 +50,11 @@ class TestSurvivalFunction:
             for t in (0.0, 0.25, 0.5, 1.0, 2.0, 2.776, 4.303, 8.0, 20.0, 100.0):
                 expected = 2.0 * scipy.stats.t.sf(t, df)
                 assert student_t_sf(t, df) == pytest.approx(expected, abs=1e-12)
+        # The bounds the module docstring states for larger df, over its grid of t.
+        grid = [i / 1000 for i in range(1, 8001)]
+        for df, bound in ((10**3, 1.1e-11), (10**4, 1.6e-10)):
+            expected = 2.0 * scipy.stats.t.sf(grid, df)
+            assert max(abs(student_t_sf(t, df) - e) for t, e in zip(grid, expected)) <= bound
 
     def test_strictly_decreasing_in_t(self):
         for df in (1, 2, 5, 30):
@@ -60,6 +65,12 @@ class TestSurvivalFunction:
     def test_df_validation(self):
         with pytest.raises(ConfigError):
             student_t_sf(1.0, 0)
+
+    def test_df_past_the_float_range_is_refused(self):
+        assert student_t_sf(1.0, 10**308) == 1.0
+        for df in (10**309, 10**400):
+            with pytest.raises(ConfigError, match="^degrees of freedom must lie in the float"):
+                student_t_sf(1.0, df)
 
     @pytest.mark.parametrize("df", [True, False, 2.0, "3"])
     def test_df_must_be_an_int_and_not_a_bool(self, df):
