@@ -11,12 +11,12 @@ are complementary.
 
 from __future__ import annotations
 
-from itertools import compress
 from math import fsum
+from operator import sub
 
 from .errors import InputError
 # precision_at, rbp and dcg_at stay names here: perfbench/trace.py times them.
-from .measures import MeasureConfig, dcg_at, discounts, precision_at, rbp, scale
+from .measures import MeasureConfig, dcg_at, precision_at, rbp, utilities
 from .model import NEGATIVE_MASK, POSITIVE_MASK, EngineRun, RankedList
 from .record import Record
 
@@ -39,17 +39,11 @@ class BiasSummary(Record):
 
 
 def _betas(lists, cfg: MeasureConfig) -> list[float]:
-    """Each list's slant from its side masks (see model.SIDES), under one discount
-    table for the longest list: compress stops at each list's end, and no
-    rank's discount depends on the table's length."""
+    """Each list's slant: its positive side's utility minus its negative side's,
+    from the side masks of model.SIDES."""
     positives = [r.codes.translate(POSITIVE_MASK) for r in lists]
     negatives = [r.codes.translate(NEGATIVE_MASK) for r in lists]
-    op, factor = scale(cfg)
-    weights = discounts(cfg, max(map(len, positives), default=0))
-    return [
-        op(fsum(compress(weights, pos)), factor) - op(fsum(compress(weights, neg)), factor)
-        for pos, neg in zip(positives, negatives)
-    ]
+    return list(map(sub, utilities(positives, cfg), utilities(negatives, cfg)))
 
 
 def bias(r: RankedList, cfg: MeasureConfig) -> float:

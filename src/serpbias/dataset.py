@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from collections.abc import Iterable
 from itertools import chain
 
-from .errors import InputError
+from .errors import InputError, digit_limit
 from .model import (
     CODE,
     Document,
@@ -118,9 +117,8 @@ def _decode(line: str):
         raise InputError(f"malformed JSON: {msg} at column {exc.pos + 1}{note}") from None
     except RecursionError as exc:  # nesting past the recursion limit
         raise InputError(f"malformed JSON: {exc}") from None
-    except ValueError:  # an integer past the digit limit; json's advice is for programs
-        limit = f"the limit of {sys.get_int_max_str_digits()} digits"
-        raise InputError(f"malformed JSON: an integer exceeds {limit}") from None
+    except ValueError:  # an integer past the digit limit
+        raise InputError(f"malformed JSON: {digit_limit()}") from None
 
 
 def _check_unicode(engine: str, query_id: str, query_text: str, ids_json: str) -> None:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the checks of setting values."""
+"""Exception types shared across the package, the checks of setting values, and
+the text a refusal gives for a value."""
+
+import sys
 
 
 class SerpBiasError(Exception):
@@ -35,16 +38,32 @@ class ConvergenceError(InputError, ArithmeticError):
     iterations on values that came from the data. Also an ArithmeticError."""
 
 
+def digit_limit() -> str:
+    """Names Python's limit on the digits of an integer read from text. json's
+    own message for it advises programs (sys.set_int_max_str_digits)."""
+    return f"an integer exceeds the limit of {sys.get_int_max_str_digits()} digits"
+
+
+def shown(value, form=repr) -> str:
+    """form(value) for a refusal's message, or a short stand-in when value is or
+    holds an integer too long for Python to write in decimal."""
+    try:
+        return form(value)
+    except ValueError:
+        digits = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+        return digits if isinstance(value, int) else f"a {type(value).__name__} holding {digits}"
+
+
 def check_choice(what: str, value, choices) -> None:
     """Raise ConfigError unless value is one of choices."""
     if value not in choices:
-        raise ConfigError(f"unknown {what} {value!r} (expected one of: {', '.join(choices)})")
+        raise ConfigError(f"unknown {what} {shown(value)} (expected one of: {', '.join(choices)})")
 
 
 def check_positive_int(what: str, value) -> None:
     """Raise ConfigError unless value is an int of at least 1; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+        raise ConfigError(f"{what} must be a positive integer, got {shown(value)}")
 
 
 def check_fraction(what: str, value) -> None:
@@ -54,4 +73,4 @@ def check_fraction(what: str, value) -> None:
             return
     except TypeError:  # not a number
         pass
-    raise ConfigError(f"{what} must lie strictly between 0 and 1, got {value!r}")
+    raise ConfigError(f"{what} must lie strictly between 0 and 1, got {shown(value)}")

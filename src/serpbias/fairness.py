@@ -26,7 +26,7 @@ import math
 from collections.abc import Sequence
 from operator import truediv
 
-from .errors import InputError, MeasureUndefinedError, check_choice, check_positive_int
+from .errors import InputError, MeasureUndefinedError, check_choice, check_positive_int, shown
 from .model import RankedList
 from .record import Record
 
@@ -114,10 +114,10 @@ def _raw_score(member: Sequence[int], kind: str, step: int) -> float:
 
 def _distance(kind: str, r: RankedList, g1, i: int) -> float:
     if type(i) is not int:  # a bool or a float is not a rank
-        raise InputError(f"rank must be an integer, got {i!r}")
+        raise InputError(f"rank must be an integer, got {shown(i)}")
     member = r.mask(g1)
     if not 1 <= i <= len(member):
-        raise InputError(f"rank {i} outside list of length {len(member)}")
+        raise InputError(f"rank {shown(i, str)} outside list of length {len(member)}")
     return _DISTANCES[kind]([sum(member[:i]) / i], sum(member) / len(member))[0]
 
 
@@ -155,10 +155,11 @@ def normalizer_z(kind: str, list_len: int, g1_count: int, step: int = DEFAULT_ST
     BaselineConfig(step=step, kind=kind)  # raises ConfigError on a bad kind or step
     for what, count in (("list length", list_len), ("g1 count", g1_count)):
         if type(count) is not int:
-            raise InputError(f"{what} must be an integer, got {count!r}")
+            raise InputError(f"{what} must be an integer, got {shown(count)}")
     if not 0 <= g1_count <= list_len:
         raise InputError(
-            f"g1 count {g1_count} outside [0, {list_len}] for list length {list_len}"
+            f"g1 count {shown(g1_count, str)} outside [0, {shown(list_len, str)}] "
+            f"for list length {shown(list_len, str)}"
         )
     if list_len == 0:
         return 0.0

@@ -9,18 +9,16 @@ contribute nothing.
 All three share one form: a per-rank discount table w_1..w_k (1 for
 precision, p**(i-1) for RBP, 1/log_b(i+1) for DCG), summed over the ranks
 that hold the label and then scaled (divided by n for precision, times 1 - p
-for RBP, unscaled for DCG). `discounts` and `scale` state that form once, and
-the slant in bias.py reads them too.
+for RBP, unscaled for DCG). `utilities` states that form once, and the slant
+in bias.py reads it too.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import operator
+from itertools import compress
 
-from .errors import ConfigError, check_choice, check_fraction, check_positive_int
+from .errors import ConfigError, check_choice, check_fraction, check_positive_int, shown
 from .model import Label, RankedList
 from .record import Record
 
@@ -61,42 +59,33 @@ def _check_log_base(base):
             return
     except TypeError:  # not a number
         pass
-    raise ConfigError(f"log base must be a finite number greater than 1, got {base!r}")
+    raise ConfigError(f"log base must be a finite number greater than 1, got {shown(base)}")
 
 
-@functools.lru_cache(maxsize=1024)
-def discounts(cfg: MeasureConfig, length: int) -> tuple[float, ...]:
-    """Per-rank discounts w_1..w_k of cfg's measure for a list of `length` documents.
+def utilities(masks, cfg: MeasureConfig) -> list[float]:
+    """Each mask's utility under cfg's measure: the fsum of the discounts at its
+    marked ranks, then scaled.
 
-    Precision and DCG stop at the cutoff, k = min(cutoff, length); RBP reads
-    the whole list. Tables are memoized, so every list of one length shares one.
+    One table serves every mask, built for the longest: compress stops at each
+    mask's end, and no rank's discount depends on the table's length.
+    Precision and DCG stop at the cutoff; RBP reads the whole list.
     """
-    if cfg.measure_kind == "rbp":
-        return tuple(cfg.persistence ** i for i in range(length))
+    length = max(map(len, masks), default=0)
     depth = min(cfg.cutoff, length)
-    if cfg.measure_kind == "precision":
-        return (1.0,) * depth
-    return tuple(1.0 / math.log(i + 1, cfg.log_base) for i in range(1, depth + 1))
-
-
-def scale(cfg: MeasureConfig):
-    """(operator, factor): a side's utility is operator(sum of its discounts, factor)."""
-    if cfg.measure_kind == "precision":
-        return operator.truediv, cfg.cutoff
     if cfg.measure_kind == "rbp":
-        return operator.mul, 1.0 - cfg.persistence
-    return operator.mul, 1.0
-
-
-def _utility(r: RankedList, label: Label, cfg: MeasureConfig) -> float:
-    """Utility of r for readers of `label` under cfg's measure."""
-    op, factor = scale(cfg)
-    return op(math.fsum(itertools.compress(discounts(cfg, len(r)), r.mask(label))), factor)
+        weights = [cfg.persistence ** i for i in range(length)]
+        factor = 1.0 - cfg.persistence
+        return [math.fsum(compress(weights, m)) * factor for m in masks]
+    if cfg.measure_kind == "precision":
+        weights, n = [1.0] * depth, cfg.cutoff
+        return [math.fsum(compress(weights, m)) / n for m in masks]
+    weights = [1.0 / math.log(i + 1, cfg.log_base) for i in range(1, depth + 1)]
+    return [math.fsum(compress(weights, m)) for m in masks]
 
 
 def precision_at(r: RankedList, label: Label, n: int) -> float:
     """Fraction of the top n ranks occupied by documents labeled `label`."""
-    return _utility(r, label, MeasureConfig(cutoff=n))
+    return utilities((r.mask(label),), MeasureConfig(cutoff=n))[0]
 
 
 def rbp(r: RankedList, label: Label, p: float) -> float:
@@ -105,9 +94,10 @@ def rbp(r: RankedList, label: Label, p: float) -> float:
     The sum runs over retrieved documents only; no residual is imputed for
     ranks beyond the list, so the value is bounded by 1 - p**len(r).
     """
-    return _utility(r, label, MeasureConfig(persistence=p, measure_kind="rbp"))
+    return utilities((r.mask(label),), MeasureConfig(persistence=p, measure_kind="rbp"))[0]
 
 
 def dcg_at(r: RankedList, label: Label, n: int, base: float = DEFAULT_LOG_BASE) -> float:
     """Discounted cumulative gain at cutoff n: a match at rank i gains 1/log_base(i+1)."""
-    return _utility(r, label, MeasureConfig(cutoff=n, log_base=base, measure_kind="dcg"))
+    cfg = MeasureConfig(cutoff=n, log_base=base, measure_kind="dcg")
+    return utilities((r.mask(label),), cfg)[0]

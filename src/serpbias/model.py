@@ -15,7 +15,7 @@ import enum
 import json
 from json.encoder import encode_basestring
 
-from .errors import InputError
+from .errors import InputError, shown
 from .record import Record
 
 
@@ -31,7 +31,7 @@ class _Label(enum.Enum):
         if member is None:
             what = cls.__name__[: -len("Label")].lower()
             valid = ", ".join(m.value for m in cls)
-            raise InputError(f"unknown {what} label {text!r} (expected one of: {valid})")
+            raise InputError(f"unknown {what} label {shown(text)} (expected one of: {valid})")
         return member
 
 
@@ -99,7 +99,7 @@ def ids_text(ids) -> str:
 def check_id(field: str, value) -> None:
     """InputError naming field unless value, an engine, query or doc id, is text."""
     if not isinstance(value, str):
-        raise InputError(f"{field} must be a string, got {type(value).__name__} {value!r}")
+        raise InputError(f"{field} must be a string, got {type(value).__name__} {shown(value)}")
 
 
 class Document(Record):
@@ -111,7 +111,7 @@ class Document(Record):
 
     def __init__(self, rank: int, stance: Label, doc_id: str):
         if rank < 1:
-            raise InputError(f"document rank must be >= 1, got {rank}")
+            raise InputError(f"document rank must be >= 1, got {shown(rank, str)}")
         self._fill(rank, stance, doc_id)
 
 
@@ -147,12 +147,12 @@ class RankedList(Record):
             if doc.rank != position:
                 raise InputError(
                     f"rank gap in list ({engine_id}, {query_id}): "
-                    f"expected rank {position}, got {doc.rank}"
+                    f"expected rank {position}, got {shown(doc.rank, str)}"
                 )
             if type(doc.stance) not in SIDES:
                 raise InputError(
                     f"rank {position} of list ({engine_id}, {query_id}) carries "
-                    f"{doc.stance!r}, not a stance or ideology label"
+                    f"{shown(doc.stance)}, not a stance or ideology label"
                 )
             if type(doc.stance) is not label_type:
                 raise InputError(

@@ -21,7 +21,10 @@ from json.encoder import encode_basestring as _encode_text
 
 from .bias import BiasRecord, BiasSummary, summarize_run
 from .dataset import Dataset
-from .errors import ConfigError, DegenerateSampleError, InputError, check_choice, check_fraction
+from .errors import (
+    ConfigError, DegenerateSampleError, InputError, check_choice, check_fraction, digit_limit,
+    shown,
+)
 from .measures import MEASURE_KINDS, MeasureConfig
 from .model import EngineRun, IdeologyLabel, StanceLabel, transform_list
 from .record import Record
@@ -279,6 +282,10 @@ def evaluate(
     cfg = cfg if cfg is not None else MeasureConfig()
     check_choice("mode", mode, MODES)
     check_fraction("alpha", alpha)
+    if isinstance(measures, (str, bytes)):
+        raise ConfigError(
+            f"measures must be a collection of measure kinds, not the text {shown(measures)}"
+        )
     kinds = tuple(sorted(MEASURE_KINDS if measures is None else set(measures)))
     kind_cfgs = [MeasureConfig(cfg.cutoff, cfg.persistence, cfg.log_base, kind) for kind in kinds]
 
@@ -546,13 +553,21 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _int(digits: str) -> int:
+    """int(digits) for json; past the digit limit, a ValueError naming the limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(digit_limit()) from None
+
+
 def report_from_json(text: str) -> Report:
     """Inverse of the JSON rendering of any report; numeric fields survive to
     full precision. The keys that only one schema has pick the report type.
     Text that is not a report, or holds a field of the wrong type, raises
     InputError."""
     try:
-        data = json.loads(text, parse_constant=_no_constant)
+        data = json.loads(text, parse_constant=_no_constant, parse_int=_int)
         keys = data if isinstance(data, dict) else ()  # _read refuses what is not an object
         if "bias_summaries" in keys:
             cls = ComparisonReport

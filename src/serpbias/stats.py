@@ -17,7 +17,9 @@ from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import sub
 
-from .errors import ConfigError, ConvergenceError, DegenerateSampleError, InputError, check_fraction
+from .errors import (
+    ConfigError, ConvergenceError, DegenerateSampleError, InputError, check_fraction, shown,
+)
 from .record import Record
 
 _MAX_ITER = 300
@@ -69,11 +71,13 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]; other arguments raise ValueError."""
     try:
         if not (a > 0.0 and b > 0.0):  # NaN included
-            raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+            shapes = f"a={shown(a, str)}, b={shown(b, str)}"
+            raise ValueError(f"shape parameters must be positive, got {shapes}")
         if not 0.0 <= x <= 1.0:
-            raise ValueError(f"x must lie in [0, 1], got {x}")
+            raise ValueError(f"x must lie in [0, 1], got {shown(x, str)}")
     except TypeError:  # text or another non-number
-        raise ValueError(f"a, b and x must be numbers, got a={a!r}, b={b!r}, x={x!r}") from None
+        got = f"a={shown(a)}, b={shown(b)}, x={shown(x)}"
+        raise ValueError(f"a, b and x must be numbers, got {got}") from None
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -101,7 +105,7 @@ def student_t_sf(t: float, df: int) -> float:
     one, else InputError.
     """
     if isinstance(df, bool) or not isinstance(df, int) or df < 1:
-        raise ConfigError(f"degrees of freedom must be an integer >= 1, got {df!r}")
+        raise ConfigError(f"degrees of freedom must be an integer >= 1, got {shown(df)}")
     if df > sys.float_info.max:  # df enters float arithmetic
         raise ConfigError("degrees of freedom must lie in the float range, up to 1.8e308")
     try:
@@ -111,7 +115,7 @@ def student_t_sf(t: float, df: int) -> float:
     except (TypeError, ValueError):
         number = math.nan
     if math.isnan(number):
-        raise InputError(f"t statistic must be a number other than NaN, got {t!r}")
+        raise InputError(f"t statistic must be a number other than NaN, got {shown(t)}")
     x = df / (df + number * number)
     return regularized_incomplete_beta(0.5 * df, 0.5, x)
 
@@ -135,7 +139,7 @@ def _finite(values: Iterable, what: str = "observation") -> Sequence[float]:
         except (TypeError, ValueError, OverflowError):
             x = math.nan
         if not math.isfinite(x):
-            raise InputError(f"t-test {what} must be a finite number, got {value!r}")
+            raise InputError(f"t-test {what} must be a finite number, got {shown(value)}")
         floats.append(x)
     return floats
 

@@ -2,9 +2,31 @@
 
 import ast
 import pathlib
+import sys
 import types
 
+import pytest
+
 import serpbias
+from serpbias import (
+    BaselineConfig,
+    ConfigError,
+    Dataset,
+    Document,
+    InputError,
+    LeaningLabel,
+    MeasureConfig,
+    RankedList,
+    StanceLabel,
+    distance_rnd,
+    evaluate,
+    normalizer_z,
+    one_sample_ttest,
+    paired_ttest,
+    regularized_incomplete_beta,
+    render_report,
+    student_t_sf,
+)
 
 # Imported and not called where imported: bias.py keeps the measures on its
 # call path under these names, because perfbench/trace.py times them there.
@@ -60,3 +82,52 @@ def test_only_record_py_stores_record_fields():
             ):
                 found.setdefault(path.name, []).append(node.lineno)
     assert found == {}
+
+
+# Each entry point that names a refused value in its message, given an int too
+# long for Python to write in decimal (or its negative): the error it
+# documents, with a one-line message and none of Python's advice to programs.
+BIG = 10**5000
+ONE_PRO = RankedList("e", "q", LeaningLabel.LIBERAL, (Document(1, StanceLabel.PRO, "d"),))
+REFUSALS = {
+    "cutoff": (ConfigError, lambda: MeasureConfig(cutoff=-BIG)),
+    "persistence": (ConfigError, lambda: MeasureConfig(persistence=BIG)),
+    "log_base": (ConfigError, lambda: MeasureConfig(log_base=-BIG)),
+    "step": (ConfigError, lambda: BaselineConfig(step=-BIG)),
+    "evaluate-alpha": (ConfigError, lambda: evaluate(Dataset((), {}), alpha=BIG)),
+    "render-format": (ConfigError, lambda: render_report(None, BIG)),
+    "one-sample-alpha": (ConfigError, lambda: one_sample_ttest([1.0, 2.0], alpha=BIG)),
+    "one-sample-observation": (InputError, lambda: one_sample_ttest([1.0, BIG])),
+    "one-sample-mu0": (InputError, lambda: one_sample_ttest([1.0, 2.0], mu0=-BIG)),
+    "paired-observation": (InputError, lambda: paired_ttest([1.0, BIG], [1.0, 2.0])),
+    "t-df": (ConfigError, lambda: student_t_sf(1.0, -BIG)),
+    "beta-shape": (ValueError, lambda: regularized_incomplete_beta(-BIG, 1.0, 0.5)),
+    "beta-x": (ValueError, lambda: regularized_incomplete_beta(1.0, 1.0, BIG)),
+    "beta-text": (ValueError, lambda: regularized_incomplete_beta([BIG], 1.0, 0.5)),
+    "normalizer-length": (InputError, lambda: normalizer_z("rnd", -BIG, 0)),
+    "distance-rank": (InputError, lambda: distance_rnd(ONE_PRO, StanceLabel.PRO, BIG)),
+    "document-rank": (InputError, lambda: Document(-BIG, StanceLabel.PRO, "d")),
+    "list-rank": (
+        InputError,
+        lambda: RankedList("e", "q", LeaningLabel.LIBERAL, (Document(BIG, StanceLabel.PRO, "d"),)),
+    ),
+    "list-label": (
+        InputError,
+        lambda: RankedList("e", "q", LeaningLabel.LIBERAL, (Document(1, BIG, "d"),)),
+    ),
+    "engine-id": (InputError, lambda: RankedList(BIG, "q", LeaningLabel.LIBERAL)),
+    "label-text": (InputError, lambda: StanceLabel.from_str(BIG)),
+}
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+    reason="this Python writes integers of any length",
+)
+@pytest.mark.parametrize("error, call", REFUSALS.values(), ids=REFUSALS)
+def test_a_refused_integer_past_the_digit_limit_keeps_a_one_line_message(error, call):
+    with pytest.raises(error) as info:
+        call()
+    message = str(info.value)
+    assert "\n" not in message and "set_int_max_str_digits" not in message
+    assert len(message) < 200

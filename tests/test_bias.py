@@ -1,7 +1,9 @@
 """Slant scores and aggregates against independent summation oracles."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 import weakref
 
@@ -28,7 +30,7 @@ from serpbias import (
     transform_list,
 )
 from serpbias import report
-from serpbias.model import LABELS, SIDES
+from serpbias.model import LABELS, NEGATIVE_MASK, POSITIVE_MASK, SIDES
 
 P, N, A, X = (
     StanceLabel.PRO,
@@ -293,6 +295,14 @@ measure_configs = st.builds(
 )
 
 
+def run_from_specs(specs):
+    lists = {}
+    for i, (stances, leaning, ideology) in enumerate(specs):
+        r = make_list(stances, engine="e", query=f"q{i:02d}", leaning=leaning)
+        lists[r.query_id] = transform_list(r) if ideology else r
+    return EngineRun("e", lists)
+
+
 # Under P@10 neither the float sum of these slants nor that of their
 # magnitudes equals its fsum.
 MIXED_SPECS = [
@@ -313,11 +323,7 @@ MIXED_SPECS = [
 @example(MIXED_SPECS, CFG_R)
 @example(MIXED_SPECS, CFG_D)
 def test_slants_and_aggregates_match_the_per_list_reference_bit_for_bit(specs, cfg):
-    lists = {}
-    for i, (stances, leaning, ideology) in enumerate(specs):
-        r = make_list(stances, engine="e", query=f"q{i:02d}", leaning=leaning)
-        lists[r.query_id] = transform_list(r) if ideology else r
-    run = EngineRun("e", lists)
+    run = run_from_specs(specs)
     expected = [reference_bias(r, cfg) for r in run.lists.values()]
     summary = summarize_run(run, cfg)
     assert [rec.beta.hex() for rec in summary.per_query] == [b.hex() for b in expected]
@@ -338,6 +344,71 @@ def test_measures_match_the_reference_bit_for_bit(spec, cfg):
         assert precision_at(r, label, n).hex() == reference_precision(r, label, n).hex()
         assert rbp(r, label, p).hex() == reference_rbp(r, label, p).hex()
         assert dcg_at(r, label, n, base).hex() == reference_dcg(r, label, n, base).hex()
+
+
+# The utility form as it was stated before measures.utilities: a memoized
+# discount table per (config, length), an (operator, factor) scaling, one
+# utility per list and label, and the slant read from one table for the
+# longest list of a run.
+
+@functools.lru_cache(maxsize=1024)
+def former_discounts(cfg, length):
+    if cfg.measure_kind == "rbp":
+        return tuple(cfg.persistence ** i for i in range(length))
+    depth = min(cfg.cutoff, length)
+    if cfg.measure_kind == "precision":
+        return (1.0,) * depth
+    return tuple(1.0 / math.log(i + 1, cfg.log_base) for i in range(1, depth + 1))
+
+
+def former_scale(cfg):
+    if cfg.measure_kind == "precision":
+        return operator.truediv, cfg.cutoff
+    if cfg.measure_kind == "rbp":
+        return operator.mul, 1.0 - cfg.persistence
+    return operator.mul, 1.0
+
+
+def former_utility(r, label, cfg):
+    op, factor = former_scale(cfg)
+    return op(math.fsum(itertools.compress(former_discounts(cfg, len(r)), r.mask(label))), factor)
+
+
+def former_betas(lists, cfg):
+    positives = [r.codes.translate(POSITIVE_MASK) for r in lists]
+    negatives = [r.codes.translate(NEGATIVE_MASK) for r in lists]
+    op, factor = former_scale(cfg)
+    weights = former_discounts(cfg, max(map(len, positives), default=0))
+    return [
+        op(math.fsum(itertools.compress(weights, pos)), factor)
+        - op(math.fsum(itertools.compress(weights, neg)), factor)
+        for pos, neg in zip(positives, negatives)
+    ]
+
+
+# Runs mixing list lengths 0-40, so one table for the longest list serves
+# lists shorter and longer than the cutoff, in either label space.
+@given(st.lists(list_specs, min_size=1, max_size=12), measure_configs)
+@example(MIXED_SPECS, CFG_P)
+@example(MIXED_SPECS, CFG_R)
+@example(MIXED_SPECS, CFG_D)
+@example(MIXED_SPECS, MeasureConfig(cutoff=3, persistence=0.3, log_base=10.0, measure_kind="dcg"))
+def test_utilities_match_the_former_discounts_scale_and_betas_bit_for_bit(specs, cfg):
+    run = run_from_specs(specs)
+    lists = run.lists.values()
+    expected = [b.hex() for b in former_betas(lists, cfg)]
+    assert [rec.beta.hex() for rec in summarize_run(run, cfg).per_query] == expected
+    assert [bias(r, cfg).hex() for r in lists] == expected
+    n, p, base = cfg.cutoff, cfg.persistence, cfg.log_base
+    measures = (
+        (precision_at, (n,), MeasureConfig(cutoff=n)),
+        (rbp, (p,), MeasureConfig(persistence=p, measure_kind="rbp")),
+        (dcg_at, (n, base), MeasureConfig(cutoff=n, log_base=base, measure_kind="dcg")),
+    )
+    for r in lists:
+        for label in LABELS:
+            for measure, args, former_cfg in measures:
+                assert measure(r, label, *args).hex() == former_utility(r, label, former_cfg).hex()
 
 
 # Hand-built datasets for evaluate, with the mode to evaluate them in: per

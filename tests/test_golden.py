@@ -81,10 +81,10 @@ def test_every_golden_line_takes_the_layout_reader(monkeypatch):
         assert taken == [True] * len(Path(path).read_text(encoding="utf-8").splitlines())
 
 
-@pytest.fixture(scope="module")
-def relaid(tmp_path_factory):
-    """Each golden dataset's path -> a copy written with compact separators and
-    every object's keys reversed, so that every line takes the JSON reader."""
+def write_relaid(directory) -> dict[str, str]:
+    """Each golden dataset's path -> a copy in directory written with compact
+    separators and every object's keys reversed, so that every line takes the
+    JSON reader. The CI workflow runs the golden commands on these copies too."""
     copies = {}
     for path in (SERPS, ONE_QUERY):
         lines = []
@@ -92,11 +92,16 @@ def relaid(tmp_path_factory):
             rec = json.loads(line)
             rec["docs"] = [dict(reversed(doc.items())) for doc in rec["docs"]]
             lines.append(json.dumps(dict(reversed(rec.items())), separators=(",", ":")) + "\n")
-            assert dataset._plain_record(lines[-1]) is None
-        copy = tmp_path_factory.mktemp("relaid") / Path(path).name
+            assert dataset._plain_record(lines[-1]) is None, lines[-1]
+        copy = Path(directory) / Path(path).name
         copy.write_text("".join(lines), encoding="utf-8")
         copies[path] = str(copy)
     return copies
+
+
+@pytest.fixture(scope="module")
+def relaid(tmp_path_factory):
+    return write_relaid(tmp_path_factory.mktemp("relaid"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

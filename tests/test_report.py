@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import sys
 import typing
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -286,6 +287,18 @@ def test_report_from_json_rejects_what_is_not_a_report(text, field):
     assert field in str(caught.value)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+    reason="this Python reads integers of any length",
+)
+def test_report_from_json_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InputError) as info:
+        report_from_json('{"n_queries": ' + "1" * (limit + 700) + "}")
+    message = f"an integer exceeds the limit of {limit} digits"
+    assert str(info.value) == f"not a serpbias report: ValueError: {message}"
+
+
 def test_baseline_summary_means_the_defined_scores():
     rows = (
         BaselineScore("a", "q1", "ok", 0.25),
@@ -421,6 +434,14 @@ def test_evaluate_validates_configuration():
         evaluate(ds, measures=("bm25",))
     with pytest.raises(ConfigError):
         evaluate(ds, cfg=MeasureConfig(cutoff=-1))
+
+
+@pytest.mark.parametrize("measures", ["rbp", b"rbp"], ids=["str", "bytes"])
+def test_evaluate_refuses_one_text_for_the_measures(measures):
+    with pytest.raises(ConfigError) as info:
+        evaluate(two_engine_dataset(), measures=measures)
+    expected = f"measures must be a collection of measure kinds, not the text {measures!r}"
+    assert str(info.value) == expected
 
 
 def test_unknown_render_format():
