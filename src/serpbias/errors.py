@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the checks of setting values, and
-the text a refusal gives for a value."""
+"""Exception types shared across the package, `real` (the one reading of a number
+argument), the checks of setting values and the text a refusal gives for a value."""
 
+import math
 import sys
 
 
@@ -54,10 +55,24 @@ def shown(value, form=repr) -> str:
         return digits if isinstance(value, int) else f"a {type(value).__name__} holding {digits}"
 
 
+def real(value) -> float | None:
+    """value as a float, or an infinity past its range; None for text or what float() refuses."""
+    try:
+        return None if isinstance(value, (str, bytes, bytearray)) else float(value)
+    except OverflowError:  # an int or a Fraction past the float range
+        return -math.inf if value < 0 else math.inf
+    except (TypeError, ValueError):
+        return None
+
+
 def check_choice(what: str, value, choices) -> None:
-    """Raise ConfigError unless value is one of choices."""
-    if value not in choices:
-        raise ConfigError(f"unknown {what} {shown(value)} (expected one of: {', '.join(choices)})")
+    """Raise ConfigError unless value is one of choices; an unhashable value is not."""
+    try:
+        if value in choices:
+            return
+    except TypeError:  # an unhashable value tested against a dict
+        pass
+    raise ConfigError(f"unknown {what} {shown(value)} (expected one of: {', '.join(choices)})")
 
 
 def check_positive_int(what: str, value) -> None:
@@ -66,11 +81,9 @@ def check_positive_int(what: str, value) -> None:
         raise ConfigError(f"{what} must be a positive integer, got {shown(value)}")
 
 
-def check_fraction(what: str, value) -> None:
-    """Raise ConfigError unless value is a number strictly between 0 and 1."""
-    try:
-        if 0.0 < value < 1.0:
-            return
-    except TypeError:  # not a number
-        pass
+def check_fraction(what: str, value) -> float:
+    """value as a float; ConfigError unless it is a number strictly between 0 and 1."""
+    number = real(value)
+    if number is not None and 0.0 < number < 1.0:
+        return number
     raise ConfigError(f"{what} must lie strictly between 0 and 1, got {shown(value)}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from .errors import ConfigError, check_choice, check_fraction, check_positive_int, shown
+from .errors import ConfigError, check_choice, check_fraction, check_positive_int, real, shown
 from .model import Label, RankedList
 from .record import Record
 
@@ -47,19 +47,13 @@ class MeasureConfig(Record):
         log_base: float = DEFAULT_LOG_BASE, measure_kind: str = "precision",
     ):
         check_positive_int("cutoff", cutoff)
-        check_fraction("persistence", persistence)
-        _check_log_base(log_base)
+        persistence = check_fraction("persistence", persistence)
+        if (base := real(log_base)) is None or not 1.0 < base < math.inf:
+            raise ConfigError(
+                f"log base must be a finite number greater than 1, got {shown(log_base)}"
+            )
         check_choice("measure kind", measure_kind, MEASURE_KINDS)
-        self._fill(cutoff, persistence, log_base, measure_kind)
-
-
-def _check_log_base(base):
-    try:
-        if base > 1.0 and math.isfinite(base):
-            return
-    except TypeError:  # not a number
-        pass
-    raise ConfigError(f"log base must be a finite number greater than 1, got {shown(base)}")
+        self._fill(cutoff, persistence, base, measure_kind)
 
 
 def utilities(masks, cfg: MeasureConfig) -> list[float]:

@@ -110,6 +110,8 @@ class Document(Record):
     doc_id: str
 
     def __init__(self, rank: int, stance: Label, doc_id: str):
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise InputError(f"document rank must be an integer, got {shown(rank)}")
         if rank < 1:
             raise InputError(f"document rank must be >= 1, got {shown(rank, str)}")
         self._fill(rank, stance, doc_id)

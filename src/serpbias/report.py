@@ -281,12 +281,19 @@ def evaluate(
     """
     cfg = cfg if cfg is not None else MeasureConfig()
     check_choice("mode", mode, MODES)
-    check_fraction("alpha", alpha)
+    alpha = check_fraction("alpha", alpha)
     if isinstance(measures, (str, bytes)):
         raise ConfigError(
             f"measures must be a collection of measure kinds, not the text {shown(measures)}"
         )
-    kinds = tuple(sorted(MEASURE_KINDS if measures is None else set(measures)))
+    try:
+        measures = MEASURE_KINDS if measures is None else list(measures)
+    except TypeError:  # not iterable
+        got = shown(measures)
+        raise ConfigError(f"measures must be a collection of measure kinds, got {got}") from None
+    for kind in measures:  # before the set, which an unhashable kind would break
+        check_choice("measure kind", kind, MEASURE_KINDS)
+    kinds = tuple(sorted(set(measures)))
     kind_cfgs = [MeasureConfig(cfg.cutoff, cfg.persistence, cfg.log_base, kind) for kind in kinds]
 
     engines = tuple(ds.engine_ids())

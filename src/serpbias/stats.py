@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import sub
 
 from .errors import (
-    ConfigError, ConvergenceError, DegenerateSampleError, InputError, check_fraction, shown,
+    ConfigError, ConvergenceError, DegenerateSampleError, InputError, check_fraction, real, shown,
 )
 from .record import Record
 
@@ -68,16 +68,17 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]; other arguments raise ValueError."""
-    try:
-        if not (a > 0.0 and b > 0.0):  # NaN included
-            shapes = f"a={shown(a, str)}, b={shown(b, str)}"
-            raise ValueError(f"shape parameters must be positive, got {shapes}")
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"x must lie in [0, 1], got {shown(x, str)}")
-    except TypeError:  # text or another non-number
+    """I_x(a, b) for finite a, b > 0 and x in [0, 1]; other arguments raise ValueError."""
+    numbers = real(a), real(b), real(x)
+    if None in numbers:  # text or another non-number
         got = f"a={shown(a)}, b={shown(b)}, x={shown(x)}"
-        raise ValueError(f"a, b and x must be numbers, got {got}") from None
+        raise ValueError(f"a, b and x must be numbers, got {got}")
+    if not (0.0 < numbers[0] < math.inf and 0.0 < numbers[1] < math.inf):  # NaN included
+        shapes = f"a={shown(a, str)}, b={shown(b, str)}"
+        raise ValueError(f"shape parameters must be positive and finite, got {shapes}")
+    if not 0.0 <= numbers[2] <= 1.0:
+        raise ValueError(f"x must lie in [0, 1], got {shown(x, str)}")
+    a, b, x = numbers
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -108,13 +109,8 @@ def student_t_sf(t: float, df: int) -> float:
         raise ConfigError(f"degrees of freedom must be an integer >= 1, got {shown(df)}")
     if df > sys.float_info.max:  # df enters float arithmetic
         raise ConfigError("degrees of freedom must lie in the float range, up to 1.8e308")
-    try:
-        number = math.nan if isinstance(t, (str, bytes, bytearray)) else float(t)
-    except OverflowError:  # an int past the float range
-        number = math.inf
-    except (TypeError, ValueError):
-        number = math.nan
-    if math.isnan(number):
+    number = real(t)
+    if number is None or math.isnan(number):
         raise InputError(f"t statistic must be a number other than NaN, got {shown(t)}")
     x = df / (df + number * number)
     return regularized_incomplete_beta(0.5 * df, 0.5, x)
@@ -130,15 +126,12 @@ def _finite(values: Iterable, what: str = "observation") -> Sequence[float]:
         # Text makes sum raise, and a NaN or an infinity makes it non-finite.
         if math.isfinite(sum(values)):
             return list(map(float, values))
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, ArithmeticError):  # sum raises on a signaling NaN
         pass
     floats = []
     for value in values:
-        try:
-            x = math.nan if isinstance(value, (str, bytes, bytearray)) else float(value)
-        except (TypeError, ValueError, OverflowError):
-            x = math.nan
-        if not math.isfinite(x):
+        x = real(value)
+        if x is None or not math.isfinite(x):
             raise InputError(f"t-test {what} must be a finite number, got {shown(value)}")
         floats.append(x)
     return floats
@@ -167,7 +160,7 @@ def one_sample_ttest(
     an alpha that is neither None nor a number in (0, 1) raises ConfigError.
     """
     if alpha is not None:
-        check_fraction("alpha", alpha)
+        alpha = check_fraction("alpha", alpha)
     vals = _finite(values)
     [mu0] = _finite([mu0], "null mean")
     return _ttest(vals, mu0, alpha)
@@ -222,7 +215,7 @@ def paired_ttest(
     Observations and their differences must be finite numbers, else InputError;
     alpha is checked as in one_sample_ttest."""
     if alpha is not None:
-        check_fraction("alpha", alpha)
+        alpha = check_fraction("alpha", alpha)
     a, b = _finite(a), _finite(b)
     if len(a) != len(b):
         raise InputError(f"paired samples differ in length: {len(a)} vs {len(b)}")

@@ -229,6 +229,14 @@ def test_document_rank_must_be_positive():
         Document(rank=0, stance=StanceLabel.PRO, doc_id="x")
 
 
+@pytest.mark.parametrize("rank", ["1", None, True, 1.0], ids=["text", "none", "bool", "float"])
+def test_document_rank_must_be_an_int(rank):
+    # The JSON reader refuses these ranks too; a bool or 1.0 would pass as rank 1.
+    with pytest.raises(InputError) as info:
+        Document(rank, StanceLabel.PRO, "d")
+    assert str(info.value) == f"document rank must be an integer, got {rank!r}"
+
+
 def test_empty_list_is_legal():
     assert len(make_list([])) == 0
 

@@ -444,6 +444,25 @@ def test_evaluate_refuses_one_text_for_the_measures(measures):
     assert str(info.value) == expected
 
 
+@pytest.mark.parametrize(
+    "kwargs, expected",
+    [
+        (
+            {"measures": [["p"]]},
+            "unknown measure kind ['p'] (expected one of: precision, rbp, dcg)",
+        ),
+        ({"measures": 5}, "measures must be a collection of measure kinds, got 5"),
+        ({"mode": []}, "unknown mode [] (expected one of: stance, ideology)"),
+        ({"mode": {}}, "unknown mode {} (expected one of: stance, ideology)"),
+    ],
+    ids=["unhashable-kind", "not-iterable", "mode-list", "mode-dict"],
+)
+def test_evaluate_refuses_an_unhashable_or_non_iterable_choice(kwargs, expected):
+    with pytest.raises(ConfigError) as info:
+        evaluate(two_engine_dataset(), **kwargs)
+    assert str(info.value) == expected
+
+
 def test_unknown_render_format():
     rep = evaluate(two_engine_dataset())
     with pytest.raises(ConfigError, match="unknown output format"):
