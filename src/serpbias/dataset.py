@@ -18,8 +18,9 @@ documents), is read by one regular-expression pass without decoding JSON.
 Any other line, and any line that pass has a doubt about, is decoded as JSON
 and checked field by field; both readers give the same dataset, and only the
 second names errors. Each list keeps its ids as one JSON array text (see
-model.RankedList): the first reader joins ids that need no escape, the
-second encodes them with model.ids_text, and neither keeps a string per
+model.RankedList) and its stances as one byte each: the first reader joins
+ids that need no escape and keeps only each stance's second letter, the
+second encodes ids with model.ids_text, and neither keeps a string per
 document. A byte-order mark before line 1 is skipped.
 """
 
@@ -160,7 +161,14 @@ _HEAD = re.compile(
 # A docs entry from its doc_id on: what _DOC.split leaves before entry k is its
 # opening through its rank, _OPENINGS[k - 1], so one list comparison checks
 # both the separators and the ranks of lists of up to _MAX_PLAIN documents.
-_DOC = re.compile(rf'"doc_id": {_TEXT}, "stance": {_TEXT}\}}')
+# The stance must be a label, and only its second letter is captured: those
+# letters differ between the labels, and a one-letter group is a cached string.
+_DOC = re.compile(
+    rf'"doc_id": {_TEXT}, "stance": "(?=.(.))(?:{"|".join(map(re.escape, _STANCE_CODE))})"\}}'
+)
+_LETTER_CODE = bytes.maketrans(
+    "".join(stance[1] for stance in _STANCE_CODE).encode("ascii"), bytes(_STANCE_CODE.values())
+)
 _MAX_PLAIN = 1024
 _OPENINGS = ['{"rank": 1, '] + [f', {{"rank": {k}, ' for k in range(2, _MAX_PLAIN + 1)]
 _TAILS = ("]}\n", "]}")
@@ -170,26 +178,28 @@ _LEANING = {label.value: label for label in LeaningLabel}
 def _plain_record(line: str):
     """The record on a line in the documented json.dumps layout, or None.
 
-    The line is read by one anchored match of its head and one split of its
-    docs array, and its columns are checked whole. None means the line is in
+    The line is read by one anchored match of its head and one split of the
+    whole line, and its columns are checked whole. None means the line is in
     another layout or breaks a rule; it raises nothing, so the JSON path
     alone names errors.
     """
     head = _HEAD.match(line) if line.isascii() else None
     if head is None:
         return None
-    # Per document: its opening, its id and its stance; then the tail.
-    parts = _DOC.split(line[head.end() :])
+    # Per document: its opening, its id and its stance's second letter; then
+    # the tail. Splitting the whole line copies no line; the head is then cut
+    # from the first part, so what follows it must be entry 1's opening.
+    parts = _DOC.split(line)
+    parts[0] = parts[0][head.end() :]
     n = len(parts) // 3
     ids = parts[1::3]
     if parts[:-1:3] != _OPENINGS[:n] or parts[-1] not in _TAILS or len(set(ids)) != n:
         return None
     engine, query_id, query_text, leaning = head.groups()
-    try:
-        leaning = _LEANING[leaning]
-        codes = bytes(map(_STANCE_CODE.__getitem__, parts[2::3]))
-    except KeyError:  # an unknown label
+    leaning = _LEANING.get(leaning)
+    if leaning is None:
         return None
+    codes = "".join(parts[2::3]).encode("ascii").translate(_LETTER_CODE)
     # The ids need no escape, so this is the text model.ids_text writes.
     ids_json = '["' + '", "'.join(ids) + '"]' if ids else "[]"
     ranked = RankedList._new(engine, query_id, leaning, codes, ids_json)

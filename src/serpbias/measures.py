@@ -47,6 +47,8 @@ class MeasureConfig(Record):
         log_base: float = DEFAULT_LOG_BASE, measure_kind: str = "precision",
     ):
         check_positive_int("cutoff", cutoff)
+        if real(cutoff) == math.inf:  # for every kind, though only precision divides by it
+            raise ConfigError("cutoff must lie in the float range, up to 1.8e308")
         persistence = check_fraction("persistence", persistence)
         if (base := real(log_base)) is None or not 1.0 < base < math.inf:
             raise ConfigError(

@@ -202,6 +202,12 @@ def test_bad_configuration_exits_two(dataset_path):
     assert cli("evaluate", "--input", dataset_path, "--output", "yaml").returncode == 2
 
 
+def test_a_cutoff_past_the_float_range_is_a_configuration_error(dataset_path):
+    proc = cli("evaluate", "--input", dataset_path, "--cutoff", "1" + "0" * 400)
+    assert proc.returncode == 2
+    assert proc.stderr == "configuration error: cutoff must lie in the float range, up to 1.8e308\n"
+
+
 def test_non_finite_log_base_is_configuration_error(dataset_path):
     for bad in ("inf", "nan"):
         proc = cli("evaluate", "--input", dataset_path, "--log-base", bad)
@@ -428,7 +434,7 @@ _BASELINE_FLAGS = ("--step", "--g1")
 # Text, non-finite, zero, negative and huge values, and valid values for the other flags.
 flag_values = st.one_of(
     st.text(max_size=6),
-    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "1e308", "9" * 40]),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "1e308", "9" * 40, "9" * 400]),
     st.sampled_from(["p,dcg", "rbp,", "against", "liberal"]),
     st.integers().map(str),
     st.floats().map(str),
@@ -452,6 +458,10 @@ flag_values = st.one_of(
          b'"docs": []}', mode="stance", flags={})
 # A flag value that does not parse.
 @example(data=b"", mode="stance", flags={"--cutoff": "abc"})
+# A valid dataset, and a cutoff that parses but passes the float range.
+@example(data=b'{"engine": "e", "query_id": "q", "query": "t", "leaning": "liberal", '
+         b'"docs": [{"rank": 1, "doc_id": "d", "stance": "pro"}]}', mode="stance",
+         flags={"--cutoff": "9" * 400})
 def test_any_input_exits_cleanly_with_one_line(fuzz_path, data, mode, flags):
     fuzz_path.write_bytes(data)
     for command in ("validate", "evaluate", "compare", "baselines"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import jsonl, record
 from serpbias import dataset
+from serpbias.model import CODE
 from serpbias import (
     Dataset,
     EngineRun,
@@ -397,7 +398,12 @@ def mutate(draw, rec, mutation):
     elif mutation == "duplicate-id" and len(docs) > 1:
         docs[i]["doc_id"] = docs[i - 1]["doc_id"]
     elif mutation == "unknown-stance" and docs:
-        docs[i]["stance"] = draw(st.sampled_from(["Pro", "", "sideways"]))
+        # Near misses of a label: a letter more or fewer, another label's
+        # second letter (the letter the layout reader keeps), a trailing space.
+        labels = [label.value for label in StanceLabel]
+        label, other = draw(st.permutations(labels))[:2]
+        near = [label + "s", label[:-1], label[0] + other[1] + label[2:], label + " "]
+        docs[i]["stance"] = draw(st.sampled_from(["Pro", "", "sideways", *near]))
     elif mutation == "unknown-leaning":
         rec["leaning"] = draw(st.sampled_from(["Liberal", "", "centrist"]))
     elif mutation == "empty-docs":
@@ -439,3 +445,43 @@ def test_layout_reader_agrees_with_the_json_reader(drawn):
     expected = outcome()
     with mock.patch.object(dataset, "_plain_record", lambda line: None):
         assert outcome() == expected
+
+
+def test_each_stance_has_its_own_second_letter_and_code():
+    # The layout reader keeps only a stance's second letter.
+    letters = [label.value[1] for label in StanceLabel]
+    assert len(set(letters)) == len(letters)
+    for letter, label in zip(letters, StanceLabel):
+        assert dataset._LETTER_CODE[ord(letter)] == CODE[label]
+
+
+ONE_LINE = (
+    '{"engine": "e", "query_id": "q", "query": "t", "leaning": "liberal", "docs": ['
+    '{"rank": 1, "doc_id": "d1", "stance": "pro"}, '
+    '{"rank": 2, "doc_id": "d2", "stance": "against"}]}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        (ONE_LINE.replace("[{", "[ {"), None),
+        (ONE_LINE.replace("[{", "[0, {"), "each docs entry must be an object"),
+        (
+            ONE_LINE.replace('"rank": 1,', '"rank": 2,'),
+            "rank gap in list (e, q): expected rank 1, got 2",
+        ),
+    ],
+    ids=["space-before-entry-1", "junk-before-entry-1", "first-rank-2"],
+)
+def test_the_layout_reader_declines_a_first_entry_out_of_place(line, error):
+    assert dataset._plain_record(line) is None
+    if error is None:
+        with mock.patch.object(dataset, "_plain_record", lambda line: None):
+            expected = parse_dataset([line])
+        assert parse_dataset([line]) == expected
+        assert expected.runs[0].lists["q"].doc_ids_json == '["d1", "d2"]'
+    else:
+        with pytest.raises(InputError) as info:
+            parse_dataset([line])
+        assert str(info.value) == f"line 1: {error}"

@@ -66,7 +66,8 @@ def test_output_matches_golden(name):
     assert run_case(CASES[name]) == (GOLDEN / f"{name}.out").read_bytes()
 
 
-def test_every_golden_line_takes_the_layout_reader(monkeypatch):
+def layout_reader_takes(monkeypatch, path) -> list[bool]:
+    """Whether the layout reader took each line of path as load_dataset read it."""
     taken = []
 
     def spy(line, plain=dataset._plain_record):
@@ -75,10 +76,35 @@ def test_every_golden_line_takes_the_layout_reader(monkeypatch):
         return record
 
     monkeypatch.setattr(dataset, "_plain_record", spy)
+    dataset.load_dataset(path)
+    monkeypatch.undo()
+    return taken
+
+
+def test_every_golden_line_takes_the_layout_reader(monkeypatch):
     for path in (SERPS, ONE_QUERY):
-        taken.clear()
-        dataset.load_dataset(path)
-        assert taken == [True] * len(Path(path).read_text(encoding="utf-8").splitlines())
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        assert layout_reader_takes(monkeypatch, path) == [True] * len(lines)
+
+
+def test_every_benchmark_dataset_line_takes_the_layout_reader(monkeypatch, tmp_path):
+    # A line the layout reader declines is still read, by json.loads, with the
+    # same outputs, so only the benchmark's timing would show the fallback.
+    from perfbench.generate import generate
+    from perfbench.workloads import WORKLOADS
+
+    for name, workload in sorted(WORKLOADS.items()):
+        path = str(tmp_path / f"{name}.jsonl")
+        generate(workload.shape, 1, path)
+        lists = workload.shape.engines * workload.shape.queries
+        assert layout_reader_takes(monkeypatch, path) == [True] * lists, name
+
+
+def test_each_golden_stance_is_captured_as_one_letter():
+    for path in (SERPS, ONE_QUERY):
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
+            stances = dataset._DOC.split(line)[2::3]
+            assert [len(s) for s in stances] == [1] * len(json.loads(line)["docs"])
 
 
 def write_relaid(directory) -> dict[str, str]:

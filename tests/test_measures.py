@@ -153,6 +153,20 @@ def test_config_defaults():
     assert cfg.log_base == 2.0
 
 
+def test_a_cutoff_past_the_float_range_is_refused():
+    text = "^cutoff must lie in the float range, up to 1.8e308$"
+    with pytest.raises(ConfigError, match=text):
+        MeasureConfig(cutoff=10**400)
+    with pytest.raises(ConfigError, match=text):
+        precision_at(make_list([P]), P, 10**400)
+    # One range for the setting, whichever measure reads it.
+    with pytest.raises(ConfigError, match=text):
+        dcg_at(make_list([P]), P, 10**400)
+    with pytest.raises(ConfigError, match=text):
+        MeasureConfig(cutoff=10**400, measure_kind="rbp")
+    assert precision_at(make_list([P]), P, 10**308) == 1e-308
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         MeasureConfig(cutoff=0)
