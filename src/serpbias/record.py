@@ -22,6 +22,7 @@ Copying and pickling go through the instance dict, like any plain object's.
 
 from __future__ import annotations
 
+import os
 from operator import attrgetter
 
 
@@ -57,8 +58,12 @@ class Record:
             raise TypeError(f"field {required[-1]!r} without a default follows one with a default")
         lines = [f"def {name}(self, {', '.join(params)}):", "    _store = self.__dict__"]
         lines += [f"    _store[{f!r}] = {f}" for f in fields]
+        # The code's filename names the type and no existing file, so a
+        # profile or traceback line points at the type, and no source line is
+        # quoted for it.
+        filename = os.path.join(os.path.dirname(__file__), f"<record {cls.__qualname__}>")
         namespace = {"_cls": cls}
-        exec("\n".join(lines), namespace)
+        exec(compile("\n".join(lines), filename, "exec"), namespace)
         fill = cls._fill = namespace[name]
         fill.__qualname__ = f"{cls.__qualname__}.{name}"
         fill.__module__ = cls.__module__

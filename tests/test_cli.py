@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, flags, exit codes, output formats."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -513,3 +514,60 @@ def test_bare_interpreter_prints_the_golden_bytes(golden, args):
     proc = bare_python("-m", "serpbias", *args, "--input", str(GOLDEN / "serps.jsonl"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{golden}.out").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Exit: the entry point freezes the heap before it exits, so the collection
+# that interpreter finalization forces skips the package's objects; main()
+# alone freezes nothing, and under -X dev the entry point freezes nothing.
+
+
+def run_entry_point(prelude, *args, flags=()):
+    """A child Python that runs prelude, then serpbias.cli.run() on args."""
+    code = f"{prelude}\nfrom serpbias.cli import run\nrun()"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code, *args], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("valid", 0), ("bad-line", 1), ("bad-cutoff", 2)],
+)
+def test_the_entry_point_freezes_the_heap_before_it_exits(dataset_path, tmp_path, case, code):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n", encoding="utf-8")
+    args = {
+        "valid": ["validate", "--input", dataset_path],
+        "bad-line": ["validate", "--input", str(bad)],
+        "bad-cutoff": ["evaluate", "--input", dataset_path, "--cutoff", "abc"],
+    }[case]
+    # atexit handlers run after SystemExit has left run().
+    prelude = "import atexit, gc\natexit.register(lambda: print(gc.get_freeze_count() > 0))"
+    proc = run_entry_point(prelude, *args)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"
+
+
+def test_main_leaves_the_heap_unfrozen(dataset_path):
+    before = gc.get_freeze_count()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli_module.main(["validate", "--input", dataset_path]) == 0
+    assert json.loads(out.getvalue())["n_documents"] == 120
+    assert gc.get_freeze_count() == before
+
+
+def test_under_dev_mode_the_exit_collection_still_finds_a_leaked_file(dataset_path):
+    # A file held only by a reference cycle is closed, with a ResourceWarning,
+    # by the collection that frees the cycle. Automatic collections are off,
+    # so only the one at exit can free it.
+    prelude = (
+        "import gc\ngc.disable()\n"
+        f"leak = [open({dataset_path!r}, encoding='utf-8')]\nleak.append(leak)\ndel leak"
+    )
+    proc = run_entry_point(
+        prelude, "validate", "--input", dataset_path, flags=("-X", "dev", "-W", "error")
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning: unclosed file" in proc.stderr

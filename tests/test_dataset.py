@@ -455,6 +455,28 @@ def test_each_stance_has_its_own_second_letter_and_code():
         assert dataset._LETTER_CODE[ord(letter)] == CODE[label]
 
 
+def near_misses():
+    """Each stance label's near misses: a letter more or fewer, another
+    label's second letter (the letter the layout reader keeps), a trailing
+    space, a capitalised first letter."""
+    labels = [label.value for label in StanceLabel]
+    for label in labels:
+        others = [label[0] + other[1] + label[2:] for other in labels if other != label]
+        for near in [label + "s", label[:-1], *others, label + " ", label.capitalize()]:
+            yield pytest.param(near, id=repr(near))
+
+
+@pytest.mark.parametrize("stance", near_misses())
+def test_every_near_miss_of_a_stance_label_is_unknown(stance):
+    rec = record("e", "q01", ["pro", "neutral", "against"])
+    rec["docs"][1]["stance"] = stance
+    line = json.dumps(rec) + "\n"
+    assert dataset._plain_record(line) is None
+    with pytest.raises(InputError) as info:
+        parse_dataset([line])
+    assert str(info.value).startswith(f"line 1: unknown stance label {stance!r} ")
+
+
 ONE_LINE = (
     '{"engine": "e", "query_id": "q", "query": "t", "leaning": "liberal", "docs": ['
     '{"rank": 1, "doc_id": "d1", "stance": "pro"}, '

@@ -19,6 +19,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -425,3 +426,13 @@ def test_every_record_holds_only_its_fields():
             named = isinstance(cls, type) and hasattr(cls, "_fields")
             if named and cls.__module__ == module.__name__ and cls is not report._Slot:
                 assert issubclass(cls, Record), cls.__qualname__
+
+
+def test_generated_code_names_its_type_and_no_file():
+    # A profile line or a traceback frame of generated code names its type,
+    # and, as no such file exists, no traceback quotes a source line for it.
+    package = Path(serpbias.__file__).parent
+    assert RankedList._fill.__code__.co_filename == str(package / "<record RankedList>")
+    assert TTestResult.__init__.__code__.co_filename == str(package / "<record TTestResult>")
+    assert not Path(RankedList._fill.__code__.co_filename).exists()
+    assert Path(record_type("One", ["x"]).__init__.__code__.co_filename).name == "<record One>"
