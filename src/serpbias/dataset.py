@@ -31,7 +31,7 @@ import re
 from collections.abc import Iterable
 from itertools import chain
 
-from .errors import InputError, digit_limit
+from .errors import InputError, digit_limit, shown
 from .model import (
     CODE,
     Document,
@@ -269,7 +269,10 @@ def parse_dataset(stream: Iterable[str]) -> Dataset:
     by_engine: dict[str, dict[str, RankedList]] = {}
     query_table: dict[str, tuple[str, LeaningLabel]] = {}
     # RFC 8259 lets a parser skip a byte-order mark before the first line.
-    lines = iter(stream)
+    try:
+        lines = iter(stream)
+    except TypeError:
+        raise InputError(f"a dataset must be an iterable of lines, got {shown(stream)}") from None
     first = next(lines, "")
     if isinstance(first, str) and first.startswith("\ufeff"):
         first = first[1:]

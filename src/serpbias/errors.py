@@ -1,5 +1,5 @@
-"""Exception types shared across the package, `real` (the one reading of a number
-argument), the checks of setting values and the text a refusal gives for a value."""
+"""Exception types shared across the package, `real` and `integer` (the one reading of
+a number and of an integer argument), setting checks and the text of a refused value."""
 
 import math
 import sys
@@ -65,6 +65,16 @@ def real(value) -> float | None:
         return None
 
 
+def integer(what: str, value, low: int = 1, error: type = ConfigError) -> int:
+    """value as a plain int; error unless it is an int, and a bool is not one, from
+    low up to the largest float, as it may enter float arithmetic."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise error(f"{what} must be an integer >= {low}, got {shown(value)}")
+    if value > sys.float_info.max:
+        raise error(f"{what} must lie in the float range, up to 1.8e308")
+    return int(value)
+
+
 def check_choice(what: str, value, choices) -> None:
     """Raise ConfigError unless value is one of choices; an unhashable value is not."""
     try:
@@ -73,12 +83,6 @@ def check_choice(what: str, value, choices) -> None:
     except TypeError:  # an unhashable value tested against a dict
         pass
     raise ConfigError(f"unknown {what} {shown(value)} (expected one of: {', '.join(choices)})")
-
-
-def check_positive_int(what: str, value) -> None:
-    """Raise ConfigError unless value is an int of at least 1; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{what} must be a positive integer, got {shown(value)}")
 
 
 def check_fraction(what: str, value) -> float:

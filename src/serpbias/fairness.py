@@ -26,7 +26,7 @@ import math
 from collections.abc import Sequence
 from operator import truediv
 
-from .errors import InputError, MeasureUndefinedError, check_choice, check_positive_int, shown
+from .errors import InputError, MeasureUndefinedError, check_choice, integer
 from .model import RankedList
 from .record import Record
 
@@ -47,7 +47,7 @@ class BaselineConfig(Record):
     kind: str = "rnd"  # also a class attribute: the CLI's --baseline default reads it
 
     def __init__(self, step: int = DEFAULT_STEP, kind: str = kind):
-        check_positive_int("step", step)
+        step = integer("step", step)
         check_choice("baseline kind", kind, BASELINE_KINDS)
         self._fill(step, kind)
 
@@ -113,11 +113,10 @@ def _raw_score(member: Sequence[int], kind: str, step: int) -> float:
 
 
 def _distance(kind: str, r: RankedList, g1, i: int) -> float:
-    if type(i) is not int:  # a bool or a float is not a rank
-        raise InputError(f"rank must be an integer, got {shown(i)}")
+    i = integer("rank", i, 1, InputError)
     member = r.mask(g1)
-    if not 1 <= i <= len(member):
-        raise InputError(f"rank {shown(i, str)} outside list of length {len(member)}")
+    if i > len(member):
+        raise InputError(f"rank {i} outside list of length {len(member)}")
     return _DISTANCES[kind]([sum(member[:i]) / i], sum(member) / len(member))[0]
 
 
@@ -153,14 +152,10 @@ def normalizer_z(kind: str, list_len: int, g1_count: int, step: int = DEFAULT_ST
     group size.
     """
     BaselineConfig(step=step, kind=kind)  # raises ConfigError on a bad kind or step
-    for what, count in (("list length", list_len), ("g1 count", g1_count)):
-        if type(count) is not int:
-            raise InputError(f"{what} must be an integer, got {shown(count)}")
-    if not 0 <= g1_count <= list_len:
-        raise InputError(
-            f"g1 count {shown(g1_count, str)} outside [0, {shown(list_len, str)}] "
-            f"for list length {shown(list_len, str)}"
-        )
+    list_len = integer("list length", list_len, 0, InputError)
+    g1_count = integer("g1 count", g1_count, 0, InputError)
+    if g1_count > list_len:
+        raise InputError(f"g1 count {g1_count} outside [0, {list_len}] for list length {list_len}")
     if list_len == 0:
         return 0.0
     g1_first = [True] * g1_count + [False] * (list_len - g1_count)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from .errors import ConfigError, check_choice, check_fraction, check_positive_int, real, shown
+from .errors import ConfigError, check_choice, check_fraction, integer, real, shown
 from .model import Label, RankedList
 from .record import Record
 
@@ -46,9 +46,7 @@ class MeasureConfig(Record):
         self, cutoff: int = DEFAULT_CUTOFF, persistence: float = DEFAULT_PERSISTENCE,
         log_base: float = DEFAULT_LOG_BASE, measure_kind: str = "precision",
     ):
-        check_positive_int("cutoff", cutoff)
-        if real(cutoff) == math.inf:  # for every kind, though only precision divides by it
-            raise ConfigError("cutoff must lie in the float range, up to 1.8e308")
+        cutoff = integer("cutoff", cutoff)
         persistence = check_fraction("persistence", persistence)
         if (base := real(log_base)) is None or not 1.0 < base < math.inf:
             raise ConfigError(

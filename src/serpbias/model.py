@@ -15,7 +15,7 @@ import enum
 import json
 from json.encoder import encode_basestring
 
-from .errors import InputError, shown
+from .errors import InputError, integer, shown
 from .record import Record
 
 
@@ -110,11 +110,7 @@ class Document(Record):
     doc_id: str
 
     def __init__(self, rank: int, stance: Label, doc_id: str):
-        if isinstance(rank, bool) or not isinstance(rank, int):
-            raise InputError(f"document rank must be an integer, got {shown(rank)}")
-        if rank < 1:
-            raise InputError(f"document rank must be >= 1, got {shown(rank, str)}")
-        self._fill(rank, stance, doc_id)
+        self._fill(integer("document rank", rank, 1, InputError), stance, doc_id)
 
 
 class RankedList(Record):
@@ -177,7 +173,7 @@ class RankedList(Record):
     @property
     def docs(self) -> tuple[Document, ...]:
         labeled = enumerate(zip(self.codes, self.doc_ids), start=1)
-        return tuple(Document(rank, LABELS[code], doc_id) for rank, (code, doc_id) in labeled)
+        return tuple(Document._new(rank, LABELS[code], doc_id) for rank, (code, doc_id) in labeled)
 
     def mask(self, label) -> bytes:
         """One byte per rank: 1 where the document is labeled `label`, else 0."""

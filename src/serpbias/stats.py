@@ -12,13 +12,12 @@ at 10,000, mostly at small t; it is 4.4e-9 at 10^5 and 1.2e-8 at 10^6. At t =
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import sub
 
 from .errors import (
-    ConfigError, ConvergenceError, DegenerateSampleError, InputError, check_fraction, real, shown,
+    ConvergenceError, DegenerateSampleError, InputError, check_fraction, integer, real, shown,
 )
 from .record import Record
 
@@ -105,10 +104,7 @@ def student_t_sf(t: float, df: int) -> float:
     else ConfigError; t must be a number other than NaN, and text is not
     one, else InputError.
     """
-    if isinstance(df, bool) or not isinstance(df, int) or df < 1:
-        raise ConfigError(f"degrees of freedom must be an integer >= 1, got {shown(df)}")
-    if df > sys.float_info.max:  # df enters float arithmetic
-        raise ConfigError("degrees of freedom must lie in the float range, up to 1.8e308")
+    df = integer("degrees of freedom", df)
     number = real(t)
     if number is None or math.isnan(number):
         raise InputError(f"t statistic must be a number other than NaN, got {shown(t)}")
@@ -121,7 +117,12 @@ def _finite(values: Iterable, what: str = "observation") -> Sequence[float]:
     number (text is not one). A Sample is returned as it is."""
     if type(values) is Sample:
         return values
-    values = list(values)
+    try:
+        iterator = iter(values)
+    except TypeError:
+        got = shown(values)
+        raise InputError(f"t-test {what}s must be an iterable of numbers, got {got}") from None
+    values = list(iterator)
     try:
         # Text makes sum raise, and a NaN or an infinity makes it non-finite.
         if math.isfinite(sum(values)):

@@ -28,6 +28,7 @@ from serpbias import (
     normalizer_z,
     one_sample_ttest,
     paired_ttest,
+    parse_dataset,
     rbp,
     regularized_incomplete_beta,
     render_report,
@@ -222,6 +223,88 @@ def test_every_number_argument_is_read_as_a_float_or_refused(error, call, number
         return
     if number.endswith("-half"):
         assert bits(result) == bits(call(0.5))
+
+
+class Seven(int):
+    """An int that writes itself as a word."""
+
+    def __str__(self):
+        return "seven"
+
+
+# Every integer argument, read by errors.integer: (what its messages call it,
+# the least value, the error it documents, a call that takes it). Only the
+# int subclass is taken, as the plain int it holds; each other value of
+# INTEGERS is refused with one of the two messages.
+PRO = StanceLabel.PRO
+SEVEN_DOCS = RankedList(
+    "e", "q", LeaningLabel.LIBERAL, [Document(k, PRO, str(k)) for k in range(1, 8)]
+)
+INTEGER_ARGUMENTS = {
+    "cutoff": ("cutoff", 1, ConfigError, lambda v: MeasureConfig(cutoff=v)),
+    "step": ("step", 1, ConfigError, lambda v: BaselineConfig(step=v)),
+    "df": ("degrees of freedom", 1, ConfigError, lambda v: student_t_sf(1.0, v)),
+    "list-length": ("list length", 0, InputError, lambda v: normalizer_z("rnd", v, 0, 1)),
+    "g1-count": ("g1 count", 0, InputError, lambda v: normalizer_z("rnd", 9, v, 1)),
+    "distance-rank": ("rank", 1, InputError, lambda v: distance_rnd(SEVEN_DOCS, PRO, v)),
+    "document-rank": ("document rank", 1, InputError, lambda v: Document(v, PRO, "d")),
+}
+INTEGERS = {
+    "bool": True,
+    "float": 1.0,
+    "text": "3",
+    "none": None,
+    "subclass": Seven(7),
+    "below-least": None,  # the argument's least value, less 1
+    "big": 10**400,
+    "huge": BIG,
+}
+
+
+@pytest.mark.parametrize("number", INTEGERS)
+@pytest.mark.parametrize(
+    "what, low, error, call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS
+)
+def test_every_integer_argument_is_read_as_a_plain_int_or_refused(what, low, error, call, number):
+    value = low - 1 if number == "below-least" else INTEGERS[number]
+    if number == "subclass":
+        result = call(value)
+        if isinstance(result, Record):
+            kept = [v for v in vars(result).values() if isinstance(v, int)]
+            assert 7 in kept and all(type(v) is int for v in kept)
+        return
+    with pytest.raises(error) as info:
+        call(value)
+    if number in ("big", "huge"):
+        assert str(info.value) == f"{what} must lie in the float range, up to 1.8e308"
+    else:
+        assert str(info.value) == f"{what} must be an integer >= {low}, got {value!r}"
+
+
+def test_a_cutoff_of_an_int_subclass_renders_as_its_int():
+    for fmt in ("json", "tsv", "markdown"):
+        text = render_report(evaluate(TWO_RUNS, MeasureConfig(cutoff=Seven(7))), fmt)
+        assert text == render_report(evaluate(TWO_RUNS, MeasureConfig(cutoff=7)), fmt)
+        assert "7" in text and "seven" not in text
+
+
+# Where the t-test observations or a dataset's lines belong, a value that is
+# not iterable is an InputError.
+OBSERVATIONS = "t-test observations must be an iterable of numbers"
+NOT_ITERABLE = {
+    "one-sample": (one_sample_ttest, OBSERVATIONS),
+    "paired-a": (lambda v: paired_ttest(v, SAMPLE), OBSERVATIONS),
+    "paired-b": (lambda v: paired_ttest(SAMPLE, v), OBSERVATIONS),
+    "parse-dataset": (parse_dataset, "a dataset must be an iterable of lines"),
+}
+
+
+@pytest.mark.parametrize("value", [5, None, 2.5, object], ids=["int", "none", "float", "type"])
+@pytest.mark.parametrize("call, text", NOT_ITERABLE.values(), ids=NOT_ITERABLE)
+def test_a_non_iterable_argument_is_an_input_error(call, text, value):
+    with pytest.raises(InputError) as info:
+        call(value)
+    assert str(info.value) == f"{text}, got {value!r}"
 
 
 @pytest.mark.parametrize("base", [3, Fraction(3), Decimal(3)], ids=["int", "fraction", "decimal"])

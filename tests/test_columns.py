@@ -198,7 +198,7 @@ def test_valid_docs_arrays_never_take_the_document_path(lists):
     [
         # Entries are checked in order, so an earlier entry's rank < 1 comes
         # before a later entry's missing fields.
-        ([{"rank": 0, "doc_id": "a", "stance": "pro"}, {"rank": 2}], "rank must be >= 1, got 0"),
+        ([{"rank": 0, "doc_id": "a", "stance": "pro"}, {"rank": 2}], "rank must be an integer >= 1, got 0"),
         ([{"rank": 0, "doc_id": "a", "stance": "sideways"}], "unknown stance label 'sideways'"),
         ([{"rank": True, "doc_id": "a", "stance": "pro"}], "field 'rank' must be an integer"),
         ([{"rank": 2, "doc_id": "a", "stance": "pro"}, 7], "each docs entry must be an object"),

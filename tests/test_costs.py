@@ -41,10 +41,12 @@ BUDGETS = {
     # The same records with compact separators and reversed keys, which the
     # JSON reader reads column by column: 14.25 per list.
     "parse-relaid": (2870, 5720),
-    # One BiasRecord per list and measure: 3 per list.
-    "evaluate-stance-tsv": (2060, 2660),
-    # Also the relabel's RankedList: 8 per list, less a few skipped calls.
-    "evaluate-ideology": (2299, 3898),
+    # Both evaluate counts hold one errors.integer call (its df) per t-test
+    # that reaches a p-value, 26 at both sizes. Stance makes one BiasRecord
+    # per list and measure: 3 per list.
+    "evaluate-stance-tsv": (2086, 2686),
+    # Also the relabel's RankedList: about 8 per list.
+    "evaluate-ideology": (2325, 3924),
     # About 10 per list; an undefined score takes another path.
     "baselines-rkl-step-1": (2115, 4165),
 }

@@ -216,7 +216,7 @@ class TestDistances:
         r = make_list([P, A])
         with pytest.raises(InputError, match="outside"):
             distance_rnd(r, P, 3)
-        with pytest.raises(InputError, match="outside"):
+        with pytest.raises(InputError, match="^rank must be an integer >= 1, got 0$"):
             distance_rnd(r, P, 0)
 
 
@@ -318,12 +318,12 @@ class TestNormalizer:
     @pytest.mark.parametrize(
         "list_len, g1_count, text",
         [
-            (5.0, 1, "list length must be an integer, got 5.0"),
-            ("5", 1, "list length must be an integer, got '5'"),
-            (True, 0, "list length must be an integer, got True"),
-            (5, 1.0, "g1 count must be an integer, got 1.0"),
-            (5, "1", "g1 count must be an integer, got '1'"),
-            (5, False, "g1 count must be an integer, got False"),
+            (5.0, 1, "list length must be an integer >= 0, got 5.0"),
+            ("5", 1, "list length must be an integer >= 0, got '5'"),
+            (True, 0, "list length must be an integer >= 0, got True"),
+            (5, 1.0, "g1 count must be an integer >= 0, got 1.0"),
+            (5, "1", "g1 count must be an integer >= 0, got '1'"),
+            (5, False, "g1 count must be an integer >= 0, got False"),
         ],
     )
     def test_counts_must_be_integers(self, list_len, g1_count, text):

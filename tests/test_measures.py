@@ -183,9 +183,9 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "make, text",
     [
-        (lambda: BaselineConfig(step=True), "step must be a positive integer, got True"),
-        (lambda: MeasureConfig(cutoff=True), "cutoff must be a positive integer, got True"),
-        (lambda: precision_at(make_list([P]), P, False), "cutoff must be a positive integer"),
+        (lambda: BaselineConfig(step=True), "step must be an integer >= 1, got True"),
+        (lambda: MeasureConfig(cutoff=True), "cutoff must be an integer >= 1, got True"),
+        (lambda: precision_at(make_list([P]), P, False), "cutoff must be an integer >= 1"),
         (lambda: MeasureConfig(persistence="0.8"), "persistence must lie strictly between"),
         (lambda: rbp(make_list([P]), P, None), "persistence must lie strictly between"),
         (lambda: MeasureConfig(log_base="2"), "log base must be a finite number"),

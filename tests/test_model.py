@@ -234,7 +234,7 @@ def test_document_rank_must_be_an_int(rank):
     # The JSON reader refuses these ranks too; a bool or 1.0 would pass as rank 1.
     with pytest.raises(InputError) as info:
         Document(rank, StanceLabel.PRO, "d")
-    assert str(info.value) == f"document rank must be an integer, got {rank!r}"
+    assert str(info.value) == f"document rank must be an integer >= 1, got {rank!r}"
 
 
 def test_empty_list_is_legal():
