@@ -11,6 +11,7 @@ are complementary.
 
 from __future__ import annotations
 
+from itertools import starmap
 from math import fsum
 from operator import sub
 
@@ -19,6 +20,7 @@ from .errors import InputError
 from .measures import MeasureConfig, dcg_at, precision_at, rbp, utilities
 from .model import NEGATIVE_MASK, POSITIVE_MASK, EngineRun, RankedList
 from .record import Record
+from .stats import Sample
 
 
 class BiasRecord(Record):
@@ -29,13 +31,24 @@ class BiasRecord(Record):
 
 
 class BiasSummary(Record):
-    """Per-engine aggregate: signed mean (mb), mean absolute (mab), per-query detail."""
+    """Per-engine aggregate: signed mean (mb), mean absolute (mab), and each
+    query's slant, as two columns in query order."""
 
     engine: str
     measure: str
     mb: float
     mab: float
-    per_query: tuple[BiasRecord, ...]
+    query_ids: tuple[str, ...]
+    betas: tuple[float, ...]
+
+    # The JSON writes the columns as the rows of per_query (see report.py).
+    _rows = ("per_query", BiasRecord)
+
+    @property
+    def per_query(self) -> tuple[BiasRecord, ...]:
+        """One BiasRecord per query, built from the columns on each access;
+        ValueError when their lengths differ."""
+        return tuple(starmap(BiasRecord._new, zip(self.query_ids, self.betas, strict=True)))
 
 
 def _betas(lists, cfg: MeasureConfig) -> list[float]:
@@ -58,10 +71,10 @@ def bias(r: RankedList, cfg: MeasureConfig) -> float:
 
 def summarize_run(run: EngineRun, cfg: MeasureConfig) -> BiasSummary:
     """Per-query slants plus both aggregates for one engine under one measure,
-    read from the run's lists at each call."""
+    read from the run's lists at each call. The betas are a stats.Sample, so
+    every t-test takes them as they are."""
     if not run.lists:
         raise InputError(f"engine {run.engine_id!r} has an empty query set")
-    betas = _betas(run.lists.values(), cfg)
+    betas = Sample(_betas(run.lists.values(), cfg))
     mb, mab = fsum(betas) / len(betas), fsum(map(abs, betas)) / len(betas)
-    per_query = tuple(map(BiasRecord, run.lists, betas))
-    return BiasSummary(run.engine_id, cfg.measure_kind, mb, mab, per_query)
+    return BiasSummary(run.engine_id, cfg.measure_kind, mb, mab, tuple(run.lists), betas)

@@ -259,15 +259,18 @@ def parse_dataset(stream: Iterable[str]) -> Dataset:
     """Parse and validate a JSON Lines dataset.
 
     Blank lines are skipped, and so is a byte-order mark (U+FEFF) before
-    line 1. Raises InputError, with the offending line number where one
-    exists, on a line that is not a str, text that is not UTF-8, malformed
-    JSON, an id or query text that escapes a lone surrogate,
-    missing or mistyped fields, unknown labels, rank gaps, duplicate doc ids,
-    duplicate (engine, query) pairs, inconsistent query metadata, or query
-    sets that differ across engines.
+    line 1. Raises InputError on one whole text in place of its lines, and,
+    with the offending line number where one exists, on a line that is not
+    a str, text that is not UTF-8, malformed JSON, an id or query text that
+    escapes a lone surrogate, missing or mistyped fields, unknown labels,
+    rank gaps, duplicate doc ids, duplicate (engine, query) pairs,
+    inconsistent query metadata, or query sets that differ across engines.
     """
     by_engine: dict[str, dict[str, RankedList]] = {}
     query_table: dict[str, tuple[str, LeaningLabel]] = {}
+    if isinstance(stream, (str, bytes, bytearray)):
+        got = type(stream).__name__
+        raise InputError(f"a dataset must be an iterable of lines, got one whole text ({got})")
     # RFC 8259 lets a parser skip a byte-order mark before the first line.
     try:
         lines = iter(stream)

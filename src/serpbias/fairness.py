@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from collections.abc import Sequence
 from operator import truediv
 
@@ -156,6 +157,8 @@ def normalizer_z(kind: str, list_len: int, g1_count: int, step: int = DEFAULT_ST
     g1_count = integer("g1 count", g1_count, 0, InputError)
     if g1_count > list_len:
         raise InputError(f"g1 count {g1_count} outside [0, {list_len}] for list length {list_len}")
+    if list_len > sys.maxsize:
+        raise InputError(f"list length must be at most {sys.maxsize}, the longest a list can be")
     if list_len == 0:
         return 0.0
     g1_first = [True] * g1_count + [False] * (list_len - g1_count)

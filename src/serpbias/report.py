@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby, repeat
 from json.encoder import encode_basestring as _encode_text
 
-from .bias import BiasRecord, BiasSummary, summarize_run
+from .bias import BiasSummary, summarize_run
 from .dataset import Dataset
 from .errors import (
     ConfigError, DegenerateSampleError, InputError, check_choice, check_fraction, digit_limit,
@@ -28,7 +28,7 @@ from .errors import (
 from .measures import MEASURE_KINDS, MeasureConfig
 from .model import EngineRun, IdeologyLabel, StanceLabel, transform_list
 from .record import Record
-from .stats import Sample, TTestResult, one_sample_ttest, paired_ttest
+from .stats import TTestResult, one_sample_ttest, paired_ttest
 
 # Each mode names the label space its lists are measured in.
 MODES = {"stance": StanceLabel, "ideology": IdeologyLabel}
@@ -94,9 +94,8 @@ class ComparisonReport(Record):
         for s in self.bias_summaries:
             yield ("summary", s.engine, "", s.measure, ""), (("mb", "mab"), (s.mb, s.mab))
         for s in self.bias_summaries:
-            ids = [rec.query_id for rec in s.per_query]
-            betas = [rec.beta for rec in s.per_query]
-            yield ("beta", s.engine, "", s.measure), (ids, ("beta",) * len(ids), betas)
+            columns = (s.query_ids, ("beta",) * len(s.query_ids), s.betas)
+            yield ("beta", s.engine, "", s.measure), columns
         sections = (("one_sample", self.one_sample_tests), ("paired", self.paired_tests))
         for section, entries in sections:
             for e in entries:
@@ -155,9 +154,9 @@ class ComparisonReport(Record):
                 "Per-query slant",
                 ("engine", "measure", "query", "beta"),
                 [
-                    (s.engine, s.measure, rec.query_id, rec.beta)
+                    (s.engine, s.measure, query_id, beta)
                     for s in self.bias_summaries
-                    for rec in s.per_query
+                    for query_id, beta in zip(s.query_ids, s.betas, strict=True)
                 ],
             ),
         )
@@ -305,9 +304,7 @@ def evaluate(
             relabeled = map(transform_list, run.lists.values())
             run = EngineRun._new(run.engine_id, dict(zip(run.lists, relabeled)))
         summaries += [summarize_run(run, c) for c in kind_cfgs]
-    # Each column of betas is checked once, here, and every t-test takes it as it is.
-    betas = {(s.engine, s.measure): Sample([rec.beta for rec in s.per_query]) for s in summaries}
-
+    betas = {(s.engine, s.measure): s.betas for s in summaries}
     stats_possible = n_queries >= 2
 
     def test(engine: str, engine_b: str | None, kind: str) -> TestEntry:
@@ -330,22 +327,10 @@ def evaluate(
         for kind in kinds
     ]
 
-    return ComparisonReport(
-        mode=mode,
-        config=ReportConfig(
-            cutoff=cfg.cutoff,
-            persistence=cfg.persistence,
-            log_base=cfg.log_base,
-            alpha=alpha,
-            measures=kinds,
-        ),
-        engines=engines,
-        n_queries=n_queries,
-        warnings=() if stats_possible else ("fewer than 2 queries: statistical tests skipped",),
-        bias_summaries=tuple(summaries),
-        one_sample_tests=tuple(one_sample),
-        paired_tests=tuple(paired),
-    )
+    config = ReportConfig(cfg.cutoff, cfg.persistence, cfg.log_base, alpha, kinds)
+    warnings = () if stats_possible else ("fewer than 2 queries: statistical tests skipped",)
+    results = tuple(summaries), tuple(one_sample), tuple(paired)
+    return ComparisonReport(mode, config, engines, n_queries, warnings, *results)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +350,31 @@ def _float_text(x: float) -> str:
 _ITEM = object()
 
 
+class _Rows(dict):
+    """Columns by key, of one length and each holding only texts or only
+    finite floats, which to_json_text writes as the array of their rows: row
+    i is an object that holds item i of each column under the column's key."""
+
+
+def _rows_text(columns: _Rows, outer: str, inner: str, field: str) -> str:
+    """The array of the rows of columns, in one pass with no Python call per
+    row; outer, inner and field are the line breaks before the closing
+    bracket, before each row and before each key of a row."""
+    cells = list(columns.values())
+    if not all(cells):
+        return "[]"
+    for i, column in enumerate(cells):
+        if type(column[0]) is str:
+            cells[i] = map(_encode_text, column)
+        else:  # an integral float gets the ".0" that _float_text gives it
+            texts = map(format, column, repeat(".17g"))
+            cells[i] = [text if "." in text or "e" in text else text + ".0" for text in texts]
+    # A key is a field name, which holds no brace.
+    template = "{{" + ",".join(f"{field}{_encode_text(key)}: {{}}" for key in columns)
+    template += inner + "}}"
+    return "[" + inner + ("," + inner).join(map(template.format, *cells)) + outer + "]"
+
+
 def to_json_text(value) -> str:
     """Deterministic JSON with floats at 17 significant digits.
 
@@ -372,7 +382,7 @@ def to_json_text(value) -> str:
     Text, and each key as str(key), goes through the encoder json.dumps
     uses; a named tuple renders as an array, and any other subclass of a JSON
     type as json.dumps renders it. Scalars are written in line, so only a
-    container costs a Python call.
+    container costs a Python call, and a _Rows costs one in all.
     """
     chunks: list[str] = []
     append = chunks.append
@@ -406,10 +416,12 @@ def to_json_text(value) -> str:
             elif not v:
                 append(prefix + ("{}" if isinstance(v, dict) else "[]"))
             else:
-                while len(breaks) <= depth + 1:
+                while len(breaks) <= depth + 2:
                     breaks.append("\n" + "  " * len(breaks))
                 inner = breaks[depth + 1]
-                if isinstance(v, dict):
+                if t is _Rows:
+                    append(prefix + _rows_text(v, breaks[depth], inner, breaks[depth + 2]))
+                elif isinstance(v, dict):
                     append(prefix + "{")
                     items(v.items(), depth + 1, inner, "," + inner)
                     append(breaks[depth] + "}")
@@ -433,6 +445,10 @@ def to_json_text(value) -> str:
 #   entries of a list that a part names in _paired, and each of those carries it.
 # - Fields a part names in _in_config are written in one object under that key,
 #   and the methods it names in _unread are written after its fields, not read.
+# - A part that names (key, row type) in _rows ends with one column per field
+#   of the row type, in that order. It writes them under key as the array of
+#   row objects, row i holding item i of each column, and the reader reads
+#   each row through the row type's slots and splits the rows into columns.
 
 
 _IDS = "tuple[str, ...]"
@@ -440,7 +456,7 @@ _IDS = "tuple[str, ...]"
 # The types of the parts that a report holds, by the names their annotations use.
 _PARTS = {
     cls.__name__: cls
-    for cls in (ReportConfig, BiasSummary, BiasRecord, TestEntry, TTestResult, BaselineScore)
+    for cls in (ReportConfig, BiasSummary, TestEntry, TTestResult, BaselineScore)
 }
 
 # What the JSON writer puts in a field of each leaf annotation: a test and its
@@ -466,9 +482,9 @@ def _leaf(data: dict, key: str, hint: str):
 
 
 # One key of a part's JSON object: its kind is "leaf", "part", "parts",
-# "in_line", "group", "absent" or "unread"; hint is a leaf's annotation, or
-# the type of the part that the slot holds; slots are that part's slots, or a
-# group's; write writes that part.
+# "in_line", "group", "rows", "absent" or "unread"; hint is a leaf's
+# annotation, or the type of the part that the slot holds; slots are that
+# part's slots, a row's, or a group's; write writes that part, or the rows.
 _Slot = namedtuple("_Slot", "key kind hint slots write", defaults=(None, (), None))
 
 
@@ -495,12 +511,33 @@ def _schema(cls, paired: bool = False) -> tuple[_Slot, ...]:
         write = vars if leaves else functools.partial(_write, slots=inner)
         return _Slot(name, kind, part, inner, write)
 
+    key, row = getattr(cls, "_rows", ("", None))
+    fields = cls._fields[: len(cls._fields) - len(row._fields)] if row else cls._fields
     slots = []
-    for in_group, names in groupby(cls._fields, key=in_config.__contains__):
+    for in_group, names in groupby(fields, key=in_config.__contains__):
         inner = tuple(map(slot, names))
         slots += [_Slot("config", "group", slots=inner)] if in_group else inner
+    if row:
+        write = functools.partial(_write_rows, names=cls._fields[len(fields) :], keys=row._fields)
+        slots.append(_Slot(key, "rows", slots=_schema(row), write=write))
     slots += [_Slot(name, "unread") for name in getattr(cls, "_unread", ())]
     return tuple(slots)
+
+
+def _plain(column) -> bool:
+    """Whether column holds only texts or only finite floats."""
+    types = set(map(type, column))
+    return types <= {str} or types == {float} and all(map(math.isfinite, column))
+
+
+def _write_rows(part, names: tuple[str, ...], keys: tuple[str, ...]):
+    """part's columns names, each under its row key: a _Rows when the columns
+    are of one length and each holds only texts or only finite floats, else
+    one dict per row; ValueError when their lengths differ."""
+    columns = [getattr(part, name) for name in names]
+    if all(map(_plain, columns)) and len(set(map(len, columns))) == 1:
+        return _Rows(zip(keys, columns))
+    return [dict(zip(keys, row)) for row in zip(*columns, strict=True)]
 
 
 def _write(part, slots: tuple[_Slot, ...]) -> dict:
@@ -511,6 +548,8 @@ def _write(part, slots: tuple[_Slot, ...]) -> dict:
             out[key] = _write(part, inner)
         elif kind == "unread":
             out[key] = list(getattr(part, key)())
+        elif kind == "rows":
+            out[key] = write(part)
         elif kind != "absent":
             value = getattr(part, key)
             if kind == "leaf":
@@ -542,6 +581,9 @@ def _read(data, slots: tuple[_Slot, ...]) -> list:
             values.append(hint(*_read(data.pop(key), inner)))
         elif kind == "parts":
             values.append(tuple(hint(*_read(row, inner)) for row in _leaf(data, key, "list")))
+        elif kind == "rows":
+            rows = [_read(row, inner) for row in _leaf(data, key, "list")]
+            values += zip(*rows) if rows else [()] * len(inner)
         elif kind == "in_line":
             # The writer gives every field a value, or nulls them all.
             own = {s.key: data.pop(s.key) for s in inner}

@@ -114,9 +114,13 @@ def student_t_sf(t: float, df: int) -> float:
 
 def _finite(values: Iterable, what: str = "observation") -> Sequence[float]:
     """values as floats; InputError naming the first one that is not a finite
-    number (text is not one). A Sample is returned as it is."""
+    number (text is not one), or for one whole text in place of the values.
+    A Sample is returned as it is."""
     if type(values) is Sample:
         return values
+    if isinstance(values, (str, bytes, bytearray)):
+        got = f"one whole text ({type(values).__name__})"
+        raise InputError(f"t-test {what}s must be an iterable of numbers, got {got}")
     try:
         iterator = iter(values)
     except TypeError:

@@ -307,6 +307,38 @@ def test_a_non_iterable_argument_is_an_input_error(call, text, value):
     assert str(info.value) == f"{text}, got {value!r}"
 
 
+# One whole text where its lines or the observations belong is refused as a
+# whole, not read one character or byte at a time.
+WHOLE_TEXT = {
+    "one-sample": (one_sample_ttest, OBSERVATIONS),
+    "paired-a": (lambda v: paired_ttest(v, "34"), OBSERVATIONS),
+    "paired-b": (lambda v: paired_ttest(SAMPLE, v), OBSERVATIONS),
+    "parse-dataset": (parse_dataset, "a dataset must be an iterable of lines"),
+}
+GOLDEN_LINES = (pathlib.Path(__file__).parent / "golden" / "serps.jsonl").read_text()
+
+
+TEXTS = {"str": "12", "bytes": b"12", "bytearray": bytearray(b"12"), "file": GOLDEN_LINES}
+
+
+@pytest.mark.parametrize("value", TEXTS.values(), ids=TEXTS)
+@pytest.mark.parametrize("call, text", WHOLE_TEXT.values(), ids=WHOLE_TEXT)
+def test_one_whole_text_is_an_input_error(call, text, value):
+    with pytest.raises(InputError) as info:
+        call(value)
+    assert str(info.value) == f"{text}, got one whole text ({type(value).__name__})"
+
+
+@pytest.mark.parametrize("length", [2**63, 2**70], ids=["2**63", "2**70"])
+def test_a_list_length_past_the_longest_list_is_an_input_error(length):
+    with pytest.raises(InputError) as info:
+        normalizer_z("rnd", length, 0)
+    longest = f"list length must be at most {sys.maxsize}, the longest a list can be"
+    assert str(info.value) == longest
+    with pytest.raises(InputError):
+        normalizer_z("rkl", length, length, 1)
+
+
 @pytest.mark.parametrize("base", [3, Fraction(3), Decimal(3)], ids=["int", "fraction", "decimal"])
 def test_a_log_base_is_kept_as_its_float(base):
     expected = bits(evaluated(MeasureConfig(log_base=3.0)))

@@ -41,12 +41,13 @@ BUDGETS = {
     # The same records with compact separators and reversed keys, which the
     # JSON reader reads column by column: 14.25 per list.
     "parse-relaid": (2870, 5720),
-    # Both evaluate counts hold one errors.integer call (its df) per t-test
-    # that reaches a p-value, 26 at both sizes. Stance makes one BiasRecord
-    # per list and measure: 3 per list.
-    "evaluate-stance-tsv": (2086, 2686),
-    # Also the relabel's RankedList: about 8 per list.
-    "evaluate-ideology": (2325, 3924),
+    # The evaluate counts hold one errors.integer call (its df) per t-test
+    # that reaches a p-value, 26 at both sizes. Stance scoring, the t-tests
+    # and both renderings make no call per list: the same count at both sizes.
+    "evaluate-stance-tsv": (1450, 1450),
+    "evaluate-stance-json": (910, 910),
+    # The relabel's RankedList: about 5 per list.
+    "evaluate-ideology": (1713, 2712),
     # About 10 per list; an undefined score takes another path.
     "baselines-rkl-step-1": (2115, 4165),
 }
@@ -97,6 +98,7 @@ def path_calls(directory, queries: int) -> dict[str, int]:
         "parse": calls(lambda: parse_dataset(lines)),
         "parse-relaid": calls(lambda: parse_dataset(relaid_lines)),
         "evaluate-stance-tsv": calls(lambda: render_report(evaluate(ds), "tsv")),
+        "evaluate-stance-json": calls(lambda: render_report(evaluate(ds), "json")),
         "evaluate-ideology": calls(lambda: evaluate(ds, mode="ideology")),
         "baselines-rkl-step-1": calls(baselines),
     }
@@ -115,3 +117,11 @@ def test_call_count_within_budget(counts, name):
     assert small <= budget_small, f"{name}: {small} calls at q = 50, budget {budget_small}"
     per_list, budget = (large - small) / LISTS_ADDED, (budget_large - budget_small) / LISTS_ADDED
     assert per_list <= budget, f"{name}: {per_list} calls per added list, budget {budget}"
+
+
+FLAT = [name for name, (small, large) in BUDGETS.items() if small == large]
+
+
+@pytest.mark.parametrize("name", FLAT)
+def test_a_flat_budget_counts_the_same_at_both_sizes(counts, name):
+    assert counts[0][name] == counts[1][name], f"{name}: {counts[0][name]} and {counts[1][name]}"

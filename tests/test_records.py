@@ -83,7 +83,7 @@ TWINS = {
         "TTestResult", "t_stat df p_value sample_mean std_err reject_at", reject_at=None
     ),
     BiasRecord: twin("BiasRecord", "query_id beta"),
-    BiasSummary: twin("BiasSummary", "engine measure mb mab per_query"),
+    BiasSummary: twin("BiasSummary", "engine measure mb mab query_ids betas"),
     ReportConfig: twin("ReportConfig", "cutoff persistence log_base alpha measures"),
     Entry: twin(
         "TestEntry", "engine engine_b measure status detail result", detail="", result=None
@@ -149,8 +149,7 @@ def dataset_args(draw):
 results = st.builds(TTestResult, floats, ints, floats, floats, floats, st.none() | floats)
 entries = st.builds(Entry, text, st.none() | text, text, text, text, st.none() | results)
 report_configs = st.builds(ReportConfig, ints, floats, floats, floats, texts)
-records = st.builds(BiasRecord, text, floats)
-summaries = st.builds(BiasSummary, text, text, floats, floats, few(records))
+summaries = st.builds(BiasSummary, text, text, floats, floats, texts, few(floats))
 scores = st.builds(BaselineScore, text, text, text, st.none() | floats, text)
 
 ARGS = {
@@ -167,7 +166,7 @@ ARGS = {
     BaselineConfig: st.tuples(st.integers(1, 100), st.sampled_from(BASELINE_KINDS)),
     TTestResult: st.tuples(floats, ints, floats, floats, floats, st.none() | floats),
     BiasRecord: st.tuples(text, floats),
-    BiasSummary: st.tuples(text, text, floats, floats, few(records)),
+    BiasSummary: st.tuples(text, text, floats, floats, texts, few(floats)),
     ReportConfig: st.tuples(ints, floats, floats, floats, texts),
     Entry: st.tuples(text, st.none() | text, text, text, text, st.none() | results),
     ComparisonReport: st.tuples(

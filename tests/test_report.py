@@ -835,9 +835,9 @@ def ref_bias_summary(data):
     ref_known(data, ("engine", "measure", "mb", "mab", "per_query"))
     measure = ref_leaf(data, "measure", "text")
     rows = ref_leaf(data, "per_query", "rows")
-    per_query = tuple(BiasRecord(**ref_fields(BiasRecord, row)) for row in rows)
+    per_query = [BiasRecord(**ref_fields(BiasRecord, row)) for row in rows]
     mb, mab = ref_leaf(data, "mb", "number"), ref_leaf(data, "mab", "number")
-    return BiasSummary(ref_leaf(data, "engine", "text"), measure, mb, mab, per_query)
+    return summary_of(ref_leaf(data, "engine", "text"), measure, mb, mab, per_query)
 
 
 def ref_test_entry(data, paired):
@@ -915,6 +915,12 @@ counts = st.integers(0, 10**6)
 records = st.builds(BiasRecord, id_text, finite)
 
 
+def summary_of(engine, measure, mb, mab, per_query):
+    """The BiasSummary whose per_query reads the given records."""
+    query_ids = tuple(rec.query_id for rec in per_query)
+    return BiasSummary(engine, measure, mb, mab, query_ids, tuple(rec.beta for rec in per_query))
+
+
 def few(strategy):
     return st.lists(strategy, max_size=2).map(tuple)
 
@@ -936,7 +942,7 @@ reports = st.one_of(
         few(id_text),
         counts,
         few(id_text),
-        few(st.builds(BiasSummary, id_text, id_text, finite, finite, few(records))),
+        few(st.builds(summary_of, id_text, id_text, finite, finite, few(records))),
         few(entries(paired=False)),
         few(entries(paired=True)),
     ),
@@ -1007,7 +1013,7 @@ WIRE_CASES = (
         ("a,b", "p|q"),
         2,
         ("n\nl",),
-        (BiasSummary("a,b", "rbp", 0.5, 0.5, (BiasRecord("q1", 0.5), BiasRecord("q|2", -0.0))),),
+        (BiasSummary("a,b", "rbp", 0.5, 0.5, ("q1", "q|2"), (0.5, -0.0)),),
         ONE_SAMPLE,
         tuple(Entry(e.engine, "p|q", e.measure, e.status, e.detail, e.result) for e in ONE_SAMPLE),
     ),
