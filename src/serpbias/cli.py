@@ -15,7 +15,7 @@ import os
 import sys
 
 from .dataset import load_dataset
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, choice
 from .fairness import BASELINE_KINDS, DEFAULT_STEP, BaselineConfig, baseline_score
 from .measures import DEFAULT_CUTOFF, DEFAULT_LOG_BASE, DEFAULT_PERSISTENCE, MeasureConfig
 from .model import SIDES, IdeologyLabel, transform_list
@@ -119,12 +119,10 @@ def _g1(args):
             "so no list carries the excluded label"
         )
     groups = {label.value: label for label in labels if label is not IdeologyLabel.EXCLUDED}
-    if args.g1 not in groups:
-        valid = ", ".join(groups)
-        raise ConfigError(
-            f"invalid --g1: unknown {args.mode} label {args.g1!r} (expected one of: {valid})"
-        )
-    return groups[args.g1]
+    try:
+        return choice(f"{args.mode} label", args.g1, groups)
+    except ConfigError as exc:
+        raise ConfigError(f"invalid --g1: {exc}") from None
 
 
 def _baselines(args) -> BaselineReport:

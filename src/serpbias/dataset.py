@@ -27,11 +27,13 @@ document. A byte-order mark before line 1 is skipped.
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections.abc import Iterable
 from itertools import chain
+from operator import attrgetter
 
-from .errors import InputError, digit_limit, shown
+from .errors import InputError, choice, collection, digit_limit, shown
 from .model import (
     CODE,
     Document,
@@ -40,6 +42,7 @@ from .model import (
     RankedList,
     StanceLabel,
     check_id,
+    check_type,
     ids_text,
 )
 from .record import Record
@@ -49,16 +52,23 @@ class Dataset(Record):
     """All engine runs plus the shared query table (query_id -> text, leaning).
 
     Runs are kept in engine-id order and the table in query-id order.
-    Construction checks that the table's query ids are text and, engine by
-    engine, that engine ids are unique, that every run covers exactly the
-    table's query ids, and that every list has its query's leaning.
+    Construction checks that runs is an iterable of EngineRuns, that the
+    table is a dict whose query ids are text and, engine by engine, that
+    engine ids are unique, that every run covers exactly the table's query
+    ids, and that every list has its query's leaning.
     """
 
     runs: tuple[EngineRun, ...]
     query_table: dict[str, tuple[str, LeaningLabel]]
 
     def __init__(self, runs: tuple, query_table: dict):
-        runs = tuple(sorted(runs, key=lambda run: run.engine_id))
+        runs = tuple(collection("runs", "EngineRuns", runs))
+        for run in runs:
+            if not isinstance(run, EngineRun):
+                got = f"{type(run).__name__} {shown(run)}"
+                raise InputError(f"runs must hold only EngineRuns, got {got}")
+        runs = tuple(sorted(runs, key=attrgetter("engine_id")))
+        check_type("query_table", query_table, dict, "a dict")
         for query_id in query_table:
             check_id("query_id", query_id)
         query_table = dict(sorted(query_table.items()))
@@ -240,7 +250,7 @@ def _parse_record(obj):
     query_text = _field(obj, "query", str)
     leaning_text = _field(obj, "leaning", str)
     raw_docs = _field(obj, "docs", list)
-    leaning = LeaningLabel.from_str(leaning_text)
+    leaning = choice("leaning label", leaning_text, _LEANING, InputError)
     ranked = _ranked_list(engine, query_id, leaning, raw_docs)
     return engine, query_id, query_text, leaning, ranked
 
@@ -268,14 +278,8 @@ def parse_dataset(stream: Iterable[str]) -> Dataset:
     """
     by_engine: dict[str, dict[str, RankedList]] = {}
     query_table: dict[str, tuple[str, LeaningLabel]] = {}
-    if isinstance(stream, (str, bytes, bytearray)):
-        got = type(stream).__name__
-        raise InputError(f"a dataset must be an iterable of lines, got one whole text ({got})")
+    lines = collection("a dataset", "lines", stream)
     # RFC 8259 lets a parser skip a byte-order mark before the first line.
-    try:
-        lines = iter(stream)
-    except TypeError:
-        raise InputError(f"a dataset must be an iterable of lines, got {shown(stream)}") from None
     first = next(lines, "")
     if isinstance(first, str) and first.startswith("\ufeff"):
         first = first[1:]
@@ -314,7 +318,13 @@ def parse_dataset(stream: Iterable[str]) -> Dataset:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset from a file path, or from stdin when path is '-'."""
+    """Read a dataset from a file path, or from stdin when path is '-'. A path that
+    is not a str, bytes or os.PathLike, such as a file descriptor, is an InputError."""
+    try:
+        os.fspath(path)
+    except TypeError:
+        got = f"{type(path).__name__} {shown(path)}"
+        raise InputError(f"a dataset path must be a str, bytes or os.PathLike, got {got}") from None
     try:
         # Standard input is file descriptor 0. Bytes that are not UTF-8 become
         # lone surrogates in the line holding them, so parse_dataset names it.

@@ -1,8 +1,9 @@
-"""Exception types shared across the package, `real` and `integer` (the one reading of
-a number and of an integer argument), setting checks and the text of a refused value."""
+"""Exception types shared across the package; `real`, `integer`, `choice` and `collection`,
+the one reading of each kind of argument; setting checks and the text of a refused value."""
 
 import math
 import sys
+from collections.abc import Iterator
 
 
 class SerpBiasError(Exception):
@@ -75,14 +76,26 @@ def integer(what: str, value, low: int = 1, error: type = ConfigError) -> int:
     return int(value)
 
 
-def check_choice(what: str, value, choices) -> None:
-    """Raise ConfigError unless value is one of choices; an unhashable value is not."""
+def choice(what: str, value, choices, error: type = ConfigError):
+    """choices[value] for a dict of choices, else value; error unless value is one of them."""
     try:
         if value in choices:
-            return
+            return choices[value] if type(choices) is dict else value
     except TypeError:  # an unhashable value tested against a dict
         pass
-    raise ConfigError(f"unknown {what} {shown(value)} (expected one of: {', '.join(choices)})")
+    raise error(f"unknown {what} {shown(value)} (expected one of: {', '.join(choices)})")
+
+
+def collection(what: str, items: str, value, error: type = InputError) -> Iterator:
+    """iter(value); error if value is one whole text (str, bytes, bytearray) or not iterable."""
+    if isinstance(value, (str, bytes, bytearray)):
+        got = f"one whole text ({type(value).__name__})"
+    else:
+        try:
+            return iter(value)
+        except TypeError:
+            got = shown(value)
+    raise error(f"{what} must be an iterable of {items}, got {got}")
 
 
 def check_fraction(what: str, value) -> float:

@@ -27,7 +27,7 @@ import sys
 from collections.abc import Sequence
 from operator import truediv
 
-from .errors import InputError, MeasureUndefinedError, check_choice, integer
+from .errors import InputError, MeasureUndefinedError, choice, integer
 from .model import RankedList
 from .record import Record
 
@@ -49,7 +49,7 @@ class BaselineConfig(Record):
 
     def __init__(self, step: int = DEFAULT_STEP, kind: str = kind):
         step = integer("step", step)
-        check_choice("baseline kind", kind, BASELINE_KINDS)
+        kind = choice("baseline kind", kind, BASELINE_KINDS)
         self._fill(step, kind)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from .errors import ConfigError, check_choice, check_fraction, integer, real, shown
+from .errors import ConfigError, check_fraction, choice, integer, real, shown
 from .model import Label, RankedList
 from .record import Record
 
@@ -52,7 +52,7 @@ class MeasureConfig(Record):
             raise ConfigError(
                 f"log base must be a finite number greater than 1, got {shown(log_base)}"
             )
-        check_choice("measure kind", measure_kind, MEASURE_KINDS)
+        measure_kind = choice("measure kind", measure_kind, MEASURE_KINDS)
         self._fill(cutoff, persistence, base, measure_kind)
 
 

@@ -15,7 +15,7 @@ import enum
 import json
 from json.encoder import encode_basestring
 
-from .errors import InputError, integer, shown
+from .errors import InputError, choice, collection, integer, shown
 from .record import Record
 
 
@@ -27,12 +27,8 @@ class _Label(enum.Enum):
 
     @classmethod
     def from_str(cls, text: str) -> "_Label":
-        member = cls._value2member_map_.get(text) if isinstance(text, str) else None
-        if member is None:
-            what = cls.__name__[: -len("Label")].lower()
-            valid = ", ".join(m.value for m in cls)
-            raise InputError(f"unknown {what} label {shown(text)} (expected one of: {valid})")
-        return member
+        what = cls.__name__[: -len("Label")].lower()
+        return choice(f"{what} label", text, cls._value2member_map_, InputError)
 
 
 class StanceLabel(_Label):
@@ -102,6 +98,12 @@ def check_id(field: str, value) -> None:
         raise InputError(f"{field} must be a string, got {type(value).__name__} {shown(value)}")
 
 
+def check_type(field: str, value, kind: type, noun: str) -> None:
+    """InputError naming field unless value is a kind, which noun names ("a dict")."""
+    if not isinstance(value, kind):
+        raise InputError(f"{field} must be {noun}, got {type(value).__name__} {shown(value)}")
+
+
 class Document(Record):
     """One retrieved document: 1-based rank, its label, and an opaque id."""
 
@@ -116,7 +118,8 @@ class Document(Record):
 class RankedList(Record):
     """The ranked documents one engine returned for one query.
 
-    Ranks must be contiguous 1..len(docs) in ascending order, doc_ids must
+    The leaning must be a LeaningLabel and docs an iterable of Documents,
+    whose ranks must be contiguous 1..len(docs) in ascending order, doc_ids must
     be text and unique within the list, and every document carries the same
     label type (all stance or all ideology). Empty lists are legal (a failed
     crawl still counts as a result page).
@@ -139,9 +142,14 @@ class RankedList(Record):
     def __init__(self, engine_id: str, query_id: str, leaning: LeaningLabel, docs=()):
         check_id("engine_id", engine_id)
         check_id("query_id", query_id)
-        docs = tuple(docs)
-        label_type = type(docs[0].stance) if docs else None
+        check_type("leaning", leaning, LeaningLabel, "a LeaningLabel")
+        docs = tuple(collection("docs", "Documents", docs))
         for position, doc in enumerate(docs, start=1):
+            if not isinstance(doc, Document):
+                raise InputError(
+                    f"docs entry {position} of list ({engine_id}, {query_id}) must be a "
+                    f"Document, got {type(doc).__name__} {shown(doc)}"
+                )
             if doc.rank != position:
                 raise InputError(
                     f"rank gap in list ({engine_id}, {query_id}): "
@@ -152,11 +160,11 @@ class RankedList(Record):
                     f"rank {position} of list ({engine_id}, {query_id}) carries "
                     f"{shown(doc.stance)}, not a stance or ideology label"
                 )
-            if type(doc.stance) is not label_type:
+            if type(doc.stance) is not type(docs[0].stance):
                 raise InputError(
                     f"mixed label types in list ({engine_id}, {query_id}): "
                     f"rank {position} is {type(doc.stance).__name__}, "
-                    f"rank 1 is {label_type.__name__}"
+                    f"rank 1 is {type(docs[0].stance).__name__}"
                 )
             check_id("doc_id", doc.doc_id)
         ids = tuple(doc.doc_id for doc in docs)
@@ -195,8 +203,10 @@ class EngineRun(Record):
 
     def __init__(self, engine_id: str, lists: dict[str, RankedList]):
         check_id("engine_id", engine_id)
+        check_type("lists", lists, dict, "a dict")
         for query_id, ranked in lists.items():
             check_id("query_id", query_id)
+            check_type(f"the list for query {query_id!r}", ranked, RankedList, "a RankedList")
             if ranked.engine_id != engine_id:
                 raise InputError(
                     f"list for query {query_id!r} belongs to engine "
@@ -222,8 +232,9 @@ def transform_stance_to_ideology(leaning: LeaningLabel, stance: StanceLabel) -> 
     an against document carries liberal content; the sides swap for liberal
     topics. Neutral and not-relevant stances pass through unchanged, and
     documents of both-or-neither queries come back EXCLUDED. A label that is
-    not a stance raises InputError.
+    not a stance, or a leaning that is not a LeaningLabel, raises InputError.
     """
+    check_type("leaning", leaning, LeaningLabel, "a LeaningLabel")
     _require_stance(stance)
     if stance is StanceLabel.NEUTRAL:
         return IdeologyLabel.NEUTRAL

@@ -22,8 +22,8 @@ from json.encoder import encode_basestring as _encode_text
 from .bias import BiasSummary, summarize_run
 from .dataset import Dataset
 from .errors import (
-    ConfigError, DegenerateSampleError, InputError, check_choice, check_fraction, digit_limit,
-    shown,
+    ConfigError, DegenerateSampleError, InputError, check_fraction, choice, collection,
+    digit_limit,
 )
 from .measures import MEASURE_KINDS, MeasureConfig
 from .model import EngineRun, IdeologyLabel, StanceLabel, transform_list
@@ -252,15 +252,7 @@ _MEASURE_ALIASES = {"p": "precision", "precision": "precision", "rbp": "rbp", "d
 
 def resolve_measures(names: Sequence[str]) -> tuple[str, ...]:
     """Map user-facing measure names (p, rbp, dcg) to kinds, sorted for stable output."""
-    kinds = []
-    for name in names:
-        kind = _MEASURE_ALIASES.get(name.strip().lower())
-        if kind is None:
-            raise ConfigError(
-                f"unknown measure {name!r} (expected one of: p, rbp, dcg)"
-            )
-        kinds.append(kind)
-    return tuple(sorted(set(kinds)))
+    return tuple(sorted({choice("measure", n.strip().lower(), _MEASURE_ALIASES) for n in names}))
 
 
 def evaluate(
@@ -279,20 +271,14 @@ def evaluate(
     statistical tests are skipped and flagged in the report warnings.
     """
     cfg = cfg if cfg is not None else MeasureConfig()
-    check_choice("mode", mode, MODES)
+    choice("mode", mode, MODES)
     alpha = check_fraction("alpha", alpha)
-    if isinstance(measures, (str, bytes)):
-        raise ConfigError(
-            f"measures must be a collection of measure kinds, not the text {shown(measures)}"
-        )
-    try:
-        measures = MEASURE_KINDS if measures is None else list(measures)
-    except TypeError:  # not iterable
-        got = shown(measures)
-        raise ConfigError(f"measures must be a collection of measure kinds, got {got}") from None
-    for kind in measures:  # before the set, which an unhashable kind would break
-        check_choice("measure kind", kind, MEASURE_KINDS)
-    kinds = tuple(sorted(set(measures)))
+    if measures is not None:
+        measures = collection("measures", "measure kinds", measures, ConfigError)
+    kinds = set()
+    for kind in MEASURE_KINDS if measures is None else measures:
+        kinds.add(choice("measure kind", kind, MEASURE_KINDS))
+    kinds = tuple(sorted(kinds))
     kind_cfgs = [MeasureConfig(cfg.cutoff, cfg.persistence, cfg.log_base, kind) for kind in kinds]
 
     engines = tuple(ds.engine_ids())
@@ -438,7 +424,7 @@ def to_json_text(value) -> str:
 # The JSON wire format. A report part's fields, in order, are the keys of its
 # JSON object, and each field's annotation says what the writer puts there.
 # The annotations are read as their text (`from __future__ import annotations`
-# leaves them unevaluated). Three rules depart from that:
+# leaves them unevaluated). Four rules depart from that:
 # - An optional part, a test's result, is written in line: its fields are keys
 #   of the entry itself, all null when there is none.
 # - An optional text, a test's engine_b, is written and read only in the
@@ -717,7 +703,7 @@ def markdown_text(title: str, *blocks: str) -> str:
 
 def render_report(rep: Report, fmt: str = "json") -> str:
     """Serialize any report; identical reports render to identical bytes."""
-    check_choice("output format", fmt, REPORT_FORMATS)
+    choice("output format", fmt, REPORT_FORMATS)
     if fmt == "json":
         return to_json_text(_write(rep, _schema(type(rep)))) + "\n"
     if fmt == "tsv":

@@ -17,7 +17,8 @@ from itertools import repeat
 from operator import sub
 
 from .errors import (
-    ConvergenceError, DegenerateSampleError, InputError, check_fraction, integer, real, shown,
+    ConvergenceError, DegenerateSampleError, InputError, check_fraction, collection, integer, real,
+    shown,
 )
 from .record import Record
 
@@ -113,20 +114,12 @@ def student_t_sf(t: float, df: int) -> float:
 
 
 def _finite(values: Iterable, what: str = "observation") -> Sequence[float]:
-    """values as floats; InputError naming the first one that is not a finite
-    number (text is not one), or for one whole text in place of the values.
-    A Sample is returned as it is."""
+    """values as floats; InputError for values that errors.collection refuses, or naming
+    the first one that is not a finite number (text is not one). A Sample is returned as it is."""
     if type(values) is Sample:
         return values
-    if isinstance(values, (str, bytes, bytearray)):
-        got = f"one whole text ({type(values).__name__})"
-        raise InputError(f"t-test {what}s must be an iterable of numbers, got {got}")
-    try:
-        iterator = iter(values)
-    except TypeError:
-        got = shown(values)
-        raise InputError(f"t-test {what}s must be an iterable of numbers, got {got}") from None
-    values = list(iterator)
+    if type(values) is not list:
+        values = list(collection(f"t-test {what}s", "numbers", values))
     try:
         # Text makes sum raise, and a NaN or an infinity makes it non-finite.
         if math.isfinite(sum(values)):

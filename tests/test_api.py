@@ -22,6 +22,7 @@ from serpbias import (
     LeaningLabel,
     MeasureConfig,
     RankedList,
+    SerpBiasError,
     StanceLabel,
     distance_rnd,
     evaluate,
@@ -103,6 +104,25 @@ def test_only_errors_py_calls_float():
     found = {}
     for name, node in module_nodes("errors.py"):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.setdefault(name, []).append(node.lineno)
+    assert found == {}
+
+
+def test_only_errors_py_refuses_an_unknown_choice_or_one_whole_text():
+    # errors.choice is the one refusal of a value outside a closed vocabulary,
+    # and errors.collection the one refusal of one whole text where an iterable
+    # of items belongs: no other module writes either test or its message.
+    found = {}
+    for name, node in module_nodes("errors.py"):
+        message = isinstance(node, ast.Constant) and "(expected one of:" in str(node.value)
+        texts = (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Tuple)
+            and {"str", "bytes"} <= {getattr(kind, "id", None) for kind in node.args[1].elts}
+        )
+        if message or texts:
             found.setdefault(name, []).append(node.lineno)
     assert found == {}
 
@@ -288,14 +308,20 @@ def test_a_cutoff_of_an_int_subclass_renders_as_its_int():
         assert "7" in text and "seven" not in text
 
 
-# Where the t-test observations or a dataset's lines belong, a value that is
-# not iterable is an InputError.
+def list_of(docs):
+    return RankedList("e", "q", LeaningLabel.LIBERAL, docs)
+
+
+# Where the t-test observations, a dataset's lines, a list's documents or a
+# dataset's runs belong, a value that is not iterable is an InputError.
 OBSERVATIONS = "t-test observations must be an iterable of numbers"
 NOT_ITERABLE = {
     "one-sample": (one_sample_ttest, OBSERVATIONS),
     "paired-a": (lambda v: paired_ttest(v, SAMPLE), OBSERVATIONS),
     "paired-b": (lambda v: paired_ttest(SAMPLE, v), OBSERVATIONS),
     "parse-dataset": (parse_dataset, "a dataset must be an iterable of lines"),
+    "list-docs": (list_of, "docs must be an iterable of Documents"),
+    "dataset-runs": (lambda v: Dataset(v, {}), "runs must be an iterable of EngineRuns"),
 }
 
 
@@ -307,15 +333,18 @@ def test_a_non_iterable_argument_is_an_input_error(call, text, value):
     assert str(info.value) == f"{text}, got {value!r}"
 
 
-# One whole text where its lines or the observations belong is refused as a
-# whole, not read one character or byte at a time.
+# One whole text where its items belong is refused as a whole, not read one
+# character or byte at a time.
 WHOLE_TEXT = {
     "one-sample": (one_sample_ttest, OBSERVATIONS),
     "paired-a": (lambda v: paired_ttest(v, "34"), OBSERVATIONS),
     "paired-b": (lambda v: paired_ttest(SAMPLE, v), OBSERVATIONS),
     "parse-dataset": (parse_dataset, "a dataset must be an iterable of lines"),
+    "list-docs": (list_of, "docs must be an iterable of Documents"),
+    "dataset-runs": (lambda v: Dataset(v, {}), "runs must be an iterable of EngineRuns"),
 }
-GOLDEN_LINES = (pathlib.Path(__file__).parent / "golden" / "serps.jsonl").read_text()
+GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "serps.jsonl"
+GOLDEN_LINES = GOLDEN_PATH.read_text()
 
 
 TEXTS = {"str": "12", "bytes": b"12", "bytearray": bytearray(b"12"), "file": GOLDEN_LINES}
@@ -343,3 +372,126 @@ def test_a_list_length_past_the_longest_list_is_an_input_error(length):
 def test_a_log_base_is_kept_as_its_float(base):
     expected = bits(evaluated(MeasureConfig(log_base=3.0)))
     assert bits(evaluated(MeasureConfig(log_base=base))) == expected
+
+
+# The sweep over every public callable: one valid call each, by its public
+# name. Each argument that is not a record is given each value of HOSTILE in
+# turn, and every such call returns, or raises a SerpBiasError with a one-line
+# message; regularized_incomplete_beta may raise the ValueError it documents.
+# A label class is called through from_str: calling the class looks a member
+# up by value and raises ValueError, as every Enum does.
+HOSTILE = {
+    "none": None,
+    "empty-list": [],
+    "empty-dict": {},
+    "text": "x",
+    "bytes": b"x",
+    "big": 10**400,
+    "minus-one": -1,
+    "zero": 0,
+    "nan": math.nan,
+    "inf": math.inf,
+    "object": object(),
+    "nested": [[1]],
+    "snan": Decimal("sNaN"),
+    "true": True,
+}
+REPORT = evaluate(TWO_RUNS)
+TEST_RESULT = (1.0, 3, 0.5, 1.0, 0.5, None)
+MIXED = RankedList(
+    "e", "q", LeaningLabel.LIBERAL,
+    [Document(k, PRO if k % 3 == 1 else StanceLabel.AGAINST, str(k)) for k in range(1, 8)],
+)
+VALID_CALLS = {
+    "BaselineConfig": (BaselineConfig, (10, "rnd")),
+    "BaselineReport": (serpbias.BaselineReport, ("stance", "rnd", 10, "pro", ("a",), ())),
+    "BaselineScore": (serpbias.BaselineScore, ("a", "q1", "ok", 0.5, "")),
+    "BiasRecord": (serpbias.BiasRecord, ("q1", 0.5)),
+    "BiasSummary": (serpbias.BiasSummary, ("a", "rbp", 0.5, 0.5, ("q1",), (0.5,))),
+    "ComparisonReport": (serpbias.ComparisonReport, tuple(vars(REPORT).values())),
+    "ConfigError": (ConfigError, ("message",)),
+    "ConvergenceError": (serpbias.ConvergenceError, ("message",)),
+    "Dataset": (Dataset, (TWO_RUNS.runs, TWO_RUNS.query_table)),
+    "DatasetReport": (serpbias.DatasetReport, (("a", "b"), 2, 4, 8)),
+    "DegenerateSampleError": (serpbias.DegenerateSampleError, ("message",)),
+    "Document": (Document, (1, PRO, "d")),
+    "EngineRun": (serpbias.EngineRun, ("e", {"q": ONE_PRO})),
+    "IdeologyLabel": (serpbias.IdeologyLabel.from_str, ("neutral",)),
+    "InputError": (InputError, ("message",)),
+    "LeaningLabel": (LeaningLabel.from_str, ("liberal",)),
+    "MeasureConfig": (MeasureConfig, (10, 0.8, 2.0, "precision")),
+    "MeasureUndefinedError": (serpbias.MeasureUndefinedError, ("message",)),
+    "RankedList": (RankedList, ("e", "q", LeaningLabel.LIBERAL, ONE_PRO.docs)),
+    "ReportConfig": (serpbias.ReportConfig, (10, 0.8, 2.0, 0.05, ("precision",))),
+    "SerpBiasError": (SerpBiasError, ("message",)),
+    "StanceLabel": (StanceLabel.from_str, ("pro",)),
+    "TTestResult": (serpbias.TTestResult, TEST_RESULT),
+    "TestEntry": (
+        serpbias.TestEntry, ("a", None, "rbp", "ok", "", serpbias.TTestResult(*TEST_RESULT))
+    ),
+    "baseline_score": (serpbias.baseline_score, (MIXED, PRO, BaselineConfig(2))),
+    "bias": (serpbias.bias, (ONE_PRO, MeasureConfig())),
+    "dcg_at": (serpbias.dcg_at, (MIXED, PRO, 5, 2.0)),
+    "distance_rkl": (serpbias.distance_rkl, (MIXED, PRO, 3)),
+    "distance_rnd": (distance_rnd, (MIXED, PRO, 3)),
+    "distance_rrd": (serpbias.distance_rrd, (MIXED, PRO, 3)),
+    "evaluate": (evaluate, (TWO_RUNS, MeasureConfig(), "stance", None, 0.05)),
+    "load_dataset": (serpbias.load_dataset, (str(GOLDEN_PATH),)),
+    "mirror": (serpbias.mirror, (ONE_PRO,)),
+    "normalizer_z": (normalizer_z, ("rnd", 20, 5, 10)),
+    "one_sample_ttest": (one_sample_ttest, (SAMPLE, 0.0, None)),
+    "paired_ttest": (paired_ttest, (SAMPLE, SAMPLE[::-1], 0.05)),
+    "parse_dataset": (parse_dataset, (GOLDEN_LINES.splitlines(),)),
+    "precision_at": (serpbias.precision_at, (MIXED, PRO, 5)),
+    "rbp": (rbp, (MIXED, PRO, 0.8)),
+    "regularized_incomplete_beta": (regularized_incomplete_beta, (1.0, 2.0, 0.5)),
+    "render_report": (render_report, (REPORT, "json")),
+    "report_from_json": (serpbias.report_from_json, (render_report(REPORT, "json"),)),
+    "student_t_sf": (student_t_sf, (1.0, 3)),
+    "summarize_run": (serpbias.summarize_run, (TWO_RUNS.runs[0], MeasureConfig())),
+    "transform_list": (serpbias.transform_list, (ONE_PRO,)),
+    "transform_stance_to_ideology": (
+        serpbias.transform_stance_to_ideology,
+        (LeaningLabel.LIBERAL, StanceLabel.PRO),
+    ),
+}
+# The one known gap: normalizer_z's lru_cache hashes its arguments before its
+# body reads them, so an unhashable argument or a signaling NaN ends in the
+# cache's TypeError. A check in front of the cache would add a call per list
+# to baseline_score, so it waits until the library times its own stages. These
+# cells must still raise TypeError: a change that mends them empties this set.
+UNREAD = {
+    ("normalizer_z", position, value)
+    for position in range(4)
+    for value in ("empty-list", "empty-dict", "nested", "snan")
+}
+PUBLIC_CALLABLES = sorted(name for name in serpbias.__all__ if callable(getattr(serpbias, name)))
+
+
+def test_the_sweep_holds_one_valid_call_per_public_callable():
+    assert sorted(VALID_CALLS) == PUBLIC_CALLABLES
+
+
+@pytest.mark.parametrize("name", PUBLIC_CALLABLES)
+def test_every_public_callable_returns_or_refuses_each_hostile_value(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # so the text "x" names no file
+    call, args = VALID_CALLS[name]
+    call(*args)
+    documented = SerpBiasError
+    if name == "regularized_incomplete_beta":
+        documented = (SerpBiasError, ValueError)
+    outcomes = {}
+    for position, arg in enumerate(args):
+        if isinstance(arg, Record):
+            continue
+        for value_name, value in HOSTILE.items():
+            swept = (*args[:position], value, *args[position + 1 :])
+            try:
+                call(*swept)
+            except documented as exc:
+                if "\n" in str(exc):
+                    outcomes[(name, position, value_name)] = "a message of more than one line"
+            except Exception as exc:  # any other exception is the finding to record
+                outcomes[(name, position, value_name)] = type(exc).__name__
+    unread = {cell for cell in UNREAD if cell[0] == name}
+    assert outcomes == dict.fromkeys(unread, "TypeError")

@@ -256,6 +256,41 @@ def test_decode_failures_name_their_line(tmp_path, bad_line, message):
         load_dataset(str(path))
 
 
+# A Dataset's runs must hold EngineRuns and its table must be a dict; a path
+# must be a str, bytes or os.PathLike, so no file descriptor, such as True
+# (stdout), is opened and closed.
+WRONG_KINDS = {
+    "runs-entry": (lambda: Dataset([[1]], {}), "runs must hold only EngineRuns, got list [1]"),
+    "table-none": (lambda: Dataset((), None), "query_table must be a dict, got NoneType None"),
+    "table-list": (lambda: Dataset((), []), "query_table must be a dict, got list []"),
+    "path-none": (
+        lambda: load_dataset(None),
+        "a dataset path must be a str, bytes or os.PathLike, got NoneType None",
+    ),
+    "path-fd": (
+        lambda: load_dataset(True),
+        "a dataset path must be a str, bytes or os.PathLike, got bool True",
+    ),
+    "path-list": (
+        lambda: load_dataset([]),
+        "a dataset path must be a str, bytes or os.PathLike, got list []",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_KINDS.values(), ids=WRONG_KINDS)
+def test_a_wrong_kind_of_runs_table_or_path_is_an_input_error(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_dataset_path_may_be_an_os_path_like(tmp_path):
+    path = tmp_path / "one.jsonl"
+    path.write_text(jsonl([record("e", "q1", ["pro"])]), encoding="utf-8")
+    assert load_dataset(path) == load_dataset(str(path))
+
+
 QUERY_POOL = ("q1", "q2", "q3", "q4", "q5", "q6")
 
 

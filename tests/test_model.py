@@ -249,5 +249,43 @@ def test_engine_run_rejects_foreign_lists():
         EngineRun(engine_id="other", lists={"not-q01": r})
 
 
+# A leaning that is not a LeaningLabel, such as its wire text, was once read as
+# conservative by the transform, and a list holding one ended ideology mode
+# in a bare KeyError.
+@pytest.mark.parametrize("leaning", ["liberal", None, 1], ids=["text", "none", "int"])
+def test_a_leaning_that_is_not_a_leaning_label_is_an_input_error(leaning):
+    message = f"leaning must be a LeaningLabel, got {type(leaning).__name__} {leaning!r}"
+    for stance in (StanceLabel.PRO, StanceLabel.AGAINST):
+        with pytest.raises(InputError) as info:
+            transform_stance_to_ideology(leaning, stance)
+        assert str(info.value) == message
+    with pytest.raises(InputError) as info:
+        RankedList("e", "q", leaning, (Document(1, StanceLabel.PRO, "d"),))
+    assert str(info.value) == message
+
+
+# A container argument that is not the container a record holds, or that holds
+# an element of the wrong kind, is an InputError naming it.
+CONTAINERS = {
+    "list-docs-entry": (
+        lambda: RankedList("e", "q", LeaningLabel.LIBERAL, [[1]]),
+        "docs entry 1 of list (e, q) must be a Document, got list [1]",
+    ),
+    "run-lists": (lambda: EngineRun("e", None), "lists must be a dict, got NoneType None"),
+    "run-lists-list": (lambda: EngineRun("e", []), "lists must be a dict, got list []"),
+    "run-list": (
+        lambda: EngineRun("e", {"q": 5}),
+        "the list for query 'q' must be a RankedList, got int 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", CONTAINERS.values(), ids=CONTAINERS)
+def test_a_wrong_container_or_element_is_an_input_error(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_all_stances_cover_enum():
     assert set(STANCES) == set(StanceLabel)

@@ -436,12 +436,14 @@ def test_evaluate_validates_configuration():
         evaluate(ds, cfg=MeasureConfig(cutoff=-1))
 
 
-@pytest.mark.parametrize("measures", ["rbp", b"rbp"], ids=["str", "bytes"])
+@pytest.mark.parametrize(
+    "measures", ["rbp", b"rbp", bytearray(b"rbp")], ids=["str", "bytes", "bytearray"]
+)
 def test_evaluate_refuses_one_text_for_the_measures(measures):
     with pytest.raises(ConfigError) as info:
         evaluate(two_engine_dataset(), measures=measures)
-    expected = f"measures must be a collection of measure kinds, not the text {measures!r}"
-    assert str(info.value) == expected
+    whole = f"one whole text ({type(measures).__name__})"
+    assert str(info.value) == f"measures must be an iterable of measure kinds, got {whole}"
 
 
 @pytest.mark.parametrize(
@@ -451,7 +453,7 @@ def test_evaluate_refuses_one_text_for_the_measures(measures):
             {"measures": [["p"]]},
             "unknown measure kind ['p'] (expected one of: precision, rbp, dcg)",
         ),
-        ({"measures": 5}, "measures must be a collection of measure kinds, got 5"),
+        ({"measures": 5}, "measures must be an iterable of measure kinds, got 5"),
         ({"mode": []}, "unknown mode [] (expected one of: stance, ideology)"),
         ({"mode": {}}, "unknown mode {} (expected one of: stance, ideology)"),
     ],
