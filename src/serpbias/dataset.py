@@ -33,7 +33,7 @@ from collections.abc import Iterable
 from itertools import chain
 from operator import attrgetter
 
-from .errors import InputError, choice, collection, digit_limit, shown
+from .errors import InputError, choice, collection, digit_limit, instance
 from .model import (
     CODE,
     Document,
@@ -41,8 +41,6 @@ from .model import (
     LeaningLabel,
     RankedList,
     StanceLabel,
-    check_id,
-    check_type,
     ids_text,
 )
 from .record import Record
@@ -53,9 +51,9 @@ class Dataset(Record):
 
     Runs are kept in engine-id order and the table in query-id order.
     Construction checks that runs is an iterable of EngineRuns, that the
-    table is a dict whose query ids are text and, engine by engine, that
-    engine ids are unique, that every run covers exactly the table's query
-    ids, and that every list has its query's leaning.
+    table is a dict from text query ids to (text, LeaningLabel) tuples and,
+    engine by engine, that engine ids are unique, that every run covers
+    exactly the table's query ids, and that every list has its query's leaning.
     """
 
     runs: tuple[EngineRun, ...]
@@ -63,14 +61,20 @@ class Dataset(Record):
 
     def __init__(self, runs: tuple, query_table: dict):
         runs = tuple(collection("runs", "EngineRuns", runs))
-        for run in runs:
+        for position, run in enumerate(runs, start=1):
             if not isinstance(run, EngineRun):
-                got = f"{type(run).__name__} {shown(run)}"
-                raise InputError(f"runs must hold only EngineRuns, got {got}")
+                instance(f"runs entry {position}", run, EngineRun, "an EngineRun")
         runs = tuple(sorted(runs, key=attrgetter("engine_id")))
-        check_type("query_table", query_table, dict, "a dict")
-        for query_id in query_table:
-            check_id("query_id", query_id)
+        instance("query_table", query_table, dict, "a dict")
+        for query_id, entry in query_table.items():
+            instance("query_id", query_id, str, "a string")
+            if not (
+                isinstance(entry, tuple)
+                and len(entry) == 2
+                and isinstance(entry[0], str)
+                and isinstance(entry[1], LeaningLabel)
+            ):
+                _refuse_entry(query_id, entry)
         query_table = dict(sorted(query_table.items()))
         queries, previous = query_table.keys(), None
         for run in runs:
@@ -99,6 +103,16 @@ class Dataset(Record):
 
     def document_count(self) -> int:
         return sum(len(r) for run in self.runs for r in run.lists.values())
+
+
+def _refuse_entry(query_id: str, entry) -> None:
+    """InputError naming query_id, whose table entry is not a (text, LeaningLabel) tuple."""
+    what = f"the query table's entry for {query_id!r}"
+    instance(what, entry, tuple, "a (text, leaning) tuple")
+    if len(entry) != 2:
+        raise InputError(f"{what} must be a (text, leaning) tuple, got one of length {len(entry)}")
+    instance(f"the text of query {query_id!r}", entry[0], str, "a string")
+    instance(f"the leaning of query {query_id!r}", entry[1], LeaningLabel, "a LeaningLabel")
 
 
 def _field(obj: dict, key: str, kind: type):
@@ -319,17 +333,20 @@ def parse_dataset(stream: Iterable[str]) -> Dataset:
 
 def load_dataset(path: str) -> Dataset:
     """Read a dataset from a file path, or from stdin when path is '-'. A path that
-    is not a str, bytes or os.PathLike, such as a file descriptor, is an InputError."""
-    try:
-        os.fspath(path)
-    except TypeError:
-        got = f"{type(path).__name__} {shown(path)}"
-        raise InputError(f"a dataset path must be a str, bytes or os.PathLike, got {got}") from None
+    is not a str, bytes or os.PathLike, such as a file descriptor, is an InputError,
+    and so is one that open refuses, such as one holding a NUL."""
+    paths = (str, bytes, os.PathLike)
+    if not isinstance(path, paths):
+        instance("a dataset path", path, paths, "a str, bytes or os.PathLike")
     try:
         # Standard input is file descriptor 0. Bytes that are not UTF-8 become
         # lone surrogates in the line holding them, so parse_dataset names it.
         source, closefd = (0, False) if path == "-" else (path, True)
-        with open(source, encoding="utf-8", errors="surrogateescape", closefd=closefd) as f:
+        try:
+            f = open(source, encoding="utf-8", errors="surrogateescape", closefd=closefd)
+        except (TypeError, ValueError) as exc:  # a NUL, or an __fspath__ that fails
+            raise InputError(f"cannot read {path!r}: {exc}") from None
+        with f:
             return parse_dataset(f)
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc.strerror or exc}") from None

@@ -1,5 +1,6 @@
-"""Exception types shared across the package; `real`, `integer`, `choice` and `collection`,
-the one reading of each kind of argument; setting checks and the text of a refused value."""
+"""Exception types shared across the package; `real`, `integer`, `choice`, `collection`
+and `instance`, the one reading of each kind of argument; setting checks and the text
+of a refused value."""
 
 import math
 import sys
@@ -96,6 +97,13 @@ def collection(what: str, items: str, value, error: type = InputError) -> Iterat
         except TypeError:
             got = shown(value)
     raise error(f"{what} must be an iterable of {items}, got {got}")
+
+
+def instance(what: str, value, kind, noun: str):
+    """value; InputError unless it is a kind (a type or a tuple of types), which noun names."""
+    if isinstance(value, kind):
+        return value
+    raise InputError(f"{what} must be {noun}, got {type(value).__name__} {shown(value)}")
 
 
 def check_fraction(what: str, value) -> float:

@@ -15,7 +15,7 @@ import enum
 import json
 from json.encoder import encode_basestring
 
-from .errors import InputError, choice, collection, integer, shown
+from .errors import InputError, choice, collection, instance, integer, shown
 from .record import Record
 
 
@@ -92,18 +92,6 @@ def ids_text(ids) -> str:
     return "[" + ", ".join(map(encode_basestring, ids)) + "]"
 
 
-def check_id(field: str, value) -> None:
-    """InputError naming field unless value, an engine, query or doc id, is text."""
-    if not isinstance(value, str):
-        raise InputError(f"{field} must be a string, got {type(value).__name__} {shown(value)}")
-
-
-def check_type(field: str, value, kind: type, noun: str) -> None:
-    """InputError naming field unless value is a kind, which noun names ("a dict")."""
-    if not isinstance(value, kind):
-        raise InputError(f"{field} must be {noun}, got {type(value).__name__} {shown(value)}")
-
-
 class Document(Record):
     """One retrieved document: 1-based rank, its label, and an opaque id."""
 
@@ -140,16 +128,14 @@ class RankedList(Record):
     doc_ids_json: str
 
     def __init__(self, engine_id: str, query_id: str, leaning: LeaningLabel, docs=()):
-        check_id("engine_id", engine_id)
-        check_id("query_id", query_id)
-        check_type("leaning", leaning, LeaningLabel, "a LeaningLabel")
+        instance("engine_id", engine_id, str, "a string")
+        instance("query_id", query_id, str, "a string")
+        instance("leaning", leaning, LeaningLabel, "a LeaningLabel")
         docs = tuple(collection("docs", "Documents", docs))
         for position, doc in enumerate(docs, start=1):
             if not isinstance(doc, Document):
-                raise InputError(
-                    f"docs entry {position} of list ({engine_id}, {query_id}) must be a "
-                    f"Document, got {type(doc).__name__} {shown(doc)}"
-                )
+                what = f"docs entry {position} of list ({engine_id}, {query_id})"
+                instance(what, doc, Document, "a Document")
             if doc.rank != position:
                 raise InputError(
                     f"rank gap in list ({engine_id}, {query_id}): "
@@ -166,7 +152,7 @@ class RankedList(Record):
                     f"rank {position} is {type(doc.stance).__name__}, "
                     f"rank 1 is {type(docs[0].stance).__name__}"
                 )
-            check_id("doc_id", doc.doc_id)
+            instance("doc_id", doc.doc_id, str, "a string")
         ids = tuple(doc.doc_id for doc in docs)
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -202,11 +188,11 @@ class EngineRun(Record):
     lists: dict[str, RankedList]
 
     def __init__(self, engine_id: str, lists: dict[str, RankedList]):
-        check_id("engine_id", engine_id)
-        check_type("lists", lists, dict, "a dict")
+        instance("engine_id", engine_id, str, "a string")
+        instance("lists", lists, dict, "a dict")
         for query_id, ranked in lists.items():
-            check_id("query_id", query_id)
-            check_type(f"the list for query {query_id!r}", ranked, RankedList, "a RankedList")
+            instance("query_id", query_id, str, "a string")
+            instance(f"the list for query {query_id!r}", ranked, RankedList, "a RankedList")
             if ranked.engine_id != engine_id:
                 raise InputError(
                     f"list for query {query_id!r} belongs to engine "
@@ -234,7 +220,7 @@ def transform_stance_to_ideology(leaning: LeaningLabel, stance: StanceLabel) -> 
     documents of both-or-neither queries come back EXCLUDED. A label that is
     not a stance, or a leaning that is not a LeaningLabel, raises InputError.
     """
-    check_type("leaning", leaning, LeaningLabel, "a LeaningLabel")
+    instance("leaning", leaning, LeaningLabel, "a LeaningLabel")
     _require_stance(stance)
     if stance is StanceLabel.NEUTRAL:
         return IdeologyLabel.NEUTRAL

@@ -127,6 +127,29 @@ def test_only_errors_py_refuses_an_unknown_choice_or_one_whole_text():
     assert found == {}
 
 
+def test_only_errors_py_writes_the_type_and_text_of_a_refused_value():
+    # errors.instance is the one refusal of a value of the wrong type: no other
+    # module writes an f-string holding both type(...).__name__ and shown(...).
+    def type_name(part):
+        return (
+            isinstance(part, ast.Attribute)
+            and part.attr == "__name__"
+            and isinstance(part.value, ast.Call)
+            and getattr(part.value.func, "id", None) == "type"
+        )
+
+    def text(part):
+        return isinstance(part, ast.Call) and getattr(part.func, "id", None) == "shown"
+
+    found = {}
+    for name, node in module_nodes("errors.py"):
+        if isinstance(node, ast.JoinedStr):
+            parts = [part.value for part in node.values if isinstance(part, ast.FormattedValue)]
+            if any(map(type_name, parts)) and any(map(text, parts)):
+                found.setdefault(name, []).append(node.lineno)
+    assert found == {}
+
+
 # Each entry point that names a refused value in its message, given an int too
 # long for Python to write in decimal (or its negative): the error it
 # documents, with a one-line message and none of Python's advice to programs.
@@ -468,6 +491,18 @@ UNREAD = {
 PUBLIC_CALLABLES = sorted(name for name in serpbias.__all__ if callable(getattr(serpbias, name)))
 
 
+def swept_values(name, position, arg, value_name, value):
+    """(cell name, value) for each way value takes the place of arg. Dataset's
+    query table is also swept one level down: value as one query's whole
+    entry, as its text and as its leaning."""
+    yield value_name, value
+    if (name, position) == ("Dataset", 1):
+        query_id, (text, leaning) = next(iter(arg.items()))
+        yield f"{value_name}-as-entry", {**arg, query_id: value}
+        yield f"{value_name}-as-text", {**arg, query_id: (value, leaning)}
+        yield f"{value_name}-as-leaning", {**arg, query_id: (text, value)}
+
+
 def test_the_sweep_holds_one_valid_call_per_public_callable():
     assert sorted(VALID_CALLS) == PUBLIC_CALLABLES
 
@@ -485,13 +520,14 @@ def test_every_public_callable_returns_or_refuses_each_hostile_value(name, tmp_p
         if isinstance(arg, Record):
             continue
         for value_name, value in HOSTILE.items():
-            swept = (*args[:position], value, *args[position + 1 :])
-            try:
-                call(*swept)
-            except documented as exc:
-                if "\n" in str(exc):
-                    outcomes[(name, position, value_name)] = "a message of more than one line"
-            except Exception as exc:  # any other exception is the finding to record
-                outcomes[(name, position, value_name)] = type(exc).__name__
+            for cell, swept_arg in swept_values(name, position, arg, value_name, value):
+                swept = (*args[:position], swept_arg, *args[position + 1 :])
+                try:
+                    call(*swept)
+                except documented as exc:
+                    if "\n" in str(exc):
+                        outcomes[(name, position, cell)] = "a message of more than one line"
+                except Exception as exc:  # any other exception is the finding to record
+                    outcomes[(name, position, cell)] = type(exc).__name__
     unread = {cell for cell in UNREAD if cell[0] == name}
     assert outcomes == dict.fromkeys(unread, "TypeError")

@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 from unittest import mock
 
 import pytest
@@ -256,13 +257,58 @@ def test_decode_failures_name_their_line(tmp_path, bad_line, message):
         load_dataset(str(path))
 
 
-# A Dataset's runs must hold EngineRuns and its table must be a dict; a path
-# must be a str, bytes or os.PathLike, so no file descriptor, such as True
-# (stdout), is opened and closed.
+class FsPath:
+    """An os.PathLike whose __fspath__ returns, or raises, what it was given."""
+
+    def __init__(self, result):
+        self.result = result
+
+    def __fspath__(self):
+        if isinstance(self.result, Exception):
+            raise self.result
+        return self.result
+
+    def __repr__(self):
+        return "FsPath()"
+
+
+GOLDEN = load_dataset(str(pathlib.Path(__file__).parent / "golden" / "serps.jsonl"))
+
+
+def with_entry(entry):
+    """The golden dataset built again with entry as query q01's table value."""
+    return Dataset(GOLDEN.runs, {**GOLDEN.query_table, "q01": entry})
+
+
+# A Dataset's runs must hold EngineRuns, its table must be a dict, and each
+# table value a (text, LeaningLabel) tuple. A path must be a str, bytes or
+# os.PathLike, so no file descriptor, such as True (stdout), is opened and
+# closed, and one that open refuses before it reaches the file system, such
+# as one holding a NUL, is named.
+ENTRY = "the query table's entry for 'q01' must be a (text, leaning) tuple, got"
 WRONG_KINDS = {
-    "runs-entry": (lambda: Dataset([[1]], {}), "runs must hold only EngineRuns, got list [1]"),
+    "runs-entry": (lambda: Dataset([[1]], {}), "runs entry 1 must be an EngineRun, got list [1]"),
     "table-none": (lambda: Dataset((), None), "query_table must be a dict, got NoneType None"),
     "table-list": (lambda: Dataset((), []), "query_table must be a dict, got list []"),
+    "entry-int": (lambda: with_entry(5), f"{ENTRY} int 5"),
+    "entry-empty-runs": (lambda: Dataset((), {"q01": 5}), f"{ENTRY} int 5"),
+    "entry-list": (
+        lambda: with_entry(["topic", LeaningLabel.LIBERAL]),
+        f"{ENTRY} list ['topic', <LeaningLabel.LIBERAL: 'liberal'>]",
+    ),
+    "entry-one-value": (lambda: with_entry(("topic",)), f"{ENTRY} one of length 1"),
+    "entry-three-values": (
+        lambda: with_entry(("topic", LeaningLabel.LIBERAL, 1)),
+        f"{ENTRY} one of length 3",
+    ),
+    "entry-text": (
+        lambda: with_entry((5, LeaningLabel.LIBERAL)),
+        "the text of query 'q01' must be a string, got int 5",
+    ),
+    "entry-leaning": (
+        lambda: with_entry(("topic", "liberal")),
+        "the leaning of query 'q01' must be a LeaningLabel, got str 'liberal'",
+    ),
     "path-none": (
         lambda: load_dataset(None),
         "a dataset path must be a str, bytes or os.PathLike, got NoneType None",
@@ -274,6 +320,23 @@ WRONG_KINDS = {
     "path-list": (
         lambda: load_dataset([]),
         "a dataset path must be a str, bytes or os.PathLike, got list []",
+    ),
+    "path-nul": (lambda: load_dataset("a\0b"), "cannot read 'a\\x00b': embedded null byte"),
+    "path-nul-bytes": (
+        lambda: load_dataset(b"a\0b"),
+        "cannot read b'a\\x00b': embedded null byte",
+    ),
+    "path-like-nul": (
+        lambda: load_dataset(FsPath("a\0b")),
+        "cannot read FsPath(): embedded null byte",
+    ),
+    "path-like-int": (
+        lambda: load_dataset(FsPath(5)),
+        "cannot read FsPath(): expected FsPath.__fspath__() to return str or bytes, not int",
+    ),
+    "path-like-value-error": (
+        lambda: load_dataset(FsPath(ValueError("no path"))),
+        "cannot read FsPath(): no path",
     ),
 }
 
@@ -289,6 +352,29 @@ def test_a_dataset_path_may_be_an_os_path_like(tmp_path):
     path = tmp_path / "one.jsonl"
     path.write_text(jsonl([record("e", "q1", ["pro"])]), encoding="utf-8")
     assert load_dataset(path) == load_dataset(str(path))
+
+
+def test_an_error_while_parsing_an_opened_file_is_not_named_a_read_error(tmp_path):
+    # Only open's own refusals become "cannot read ...".
+    path = tmp_path / "one.jsonl"
+    path.write_text(jsonl([record("e", "q1", ["pro"])]), encoding="utf-8")
+    with mock.patch.object(dataset, "parse_dataset", side_effect=ValueError("in parse")):
+        with pytest.raises(ValueError, match="^in parse$"):
+            load_dataset(path)
+
+
+# The JSON reader's refusal of a text or list field of another JSON type.
+MISTYPED_FIELDS = {"engine": 5, "query_id": ["q01"], "query": None, "leaning": 1.5, "docs": {}}
+
+
+@pytest.mark.parametrize("key", MISTYPED_FIELDS)
+def test_a_mistyped_text_or_list_field_is_named(key):
+    rec = record("e", "q01", ["pro"])
+    rec[key] = MISTYPED_FIELDS[key]
+    kind = "list" if key == "docs" else "str"
+    with pytest.raises(InputError) as info:
+        parse(jsonl([rec]))
+    assert str(info.value) == f"line 1: field {key!r} must be a {kind}"
 
 
 QUERY_POOL = ("q1", "q2", "q3", "q4", "q5", "q6")
