@@ -15,7 +15,7 @@ import os
 import sys
 
 from .dataset import load_dataset
-from .errors import ConfigError, InputError, choice
+from .errors import ConfigError, InputError, choice, printable
 from .fairness import BASELINE_KINDS, DEFAULT_STEP, BaselineConfig, baseline_score
 from .measures import DEFAULT_CUTOFF, DEFAULT_LOG_BASE, DEFAULT_PERSISTENCE, MeasureConfig
 from .model import SIDES, IdeologyLabel, transform_list
@@ -176,8 +176,7 @@ def main(argv=None) -> int:
     except (ConfigError, InputError) as exc:
         label, code = ("configuration", 2) if isinstance(exc, ConfigError) else ("input", 1)
         # Non-printable characters, such as a newline in an engine id, are escaped.
-        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
-        print(f"{label} error: {message}", file=sys.stderr)
+        print(f"{label} error: {printable(str(exc))}", file=sys.stderr)
         return code
     return 0
 

@@ -1,6 +1,6 @@
 """Exception types shared across the package; `real`, `integer`, `choice`, `collection`
-and `instance`, the one reading of each kind of argument; setting checks and the text
-of a refused value."""
+and `instance`, the one reading of each kind of argument; setting checks, and the
+one-line text of a refused value and of a message."""
 
 import math
 import sys
@@ -47,11 +47,17 @@ def digit_limit() -> str:
     return f"an integer exceeds the limit of {sys.get_int_max_str_digits()} digits"
 
 
+def printable(text: str) -> str:
+    """text on one line: each character that is not printable, such as a line
+    break, escaped as repr escapes it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def shown(value, form=repr) -> str:
-    """form(value) for a refusal's message, or a short stand-in when value is or
-    holds an integer too long for Python to write in decimal."""
+    """form(value), made printable, for a refusal's message; or a short stand-in
+    when value is or holds an integer too long for Python to write in decimal."""
     try:
-        return form(value)
+        return printable(form(value))
     except ValueError:
         digits = f"an integer of more than {sys.get_int_max_str_digits()} digits"
         return digits if isinstance(value, int) else f"a {type(value).__name__} holding {digits}"

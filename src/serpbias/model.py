@@ -22,6 +22,8 @@ from .record import Record
 class _Label(enum.Enum):
     """A label vocabulary whose members print as, and parse from, their wire strings."""
 
+    __hash__ = object.__hash__  # by identity, as members compare: no Python call per lookup
+
     def __str__(self) -> str:
         return self.value
 
@@ -68,6 +70,7 @@ Label = StanceLabel | IdeologyLabel
 # byte per rank, LABELS[code], so the codes also say which vocabulary it uses.
 LABELS: tuple[Label, ...] = (*StanceLabel, *IdeologyLabel)
 CODE: dict[Label, int] = {label: code for code, label in enumerate(LABELS)}
+_IDEOLOGY_CODES = len(StanceLabel)  # the first ideology label's code
 
 # The two opposing labels of each label space, positive side first: slant is
 # the positive side's utility minus the negative side's, and mirror swaps them.
@@ -206,11 +209,6 @@ class EngineRun(Record):
         self._fill(engine_id, dict(sorted(lists.items())))
 
 
-def _require_stance(label) -> None:
-    if not isinstance(label, StanceLabel):
-        raise InputError(f"only stance labels map to ideology, got {type(label).__name__} {label}")
-
-
 def transform_stance_to_ideology(leaning: LeaningLabel, stance: StanceLabel) -> IdeologyLabel:
     """Map one (query leaning, document stance) pair to an ideology label.
 
@@ -221,7 +219,7 @@ def transform_stance_to_ideology(leaning: LeaningLabel, stance: StanceLabel) -> 
     not a stance, or a leaning that is not a LeaningLabel, raises InputError.
     """
     instance("leaning", leaning, LeaningLabel, "a LeaningLabel")
-    _require_stance(stance)
+    instance("stance", stance, StanceLabel, "a StanceLabel")
     if stance is StanceLabel.NEUTRAL:
         return IdeologyLabel.NEUTRAL
     if stance is StanceLabel.NOT_RELEVANT:
@@ -240,12 +238,6 @@ def _translation(mapping: dict) -> bytes:
     for old, new in mapping.items():
         table[CODE[old]] = CODE[new]
     return bytes(table)
-
-
-def _relabel(r: RankedList, table: bytes) -> RankedList:
-    """r with its codes translated through table."""
-    codes = r.codes.translate(table)
-    return RankedList._new(r.engine_id, r.query_id, r.leaning, codes, r.doc_ids_json)
 
 
 _LIST_IDEOLOGY = {
@@ -268,9 +260,12 @@ def transform_list(r: RankedList) -> RankedList:
     position while contributing nothing to any measure. A list that already
     carries ideology labels raises InputError.
     """
-    if r.codes:
-        _require_stance(LABELS[r.codes[0]])
-    return _relabel(r, _LIST_IDEOLOGY[r.leaning])
+    codes = r.codes
+    if codes and codes[0] >= _IDEOLOGY_CODES:  # a list holds one label type
+        what = f"the label at rank 1 of list ({r.engine_id}, {r.query_id})"
+        instance(what, LABELS[codes[0]], StanceLabel, "a StanceLabel")
+    codes = codes.translate(_LIST_IDEOLOGY[r.leaning])
+    return RankedList._new(r.engine_id, r.query_id, r.leaning, codes, r.doc_ids_json)
 
 
 _MIRROR = _translation({a: b for pair in SIDES.values() for a, b in (pair, pair[::-1])})
@@ -281,4 +276,5 @@ def mirror(r: RankedList) -> RankedList:
 
     Everything else is left alone, so mirror(mirror(r)) == r.
     """
-    return _relabel(r, _MIRROR)
+    codes = r.codes.translate(_MIRROR)
+    return RankedList._new(r.engine_id, r.query_id, r.leaning, codes, r.doc_ids_json)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections import ChainMap, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby, repeat
 from json.encoder import encode_basestring as _encode_text
@@ -477,8 +477,7 @@ _Slot = namedtuple("_Slot", "key kind hint slots write", defaults=(None, (), Non
 @functools.cache
 def _schema(cls, paired: bool = False) -> tuple[_Slot, ...]:
     """The slots of cls's JSON object; paired when cls is read as a paired test."""
-    # A class's own annotations name only the fields it declares itself.
-    hints = ChainMap(*(vars(c).get("__annotations__", {}) for c in cls.__mro__))
+    hints = vars(cls)["__annotations__"]
     in_config = getattr(cls, "_in_config", ())
 
     def slot(name: str) -> _Slot:

@@ -403,6 +403,13 @@ def test_a_log_base_is_kept_as_its_float(base):
 # message; regularized_incomplete_beta may raise the ValueError it documents.
 # A label class is called through from_str: calling the class looks a member
 # up by value and raises ValueError, as every Enum does.
+class Lines:
+    """A value whose repr spans two lines."""
+
+    def __repr__(self):
+        return "first line\nsecond line"
+
+
 HOSTILE = {
     "none": None,
     "empty-list": [],
@@ -418,6 +425,8 @@ HOSTILE = {
     "nested": [[1]],
     "snan": Decimal("sNaN"),
     "true": True,
+    "huge": 10**5000,  # past the digits Python writes in decimal
+    "two-lines": Lines(),
 }
 REPORT = evaluate(TWO_RUNS)
 TEST_RESULT = (1.0, 3, 0.5, 1.0, 0.5, None)

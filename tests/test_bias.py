@@ -453,7 +453,8 @@ def test_evaluate_in_ideology_mode_rejects_ideology_labeled_lists():
     ds = Dataset((EngineRun("e", {"q1": labeled}),), {"q1": ("topic", LeaningLabel.LIBERAL)})
     with pytest.raises(InputError) as relabel:
         transform_list(labeled)
-    assert str(relabel.value).startswith("only stance labels map to ideology, got ")
+    refused = "the label at rank 1 of list (e, q1) must be a StanceLabel, got IdeologyLabel "
+    assert str(relabel.value).startswith(refused)
     with pytest.raises(InputError) as info:
         evaluate(ds, mode="ideology")
     assert str(info.value) == str(relabel.value)

@@ -332,9 +332,9 @@ def test_relabelings_keep_the_contract(ds):
             assert [d.rank for d in ideology.docs] == [d.rank for d in r.docs]
             assert all(type(d.stance) is IdeologyLabel for d in ideology.docs)
             if len(r):
-                with pytest.raises(InputError, match="only stance labels"):
+                with pytest.raises(InputError, match="^the label at rank 1 of list "):
                     transform_list(ideology)
-                with pytest.raises(InputError, match="only stance labels"):
+                with pytest.raises(InputError, match="^the label at rank 1 of list "):
                     transform_list(mirror(ideology))
 
 

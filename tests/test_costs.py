@@ -17,6 +17,11 @@ which then make no call, so they count fewer, and they have a table of their
 own; 3.12 and 3.13 count alike. A change that moves a count updates its
 entry in both tables, and one that raises an entry says why in CHANGES.md,
 with the count before and after.
+
+Run as a script, on any Python the package supports, this prints each path's
+counts at both sizes, and needs no pytest:
+
+    PYTHONPATH=src:. python3.12 tests/test_costs.py
 """
 
 import contextlib
@@ -24,8 +29,7 @@ import io
 import json
 import os
 import sys
-
-import pytest
+import tempfile
 
 import serpbias
 from serpbias import cli, evaluate, parse_dataset, render_report
@@ -36,29 +40,29 @@ ENGINES, LIST_LEN = 4, 30
 
 # Path -> (calls at q = 50, calls at q = 100) on Python 3.10 and 3.11.
 COUNTS_3_10 = {
-    # The documented layout, read without decoding JSON: 3.25 calls per list.
-    "parse": (669, 1319),
+    # The documented layout, read without decoding JSON: 2.25 calls per list.
+    "parse": (465, 915),
     # The same records with compact separators and reversed keys, which the
-    # JSON reader reads column by column: 14.25 per list.
-    "parse-relaid": (2869, 5719),
+    # JSON reader reads column by column: 13.25 per list.
+    "parse-relaid": (2665, 5315),
     # The evaluate counts hold one errors.integer call (its df) per t-test
     # that reaches a p-value, 26 at both sizes. Stance scoring, the t-tests
     # and both renderings make no call per list: the same count at both sizes.
     "evaluate-stance-tsv": (1450, 1450),
     "evaluate-stance-json": (910, 910),
-    # The relabel's RankedList: about 5 per list.
-    "evaluate-ideology": (1713, 2712),
-    # About 10 per list; an undefined score takes another path.
-    "baselines-rkl-step-1": (2114, 4164),
+    # transform_list and the RankedList._new it calls: 2 per list.
+    "evaluate-ideology": (1109, 1508),
+    # About 9 per list; an undefined score takes another path.
+    "baselines-rkl-step-1": (1910, 3760),
 }
 # The same on Python 3.12 and later.
 COUNTS_3_12 = {
-    "parse": (669, 1319),
-    "parse-relaid": (2869, 5719),
+    "parse": (465, 915),
+    "parse-relaid": (2665, 5315),
     "evaluate-stance-tsv": (1321, 1321),
     "evaluate-stance-json": (813, 813),
-    "evaluate-ideology": (1640, 2639),
-    "baselines-rkl-step-1": (1908, 3758),
+    "evaluate-ideology": (1036, 1435),
+    "baselines-rkl-step-1": (1704, 3354),
 }
 COUNTS = COUNTS_3_12 if sys.version_info >= (3, 12) else COUNTS_3_10
 
@@ -111,6 +115,18 @@ def path_calls(directory, queries: int) -> dict[str, int]:
         "evaluate-ideology": calls(lambda: evaluate(ds, mode="ideology")),
         "baselines-rkl-step-1": calls(baselines),
     }
+
+
+if __name__ == "__main__":
+    # Before pytest is imported, so that a Python without it can print the counts.
+    with tempfile.TemporaryDirectory() as directory:
+        measured = [path_calls(directory, q) for q in QUERIES]
+    print(f"# Python {sys.version.split()[0]}: path -> (calls at q = {QUERIES[0]}, {QUERIES[1]})")
+    for name in COUNTS:
+        print(f"{name!r}: ({measured[0][name]}, {measured[1][name]}),")
+    sys.exit()
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture(scope="module")

@@ -120,7 +120,8 @@ def test_transform_list_matches_per_document_transform():
 def test_transform_list_rejects_ideology_labels():
     # A second pass would read conservative as pro and credit the wrong side.
     once = transform_list(make_list([StanceLabel.PRO, StanceLabel.AGAINST]))
-    with pytest.raises(InputError, match="only stance labels map to ideology"):
+    refused = r"^the label at rank 1 of list \(engine-a, q01\) must be a StanceLabel, got "
+    with pytest.raises(InputError, match=refused + "IdeologyLabel <IdeologyLabel.CONSERVATIVE"):
         transform_list(once)
 
 
@@ -128,7 +129,8 @@ def test_transform_list_rejects_ideology_labels():
     "label", list(IdeologyLabel) + list(LeaningLabel), ids=lambda l: f"{type(l).__name__}.{l.name}"
 )
 def test_transform_rejects_non_stance_labels(label):
-    with pytest.raises(InputError, match="only stance labels map to ideology"):
+    refused = f"^stance must be a StanceLabel, got {type(label).__name__} "
+    with pytest.raises(InputError, match=refused):
         transform_stance_to_ideology(LeaningLabel.CONSERVATIVE, label)
 
 

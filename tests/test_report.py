@@ -178,19 +178,6 @@ def test_every_golden_json_reads_back_and_renders_every_golden_format():
                 assert render_report(rep, fmt) == golden.read_bytes().decode("utf-8"), golden.name
 
 
-def test_a_report_subclass_that_declares_no_fields_renders_as_its_parent():
-    """Such a subclass has its parent's fields and annotations: every golden
-    report, rebuilt as one, renders the parent's bytes in every format and
-    reads back as the parent report."""
-    for path in sorted(GOLDEN.glob("*.json.out")):
-        rep = report_from_json(path.read_bytes().decode("utf-8"))
-        cls = type(rep)
-        sub = type("Sub", (cls,), {})(*(getattr(rep, name) for name in cls._fields))
-        for fmt in ("json", "tsv", "markdown"):
-            assert render_report(sub, fmt) == render_report(rep, fmt), (path.name, fmt)
-        assert report_from_json(render_report(sub, "json")) == rep
-
-
 VALIDATE_JSON = (GOLDEN / "validate.json.out").read_text(encoding="utf-8")
 
 
